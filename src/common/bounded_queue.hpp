@@ -18,10 +18,12 @@
 // because it makes *every* waiter runnable.
 #pragma once
 
+#include <atomic>
 #include <deque>
 #include <optional>
 
 #include "common/lockdep.hpp"
+#include "common/relaxed.hpp"
 #include "common/thread_annotations.hpp"
 
 namespace dpurpc {
@@ -40,6 +42,7 @@ class BoundedQueue {
     });
     if (closed_) return false;
     items_.push_back(std::move(item));
+    relaxed::store(size_, items_.size());
     not_empty_.notify_one();
     return true;
   }
@@ -49,6 +52,7 @@ class BoundedQueue {
     lockdep::ScopedLock lk(mu_);
     if (closed_ || items_.size() >= capacity_) return false;
     items_.push_back(std::move(item));
+    relaxed::store(size_, items_.size());
     not_empty_.notify_one();
     return true;
   }
@@ -61,6 +65,7 @@ class BoundedQueue {
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();
+    relaxed::store(size_, items_.size());
     not_full_.notify_one();
     return item;
   }
@@ -70,6 +75,7 @@ class BoundedQueue {
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();
+    relaxed::store(size_, items_.size());
     not_full_.notify_one();
     return item;
   }
@@ -83,11 +89,9 @@ class BoundedQueue {
   }
 
   /// Instantaneous size; stale the moment it returns (other threads may
-  /// push/pop concurrently) — callers may use it only as a hint.
-  size_t size() const DPURPC_EXCLUDES(mu_) {
-    lockdep::ScopedLock lk(mu_);
-    return items_.size();
-  }
+  /// push/pop concurrently) — callers may use it only as a hint. Lock-free
+  /// (a mirror written under the lock), so hot paths may poll it.
+  size_t size() const noexcept { return relaxed::load(size_); }
 
   bool closed() const DPURPC_EXCLUDES(mu_) {
     lockdep::ScopedLock lk(mu_);
@@ -101,6 +105,7 @@ class BoundedQueue {
   lockdep::CondVar not_full_;   ///< signalled when items_ shrinks or on close
   std::deque<T> items_ DPURPC_GUARDED_BY(mu_);
   bool closed_ DPURPC_GUARDED_BY(mu_) = false;
+  std::atomic<size_t> size_{0};  ///< items_.size(), for lock-free size()
 };
 
 }  // namespace dpurpc

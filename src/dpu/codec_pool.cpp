@@ -13,7 +13,13 @@
 namespace dpurpc::dpu {
 
 DeviceInfo DeviceInfo::current() noexcept {
+  // A pool wider than the machine only timeshares: size from the real core
+  // count, capped at the modeled device's (fig9's 16-worker sweep passes
+  // explicit worker counts instead).
   int cores = DeviceSpec::bluefield3().cores;
+  if (unsigned hw = std::thread::hardware_concurrency(); hw != 0) {
+    cores = std::min(cores, static_cast<int>(hw));
+  }
   if (const char* env = std::getenv("DPURPC_DPU_CORES")) {
     int v = std::atoi(env);
     if (v > 0 && v <= 1024) cores = v;
@@ -105,6 +111,21 @@ DPURPC_HOT_PATH bool CodecPool::submit(size_t lane, CodecJob& job) {
   return true;
 }
 
+DPURPC_HOT_PATH bool CodecPool::idle() const noexcept {
+  // Pairs with the park protocol's seq_cst sleepers_ update. A worker
+  // counts as parked from its fetch_add until it leaves the park loop
+  // with work in hand, so a job queued but not yet picked up is caught by
+  // the ring scan instead.
+  if (sleepers_.load(std::memory_order_seq_cst) !=
+      static_cast<int>(workers_.size())) {
+    return false;
+  }
+  for (const auto& lane : lanes_) {
+    if (lane->submit.approx_size() > 0) return false;
+  }
+  return true;
+}
+
 DPURPC_HOT_PATH bool CodecPool::try_pop_result(size_t lane, CodecResult& out) {
   if (lane >= lanes_.size()) return false;
   return lanes_[lane]->complete.try_pop(out);
@@ -181,14 +202,16 @@ DPURPC_HOT_PATH void CodecPool::worker_loop(size_t w) {
     // Park. sleepers_ is raised before the under-lock re-check, so a
     // submitter that pushed after our scan either makes the re-check see
     // its job or observes sleepers_ > 0 and lands its notify after our
-    // wait began; the 1ms timeout is a belt-and-suspenders backstop.
+    // wait began; the 1ms timeout is a belt-and-suspenders backstop. A
+    // backstop wakeup that finds nothing stays parked (sleepers_ still
+    // counts it), so idle() holds steadily while the pool has no work.
     idle_rounds = 0;
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
     {
       // dpulint: allow(hot-path): cold spill — condvar parking after 64
       // idle rounds, off the submit path (DESIGN.md §3.14).
       lockdep::UniqueLock lk(wake_mu_);
-      if (!any_pending(w) && !stopping_.load(std::memory_order_acquire)) {
+      while (!any_pending(w) && !stopping_.load(std::memory_order_acquire)) {
         // dpulint: allow(hot-path): parked-worker wait; bounded by the 1ms
         // backstop timeout.
         wake_cv_.wait_for(lk, std::chrono::milliseconds(1));

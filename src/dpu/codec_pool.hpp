@@ -36,6 +36,15 @@
 //     the poller only has to hand to the xRPC responder. See DESIGN.md
 //     §3.16.
 //
+// A handoff is only worth it when a worker is awake to take it. Waking a
+// parked worker and being woken back costs tens of microseconds, against
+// well under one for a Small message's decode or an Ack's serialize. So
+// a DpuProxy lane runs a unary job on its own thread when idle() says
+// every worker is parked, the lane has no job out with the pool and
+// nothing queued behind the call (DESIGN.md §3.14). The pool then sees
+// the work that gains from it: backlogs, concurrent lanes and stream
+// chunks, which always come here.
+//
 // Simulation posture: workers are host threads standing in for DPU cores;
 // each accounts its codec time scaled by the calibrated CostModel factor
 // (Fig. 7), and bench/fig9_scaling sweeps the worker count against those
@@ -146,9 +155,10 @@ struct CodecResult {
 class CodecPool {
  public:
   struct Options {
-    /// 0 → size from DeviceInfo::current().cores (BlueField-3: 16,
-    /// DPURPC_DPU_CORES overrides), clamped to the lane count — more
-    /// workers than lanes would only contend on the per-lane rings.
+    /// 0 → size from DeviceInfo::current().cores (BlueField-3's 16 capped
+    /// at the hardware threads, DPURPC_DPU_CORES overrides), clamped to
+    /// the lane count — more workers than lanes would only contend on
+    /// the per-lane rings.
     int workers = 0;
     /// Per-lane ring capacity (submit and completion alike). Callers must
     /// bound per-lane outstanding jobs — both kinds combined — by this so
@@ -212,6 +222,12 @@ class CodecPool {
   bool submit(size_t lane, CodecJob& job);
   /// Try-only: false when `lane` has no finished result waiting.
   bool try_pop_result(size_t lane, CodecResult& out);
+  /// True when every worker is parked and no job waits in any submit
+  /// ring: a job submitted now would first have to wake a worker. False
+  /// while a job is queued or running, and before start(). A lock-free
+  /// hint (stale the moment it returns) for callers that can do a small
+  /// job themselves instead of paying that wakeup; see DpuProxy.
+  bool idle() const noexcept;
 
   size_t worker_count() const noexcept { return workers_.size(); }
   size_t lane_count() const noexcept { return lanes_.size(); }

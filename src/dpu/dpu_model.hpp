@@ -78,8 +78,9 @@ struct DeviceSpec {
 
 /// What the running "device" actually offers — the knob the codec pool
 /// sizes itself from. In this simulated environment it reports the
-/// BlueField-3 core count; DPURPC_DPU_CORES overrides it (bench sweeps,
-/// CI runners with one host core).
+/// BlueField-3 core count capped at the machine's hardware threads
+/// (workers beyond that only timeshare); DPURPC_DPU_CORES overrides it
+/// (bench sweeps, CI runners with one host core).
 struct DeviceInfo {
   int cores = 1;
 

@@ -216,10 +216,12 @@ void DpuProxy::handle_call(xrpc::CallContext ctx) {
     if (lane->queue.push(std::move(call))) lane->conn->interrupt();
   }  // queue closed → proxy shutting down; the drop is deliberate
   if (ctx.trace.active()) {
-    // Method lookup + lane selection + queue push, on the xRPC reader
-    // thread. The lane-queue-wait span picks up at enqueue_ns.
+    // Method lookup + lane selection, on the xRPC reader thread. It ends
+    // where the lane-queue-wait span starts (enqueue_ns), so the queue
+    // push — and a reader preempted right after it while the lane already
+    // runs the call — is not counted twice.
     trace::Tracer::instance().record(trace::Stage::kProxyDispatch, ctx.trace,
-                                     t0, WallTimer::now());
+                                     t0, enqueue_ns);
   }
 }
 
@@ -582,6 +584,13 @@ void DpuProxy::fail_stream(Lane& lane, uint32_t stream_id, const Status& why) {
   (*respond)(why.code() == Code::kOk ? Code::kInternal : why.code(), {});
 }
 
+DPURPC_HOT_PATH bool DpuProxy::run_on_lane(const Lane& lane) const noexcept {
+  // Cheapest first: own outstanding count, queue-size mirror, then the
+  // pool's park state. None of them takes a lock.
+  return relaxed::load(lane.outstanding) == 0 && lane.queue.size() == 0 &&
+         pool_->idle();
+}
+
 Status DpuProxy::submit_decode(Lane& lane, PendingCall call) {
   if (call.trace.active()) {
     uint64_t now = WallTimer::now();
@@ -589,6 +598,12 @@ Status DpuProxy::submit_decode(Lane& lane, PendingCall call) {
     trace::Tracer::instance().record(trace::Stage::kLaneQueueWait, call.trace,
                                      call.enqueue_ns, now);
     call.enqueue_ns = now;  // decode-ring wait starts where the queue ended
+  }
+  if (run_on_lane(lane)) {
+    // Parked pool, nothing else waiting: decode straight into the send
+    // block here (the decode lands inside this call's block_build span).
+    relaxed::add(stats_.lane_run_decodes, 1);
+    return forward(lane, std::move(call));
   }
   dpu::CodecJob job;
   job.kind = dpu::JobKind::kDecode;
@@ -635,15 +650,20 @@ void DpuProxy::complete_response(
     (*respond)(result.code(), {});
   } else if ((resp.header.flags & rdmarpc::kFlagInPlaceObject) != 0) {
     // Offloaded response: the host handed back an object, not bytes.
-    // Serialize it on the codec pool; the receive block is acked the
-    // moment this continuation returns, so the object is copied out into
-    // an owned slice first (inside submit_encode). kComplete for this
-    // reply is recorded by finish_encoded; t0 doubles as the encode
-    // ring-wait start so the copy-out is accounted, not hidden.
-    if (submit_encode(lane, respond, tctx, resp, t0)) return;
-    // Budget/ring full: serialize on the lane thread — the pre-offload
-    // behavior, bit-identical bytes.
-    relaxed::add(stats_.inline_serializes, 1);
+    // With the pool parked and nothing else waiting, serialize it here
+    // while the receive block is still valid (the serialize lands inside
+    // this reply's kComplete span). Otherwise serialize it on the codec
+    // pool; the receive block is acked the moment this continuation
+    // returns, so the object is copied out into an owned slice first
+    // (inside submit_encode). kComplete for a pool reply is recorded by
+    // finish_encoded; t0 doubles as the encode ring-wait start so the
+    // copy-out is accounted, not hidden.
+    const bool lane_run = run_on_lane(lane);
+    if (!lane_run && submit_encode(lane, respond, tctx, resp, t0)) return;
+    // Lane-run, or budget/ring full (overload spill): the pre-offload
+    // inline serialize, bit-identical bytes.
+    relaxed::add(lane_run ? stats_.lane_run_serializes : stats_.inline_serializes,
+                 1);
     Bytes wire;
     Status st = serializer_.serialize(
         adt::ObjectRef(resp.header.aux, resp.payload_addr), wire);

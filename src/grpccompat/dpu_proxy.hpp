@@ -24,7 +24,10 @@
 // runs the compiled serialize plan; the poller then only has to hand the
 // finished wire bytes to the xRPC responder. A lane whose codec work is
 // slow therefore queues against the pool, not against its siblings, and
-// idle workers steal the backlog.
+// idle workers steal the backlog. When the pool is parked and the lane
+// has nothing else to do, the lane runs a unary job itself (decode
+// straight into the send block, serialize straight from the receive
+// block) rather than pay two wakeups for it — see run_on_lane().
 #pragma once
 
 #include <atomic>
@@ -51,18 +54,32 @@ class ResourceSampler;
 
 namespace dpurpc::grpccompat {
 
+/// Where each codec job ran. Every unary request decodes exactly once:
+/// on a pool worker, on the lane because the pool was parked
+/// (lane_run_decodes), or on the lane as overload spill (inline_decodes).
+/// In-place object replies split the same way.
 struct DpuProxyStats {
   std::atomic<uint64_t> offloaded_requests{0};
   std::atomic<uint64_t> deserialize_failures{0};
   std::atomic<uint64_t> responses_forwarded{0};
   /// Requests decoded on the lane thread because the pool ring was full
-  /// (overload spill; the pre-sharding behavior).
+  /// (overload spill; the pre-sharding behavior). Overload only: the
+  /// parked-pool case counts in lane_run_decodes.
   std::atomic<uint64_t> inline_decodes{0};
+  /// Requests decoded on the lane thread, straight into the send block,
+  /// because every pool worker was parked and nothing else was waiting
+  /// (the hand-off rule, DESIGN.md §3.14).
+  std::atomic<uint64_t> lane_run_decodes{0};
   /// In-place object responses serialized by the codec pool.
   std::atomic<uint64_t> offloaded_responses{0};
   /// In-place object responses serialized on the lane thread because the
-  /// pool ring (or the per-lane outstanding budget) was full.
+  /// pool ring (or the per-lane outstanding budget) was full. Overload
+  /// only, like inline_decodes.
   std::atomic<uint64_t> inline_serializes{0};
+  /// In-place object responses serialized on the lane thread, straight
+  /// from the receive block, under the same hand-off rule as
+  /// lane_run_decodes.
+  std::atomic<uint64_t> lane_run_serializes{0};
   /// Streaming: chunk pieces decoded on the pool, payload bytes shipped
   /// through streams, and the high-water mark of bytes any single stream
   /// held inside the proxy (carry + pieces awaiting host ack) — the
@@ -282,17 +299,25 @@ class DpuProxy {
   /// Every path that erases a ProxyStream must pass through this, or the
   /// proxy-wide gauge leaks the stream's unacked bytes forever.
   void retire_stream_hold(ProxyStream& ps) noexcept;
-  /// Hand a call's decode to the pool (or decode inline when the ring is
-  /// full). Returns non-ok only on unrecoverable datapath failure.
+  /// The hand-off rule: true when the lane should run a unary codec job
+  /// itself — every pool worker is parked, this lane has no job out with
+  /// the pool, and nothing waits in its queue. A handoff would then only
+  /// pay a worker wakeup and a poller wakeup for well under a
+  /// microsecond of codec work. Lock-free.
+  bool run_on_lane(const Lane& lane) const noexcept;
+  /// Hand a call's decode to the pool, or decode it on the lane (the
+  /// hand-off rule, or a full ring). Returns non-ok only on unrecoverable
+  /// datapath failure.
   Status submit_decode(Lane& lane, PendingCall call);
   /// Ship a pool-decoded slice: copy into the send block, relocate its
   /// pointers to host space, and fire the RPC.
   Status forward_decoded(Lane& lane, dpu::CodecResult result);
-  /// Pre-sharding inline path; kept as the overload spill and the
-  /// decode-error short-circuit.
+  /// Decode straight into the send block on the lane thread (§V): the
+  /// lane-run path, and the overload spill.
   Status forward(Lane& lane, PendingCall call);
   /// Shared RPC continuation tail: error → error reply; in-place object →
-  /// encode offload (inline-serialize spill); bytes → pass through.
+  /// encode offload, or serialize on the lane (hand-off rule or spill);
+  /// bytes → pass through.
   void complete_response(Lane& lane,
                          const std::shared_ptr<xrpc::Server::Responder>& respond,
                          const trace::TraceContext& tctx, const Status& result,

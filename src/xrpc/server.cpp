@@ -14,21 +14,6 @@ StatusOr<std::unique_ptr<Server>> Server::start(Handler handler,
       new Server(std::move(*listener), std::move(handler), metrics));
 }
 
-StatusOr<std::unique_ptr<Server>> Server::start(Dispatch dispatch,
-                                                metrics::Registry* metrics) {
-  // Deprecated shim (removal next PR): wrap the legacy 4-argument shape.
-  return start(
-      Handler([dispatch = std::move(dispatch)](CallContext ctx) {
-        if (ctx.is_stream()) {
-          ctx.respond(Code::kUnimplemented, {});
-          return;
-        }
-        dispatch(ctx.method, std::move(ctx.payload), ctx.trace,
-                 std::move(ctx.respond));
-      }),
-      metrics);
-}
-
 Server::Server(Listener listener, Handler handler, metrics::Registry* metrics)
     : listener_(std::move(listener)),
       handler_(std::move(handler)),

@@ -43,22 +43,11 @@ class Server {
   /// before returning). See call_context.hpp.
   using Handler = CallHandler;
 
-  /// DEPRECATED legacy dispatch shape (removal next PR): unary calls
-  /// only, unpacked arguments. Streaming calls reaching a server started
-  /// with this shim are answered kUnimplemented.
-  using Dispatch = std::function<void(const std::string& method, Bytes payload,
-                                      trace::TraceContext trace,
-                                      Responder respond)>;
-
   /// Listen on an OS-assigned loopback port and serve until shutdown().
   /// A non-null `metrics` enables the built-in kMetricsMethod handler
   /// (answered before the handler ever sees the call).
   static StatusOr<std::unique_ptr<Server>> start(
       Handler handler, metrics::Registry* metrics = nullptr);
-
-  /// DEPRECATED shim over the Handler form; slated for removal next PR.
-  static StatusOr<std::unique_ptr<Server>> start(
-      Dispatch dispatch, metrics::Registry* metrics = nullptr);
 
   ~Server();
   Server(const Server&) = delete;

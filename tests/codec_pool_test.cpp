@@ -12,10 +12,13 @@
 // the reference WireCodec, tests/serialize_plan_test.cpp) produces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "adt/arena_deserializer.hpp"
@@ -590,7 +593,51 @@ TEST_F(CodecPoolFixture, WorkerCountClampsAndEnvOverride) {
     EXPECT_EQ(pool.worker_count(), 3u);
   }
   ::unsetenv("DPURPC_DPU_CORES");
-  EXPECT_EQ(DeviceInfo::current().cores, DeviceSpec::bluefield3().cores);
+  // No override: the modeled device's cores, capped at the real machine's.
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int expect = hw == 0 ? DeviceSpec::bluefield3().cores
+                             : std::min(DeviceSpec::bluefield3().cores,
+                                        static_cast<int>(hw));
+  EXPECT_EQ(DeviceInfo::current().cores, expect);
+}
+
+// idle() is the hand-off rule's view of the pool: true only once every
+// worker has parked, false while a job waits in a ring or runs.
+TEST_F(CodecPoolFixture, IdleOnlyWhileEveryWorkerIsParked) {
+  CodecPool::Options opts;
+  opts.workers = 2;
+  CodecPool pool(deser_.get(), ser_.get(), /*lanes=*/2, opts);
+  EXPECT_FALSE(pool.idle());  // not started: nobody is parked
+  pool.start();
+  auto wait_idle = [&pool] {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!pool.idle() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return pool.idle();
+  };
+  ASSERT_TRUE(wait_idle());
+  // Backstop timeouts must not unpark an idle pool: idle() holds across
+  // several of them.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(pool.idle());
+
+  // A queued job: false from the moment submit() returns until the
+  // result is out, whichever worker is mid-wakeup.
+  const Bytes wire = node_wire(3);
+  CodecJob job;
+  job.kind = JobKind::kDecode;
+  job.class_index = node_;
+  job.cookie = 1;
+  job.wire = wire;
+  ASSERT_TRUE(pool.submit(1, job));
+  EXPECT_FALSE(pool.idle());
+  CodecResult r = std::move(drain(pool, 1)[0]);
+  EXPECT_TRUE(r.status.is_ok());
+  // Once the worker is done and parks again, the pool reads idle again.
+  EXPECT_TRUE(wait_idle());
+  pool.stop();
+  EXPECT_FALSE(pool.idle());
 }
 
 }  // namespace

@@ -168,10 +168,12 @@ TEST_F(ForensicsFixture, ScrapeCarriesQuantilesGaugesAndExemplars) {
                    scrape->size());
 
   // Satellite (a): derived per-stage quantiles are first-class series.
+  // block_build is a stage every offloaded call records, whether its
+  // codec ran on the pool or on the lane (DESIGN.md §3.14 hand-off rule).
   for (const char* line : {
-           "dpurpc_trace_stage_seconds_p50{stage=\"worker_decode\"}",
-           "dpurpc_trace_stage_seconds_p95{stage=\"worker_decode\"}",
-           "dpurpc_trace_stage_seconds_p99{stage=\"worker_decode\"}",
+           "dpurpc_trace_stage_seconds_p50{stage=\"block_build\"}",
+           "dpurpc_trace_stage_seconds_p95{stage=\"block_build\"}",
+           "dpurpc_trace_stage_seconds_p99{stage=\"block_build\"}",
            "dpurpc_trace_stage_seconds_p99{stage=\"request\"}",
            "dpurpc_trace_stage_seconds_p99{stage=\"rdma_inbound\"}",
        }) {
@@ -191,7 +193,7 @@ TEST_F(ForensicsFixture, ScrapeCarriesQuantilesGaugesAndExemplars) {
   // The recorder's dump references real datapath stages and ids.
   std::string dump = recorder.to_json();
   EXPECT_NE(dump.find("\"trigger\":\"manual\""), std::string::npos);
-  EXPECT_NE(dump.find("worker_decode"), std::string::npos);
+  EXPECT_NE(dump.find("block_build"), std::string::npos);
 
   // One timeline, two kinds of tracks: spans (ph:"X") from the retained
   // trees and resource counters (ph:"C") from the sampler.
@@ -200,7 +202,7 @@ TEST_F(ForensicsFixture, ScrapeCarriesQuantilesGaugesAndExemplars) {
   EXPECT_NE(timeline.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(timeline.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(timeline.find("lane0_outstanding_jobs"), std::string::npos);
-  EXPECT_NE(timeline.find("\"name\":\"worker_decode\""), std::string::npos);
+  EXPECT_NE(timeline.find("\"name\":\"block_build\""), std::string::npos);
 }
 
 }  // namespace

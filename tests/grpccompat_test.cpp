@@ -3,6 +3,7 @@
 // This is Fig. 1 of the paper as a running system.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -445,6 +446,11 @@ TEST_F(OffloadFixture, StreamedBulkTransferEndToEnd) {
   }
   ASSERT_GT(oracle.size(), sopts.per_stream_budget);
 
+  // Start from a parked pool, where a unary call would run on the lane.
+  for (int i = 0; i < 10000 && !proxy_->codec_pool().idle(); ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_TRUE(proxy_->codec_pool().idle());
   auto stream = (*chan)->open_stream("kv.KvStore/Put");
   ASSERT_TRUE(stream.is_ok()) << stream.status().to_string();
   constexpr size_t kWrite = 32 * 1024;  // deliberately not record-aligned
@@ -471,6 +477,16 @@ TEST_F(OffloadFixture, StreamedBulkTransferEndToEnd) {
   EXPECT_LE(proxy_->stats().stream_peak_bytes.load(), sopts.per_stream_budget);
   EXPECT_EQ(proxy_->stats().stream_aborts.load(), 0u);
   EXPECT_EQ(proxy_->stats().deserialize_failures.load(), 0u);
+  // Stream pieces never run on the lane under the hand-off rule, even
+  // though the pool was parked when the stream opened: every piece is a
+  // pool decode unless the ring was full (overload spill).
+  EXPECT_EQ(proxy_->stats().lane_run_decodes.load(), 0u);
+  const dpu::CodecPool& codec = proxy_->codec_pool();
+  uint64_t pool_decodes = codec.total_jobs();
+  for (size_t w = 0; w < codec.worker_count(); ++w)
+    pool_decodes -= codec.worker_stats(w).encodes;
+  EXPECT_EQ(pool_decodes + proxy_->stats().inline_decodes.load(),
+            proxy_->stats().stream_chunks.load());
   // Backpressure engaged at the xRPC edge: the 1.5 MB stream had to wait
   // for the 256 KiB window at least once.
   EXPECT_GE((*stream)->credit_stalls(), 1u);

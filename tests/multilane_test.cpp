@@ -132,8 +132,9 @@ TEST(MultiLane, ProxyLanesAndHostPoolServeConcurrently) {
 // Lane sharding (DESIGN.md §3.14): one proxy with MORE connections than
 // decode workers, hammered by concurrent clients, so the per-lane rings
 // multiplex onto a smaller worker pool and stealing kicks in. Verifies
-// the decode ledger balances: every request was decoded exactly once,
-// either by a pool worker or by the lane's inline spill path.
+// the decode ledger balances: every request was decoded exactly once, by
+// a pool worker, on its lane under the hand-off rule, or by the lane's
+// inline spill path.
 TEST(MultiLane, CodecPoolShardsAcrossFewerWorkersThanLanes) {
   constexpr size_t kLanes = 4;
   constexpr int kWorkers = 2;  // fewer workers than lanes, deliberately
@@ -221,8 +222,8 @@ TEST(MultiLane, CodecPoolShardsAcrossFewerWorkersThanLanes) {
   EXPECT_EQ(ok.load(), static_cast<int>(total));
 
   // The codec ledger balances, both directions: per-worker job counters
-  // plus the inline spill paths account for every request decode and
-  // every in-place reply serialize exactly once.
+  // plus the lane-run and inline spill paths account for every request
+  // decode and every in-place reply serialize exactly once.
   uint64_t pool_jobs = 0, pool_encodes = 0;
   for (size_t w = 0; w < proxy.codec_pool().worker_count(); ++w) {
     const auto stats = proxy.codec_pool().worker_stats(w);
@@ -232,8 +233,12 @@ TEST(MultiLane, CodecPoolShardsAcrossFewerWorkersThanLanes) {
   }
   EXPECT_EQ(pool_jobs, proxy.codec_pool().total_jobs());
   const uint64_t pool_decodes = pool_jobs - pool_encodes;
-  EXPECT_EQ(pool_decodes + proxy.stats().inline_decodes.load(), total);
-  EXPECT_EQ(pool_encodes + proxy.stats().inline_serializes.load(), total);
+  EXPECT_EQ(pool_decodes + proxy.stats().lane_run_decodes.load() +
+                proxy.stats().inline_decodes.load(),
+            total);
+  EXPECT_EQ(pool_encodes + proxy.stats().lane_run_serializes.load() +
+                proxy.stats().inline_serializes.load(),
+            total);
   EXPECT_EQ(pool_encodes, proxy.stats().offloaded_responses.load());
   EXPECT_EQ(proxy.stats().offloaded_requests.load(), total);
 

@@ -6,7 +6,11 @@
 // offloaded, the host performs no serialization work at all.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "grpccompat/dpu_proxy.hpp"
@@ -76,6 +80,73 @@ class ResponseOffloadFixture : public ::testing::Test {
     stop_.store(true);
     host_conn_->interrupt();
     if (host_thread_.joinable()) host_thread_.join();
+  }
+
+  /// Find handler whose in-place reply is a deterministic function of the
+  /// request, so echo_oracle() can rebuild the exact message client-side.
+  void register_echo_find() {
+    ASSERT_TRUE(host_
+                    ->register_unary_inplace(
+                        "ro.Search/Find",
+                        [](const ServerContext&, const adt::LayoutView& req,
+                           adt::LayoutBuilder& resp) {
+                          std::string text(req.get_string(1));
+                          uint64_t top_k = req.get_uint64(2) % 6;
+                          for (uint64_t i = 0; i < top_k; ++i) {
+                            auto hit = resp.add_message(1);
+                            if (!hit.is_ok()) return hit.status();
+                            DPURPC_RETURN_IF_ERROR(hit->set_string(
+                                1, text + "#" + std::to_string(i)));
+                            DPURPC_RETURN_IF_ERROR(hit->set_double(
+                                2, static_cast<double>(i) * 0.25));
+                          }
+                          DPURPC_RETURN_IF_ERROR(resp.set_uint64(2, top_k));
+                          return resp.set_string(3, text);
+                        })
+                    .is_ok());
+  }
+
+  Bytes query_wire(const std::string& text, uint64_t top_k) const {
+    const auto* query_desc = pool_.find_message("ro.Query");
+    proto::DynamicMessage q(query_desc);
+    q.set_string(query_desc->field_by_name("text"), text);
+    q.set_uint64(query_desc->field_by_name("top_k"), top_k);
+    return proto::WireCodec::serialize(q);
+  }
+
+  /// WireCodec's bytes for register_echo_find's reply to (text, top_k).
+  Bytes echo_oracle(const std::string& text, uint64_t top_k) const {
+    const auto* results_desc = pool_.find_message("ro.Results");
+    const auto* hit_desc = pool_.find_message("ro.Hit");
+    proto::DynamicMessage want(results_desc);
+    for (uint64_t j = 0; j < top_k % 6; ++j) {
+      auto* hit = want.add_message(results_desc->field_by_name("hits"));
+      hit->set_string(hit_desc->field_by_name("doc"),
+                      text + "#" + std::to_string(j));
+      hit->set_double(hit_desc->field_by_name("score"),
+                      static_cast<double>(j) * 0.25);
+    }
+    want.set_uint64(results_desc->field_by_name("total"), top_k % 6);
+    want.set_string(results_desc->field_by_name("shard"), text);
+    return proto::WireCodec::serialize(want);
+  }
+
+  /// Block until every codec worker has parked (the pool's start-up spin
+  /// is over), so the hand-off rule sees an idle pool.
+  void wait_pool_idle() {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!proxy_->codec_pool().idle() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    ASSERT_TRUE(proxy_->codec_pool().idle());
+  }
+
+  uint64_t pool_encodes() const {
+    uint64_t n = 0;
+    for (size_t w = 0; w < proxy_->codec_pool().worker_count(); ++w)
+      n += proxy_->codec_pool().worker_stats(w).encodes;
+    return n;
   }
 
   proto::DescriptorPool pool_;
@@ -150,80 +221,127 @@ TEST_F(ResponseOffloadFixture, FullyOffloadedRoundTrip) {
   EXPECT_EQ(r.get_string(results_desc->field_by_name("shard")), "shard-7");
 }
 
-// The acceptance criterion, literally: bytes serialized by the codec
-// pool's encode direction are bit-identical to what the reference
-// WireCodec produces for the equivalent DynamicMessage — over randomized
-// response content, not one lucky shape.
+// The acceptance criterion, literally: bytes serialized on the DPU (by the
+// codec pool's encode direction, or on the lane when the pool is parked)
+// are bit-identical to what the reference WireCodec produces for the
+// equivalent DynamicMessage — over randomized response content, not one
+// lucky shape. ConcurrentBurstStillReachesThePool below pins the pool side.
 TEST_F(ResponseOffloadFixture, PoolSerializedBytesMatchWireCodecOracle) {
-  ASSERT_TRUE(host_
-                  ->register_unary_inplace(
-                      "ro.Search/Find",
-                      [](const ServerContext&, const adt::LayoutView& req,
-                         adt::LayoutBuilder& resp) {
-                        // Deterministic function of the request, so the
-                        // test can rebuild the exact message client-side.
-                        std::string text(req.get_string(1));
-                        uint64_t top_k = req.get_uint64(2) % 6;
-                        for (uint64_t i = 0; i < top_k; ++i) {
-                          auto hit = resp.add_message(1);
-                          if (!hit.is_ok()) return hit.status();
-                          DPURPC_RETURN_IF_ERROR(hit->set_string(
-                              1, text + "#" + std::to_string(i)));
-                          DPURPC_RETURN_IF_ERROR(hit->set_double(
-                              2, static_cast<double>(i) * 0.25));
-                        }
-                        DPURPC_RETURN_IF_ERROR(resp.set_uint64(2, top_k));
-                        return resp.set_string(3, text);
-                      })
-                  .is_ok());
+  register_echo_find();
   start();
   auto chan = xrpc::Channel::connect(port_);
   ASSERT_TRUE(chan.is_ok());
-  const auto* query_desc = pool_.find_message("ro.Query");
-  const auto* results_desc = pool_.find_message("ro.Results");
-  const auto* hit_desc = pool_.find_message("ro.Hit");
 
   std::mt19937_64 rng(kDefaultSeed);
   constexpr int kCalls = 40;
   for (int i = 0; i < kCalls; ++i) {
     // Strings long and short: SSO and heap forms both cross the
-    // copy-out + relocate + pool-serialize path.
+    // serialize path.
     std::string text = random_ascii(rng, 1 + rng() % 150);
     // top_k is uint32 on the wire: stay inside it so client and server
     // compute the same k % 6.
     uint64_t k = rng() % 100000;
-    proto::DynamicMessage q(query_desc);
-    q.set_string(query_desc->field_by_name("text"), text);
-    q.set_uint64(query_desc->field_by_name("top_k"), k);
-    Bytes wire = proto::WireCodec::serialize(q);
-    auto resp = (*chan)->call("ro.Search/Find", ByteSpan(wire));
+    auto resp = (*chan)->call("ro.Search/Find", ByteSpan(query_wire(text, k)));
     ASSERT_TRUE(resp.is_ok()) << resp.status().to_string();
-
     // Rebuild the exact response message and demand the exact bytes.
-    proto::DynamicMessage want(results_desc);
-    for (uint64_t j = 0; j < k % 6; ++j) {
-      auto* hit = want.add_message(results_desc->field_by_name("hits"));
-      hit->set_string(hit_desc->field_by_name("doc"),
-                      text + "#" + std::to_string(j));
-      hit->set_double(hit_desc->field_by_name("score"),
-                      static_cast<double>(j) * 0.25);
-    }
-    want.set_uint64(results_desc->field_by_name("total"), k % 6);
-    want.set_string(results_desc->field_by_name("shard"), text);
-    EXPECT_EQ(*resp, proto::WireCodec::serialize(want)) << "call " << i;
+    EXPECT_EQ(*resp, echo_oracle(text, k)) << "call " << i;
   }
 
   // The ledger: every reply was an in-place object, and each one was
-  // serialized exactly once — on the pool unless the spill path fired.
+  // serialized exactly once — on the pool or on the lane (hand-off rule).
   const auto& stats = proxy_->stats();
-  EXPECT_EQ(stats.offloaded_responses.load() + stats.inline_serializes.load(),
+  EXPECT_EQ(stats.offloaded_responses.load() + stats.lane_run_serializes.load(),
             static_cast<uint64_t>(kCalls));
   // One blocking client, empty rings: nothing should ever have spilled.
   EXPECT_EQ(stats.inline_serializes.load(), 0u);
-  uint64_t pool_encodes = 0;
-  for (size_t w = 0; w < proxy_->codec_pool().worker_count(); ++w)
-    pool_encodes += proxy_->codec_pool().worker_stats(w).encodes;
-  EXPECT_EQ(pool_encodes, static_cast<uint64_t>(kCalls));
+  EXPECT_EQ(stats.inline_decodes.load(), 0u);
+  EXPECT_EQ(pool_encodes(), stats.offloaded_responses.load());
+}
+
+// The hand-off rule (DESIGN.md §3.14): with every pool worker parked and
+// one blocking client, there is never anything else to wait behind, so
+// both codec directions run on the lane thread — no pool wakeups at all —
+// and the reply bytes still match the WireCodec oracle exactly.
+TEST_F(ResponseOffloadFixture, IdleProxyRunsSerialCallsOnTheLane) {
+  register_echo_find();
+  start();
+  wait_pool_idle();
+  auto chan = xrpc::Channel::connect(port_);
+  ASSERT_TRUE(chan.is_ok());
+  std::mt19937_64 rng(kDefaultSeed + 1);
+  constexpr int kCalls = 30;
+  for (int i = 0; i < kCalls; ++i) {
+    std::string text = random_ascii(rng, 1 + rng() % 150);
+    uint64_t k = rng() % 5000;
+    auto resp = (*chan)->call("ro.Search/Find", ByteSpan(query_wire(text, k)));
+    ASSERT_TRUE(resp.is_ok()) << resp.status().to_string();
+    EXPECT_EQ(*resp, echo_oracle(text, k)) << "call " << i;
+  }
+  const auto& stats = proxy_->stats();
+  EXPECT_EQ(proxy_->codec_pool().total_jobs(), 0u);
+  EXPECT_EQ(stats.lane_run_decodes.load(), static_cast<uint64_t>(kCalls));
+  EXPECT_EQ(stats.lane_run_serializes.load(), static_cast<uint64_t>(kCalls));
+  EXPECT_EQ(stats.inline_decodes.load() + stats.inline_serializes.load(), 0u);
+  EXPECT_EQ(stats.offloaded_requests.load(), static_cast<uint64_t>(kCalls));
+}
+
+// Several channels keeping a window of calls in flight keep the lane
+// queue and the pool busy, so the rule hands work off: pool workers still
+// run jobs in both directions, and every reply is correct.
+TEST_F(ResponseOffloadFixture, ConcurrentBurstStillReachesThePool) {
+  register_echo_find();
+  start();
+  wait_pool_idle();
+  constexpr int kChannels = 4;
+  constexpr int kCallsEach = 64;
+  constexpr int kWindow = 16;
+  std::vector<std::unique_ptr<xrpc::Channel>> chans;
+  for (int c = 0; c < kChannels; ++c) {
+    auto chan = xrpc::Channel::connect(port_);
+    ASSERT_TRUE(chan.is_ok());
+    chans.push_back(std::move(*chan));
+  }
+  std::mutex mu;
+  std::condition_variable cv;
+  int done = 0, correct = 0;
+  for (int i = 0; i < kCallsEach * kChannels; ++i) {
+    {
+      std::unique_lock<std::mutex> lk(mu);
+      ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(30),
+                              [&] { return i - done < kWindow; }));
+    }
+    std::string text = "call-" + std::to_string(i);
+    const auto k = static_cast<uint64_t>(i);
+    Bytes want = echo_oracle(text, k);
+    ASSERT_TRUE(chans[i % kChannels]
+                    ->call_async("ro.Search/Find", ByteSpan(query_wire(text, k)),
+                                 [&, want = std::move(want)](Code code, Bytes p) {
+                                   std::lock_guard<std::mutex> lk(mu);
+                                   if (code == Code::kOk && p == want) ++correct;
+                                   ++done;
+                                   cv.notify_all();
+                                 })
+                    .is_ok());
+  }
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(30),
+                            [&] { return done == kChannels * kCallsEach; }));
+    EXPECT_EQ(correct, kChannels * kCallsEach);
+  }
+  const auto& stats = proxy_->stats();
+  const uint64_t total = kChannels * kCallsEach;
+  const uint64_t pool_decodes = proxy_->codec_pool().total_jobs() - pool_encodes();
+  EXPECT_GT(pool_decodes, 0u);
+  EXPECT_GT(pool_encodes(), 0u);
+  // Each request decoded once and each reply serialized once, wherever.
+  EXPECT_EQ(pool_decodes + stats.lane_run_decodes.load() +
+                stats.inline_decodes.load(),
+            total);
+  EXPECT_EQ(pool_encodes() + stats.lane_run_serializes.load() +
+                stats.inline_serializes.load(),
+            total);
+  EXPECT_EQ(pool_encodes(), stats.offloaded_responses.load());
 }
 
 TEST_F(ResponseOffloadFixture, ManyCallsStayConsistent) {

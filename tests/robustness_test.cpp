@@ -234,13 +234,8 @@ TEST(Fuzz, XrpcServerSurvivesGarbageBytes) {
 }
 
 TEST(Fuzz, XrpcRejectsOversizeFrameDeclaration) {
-  // Deliberately the legacy Dispatch shape: the deprecated Server::start
-  // shim's only remaining first-party use (compile coverage until its
-  // removal next PR).
   auto server = xrpc::Server::start(
-      [](const std::string&, Bytes, trace::TraceContext, xrpc::Server::Responder respond) {
-        respond(Code::kOk, {});
-      });
+      xrpc::CallHandler([](xrpc::CallContext ctx) { ctx.respond(Code::kOk, {}); }));
   ASSERT_TRUE(server.is_ok());
   auto fd = xrpc::dial((*server)->port());
   ASSERT_TRUE(fd.is_ok());
