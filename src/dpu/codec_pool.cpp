@@ -111,21 +111,6 @@ DPURPC_HOT_PATH bool CodecPool::submit(size_t lane, CodecJob& job) {
   return true;
 }
 
-DPURPC_HOT_PATH bool CodecPool::idle() const noexcept {
-  // Pairs with the park protocol's seq_cst sleepers_ update. A worker
-  // counts as parked from its fetch_add until it leaves the park loop
-  // with work in hand, so a job queued but not yet picked up is caught by
-  // the ring scan instead.
-  if (sleepers_.load(std::memory_order_seq_cst) !=
-      static_cast<int>(workers_.size())) {
-    return false;
-  }
-  for (const auto& lane : lanes_) {
-    if (lane->submit.approx_size() > 0) return false;
-  }
-  return true;
-}
-
 DPURPC_HOT_PATH bool CodecPool::try_pop_result(size_t lane, CodecResult& out) {
   if (lane >= lanes_.size()) return false;
   return lanes_[lane]->complete.try_pop(out);
@@ -203,8 +188,8 @@ DPURPC_HOT_PATH void CodecPool::worker_loop(size_t w) {
     // submitter that pushed after our scan either makes the re-check see
     // its job or observes sleepers_ > 0 and lands its notify after our
     // wait began; the 1ms timeout is a belt-and-suspenders backstop. A
-    // backstop wakeup that finds nothing stays parked (sleepers_ still
-    // counts it), so idle() holds steadily while the pool has no work.
+    // backstop wakeup that finds nothing stays in the park loop rather
+    // than spin another 64 idle rounds.
     idle_rounds = 0;
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
     {

@@ -1,49 +1,42 @@
 // The codec pool: both codec directions sharded across the DPU core pool.
 //
-// Before lane sharding, each DpuProxy poller lane decoded its own requests
-// inline, so one connection's decode burst rode on one core and a slow
-// lane stalled everything queued behind it. The paper's device has sixteen
-// ARM cores (Table I); this module puts them to work: a pool of N codec
-// workers (N = dpu::DeviceInfo::cores unless overridden), each with its
-// own private scratch and its own stats, fed by per-lane SPSC handoff
-// rings (common/handoff_ring.hpp) so a slow lane cannot stall its
-// siblings. Idle workers steal from foreign lanes through the rings' gated
-// side entrance.
+// The paper's device has sixteen ARM cores (Table I); this module puts
+// them to work on codec jobs too large to run on a lane thread without
+// stalling it: a pool of N codec workers (N = dpu::DeviceInfo::cores
+// unless overridden), each with its own private scratch and its own
+// stats, fed by per-lane SPSC handoff rings (common/handoff_ring.hpp) so
+// a slow lane cannot stall its siblings. Idle workers steal from foreign
+// lanes through the rings' gated side entrance.
 //
 // The pool is full-duplex: the same per-lane rings carry two descriptor
 // kinds, and every worker executes both halves of the datapath codec —
 //
 //   * decode (request direction): wire bytes → object tree. A worker
-//     cannot know which RDMA send block a request will land in (block
-//     placement happens inside RpcClient::call_inplace, on the lane's
-//     thread), so it decodes into a private 64-byte-aligned scratch slice
-//     with a ZERO-delta address translator — every embedded pointer fully
-//     local to the slice — and the lane poller later memcpys the finished
-//     slice into the block arena and runs ArenaDeserializer::relocate()
-//     to rebase the tree into receiver space. Bit-for-bit equivalent to
-//     having deserialized straight into the block
+//     does not know where the tree will end up, so it decodes into a
+//     private 64-byte-aligned scratch slice with a ZERO-delta address
+//     translator — every embedded pointer fully local to the slice. The
+//     consumer memcpys the slice wherever it likes and runs
+//     ArenaDeserializer::relocate() to rebase the tree: bit-for-bit
+//     equivalent to having deserialized in place
 //     (tests/codec_pool_test.cpp proves it against the serialize oracle).
-//     See DESIGN.md §3.14.
+//     kDecodeChunk is the same decode over one stream piece.
 //
-//   * encode (response direction): object tree → wire bytes. The lane
-//     poller hands over a fully-local copy of an in-place response object
-//     (the decode direction's slice + relocate trick, run in reverse: the
-//     receive buffer is acked before the worker runs, so the object must
-//     be copied out first) and the worker runs the compiled serialize
-//     plan — size walk and emit fused in one ObjectSerializer::serialize
-//     call — into its per-worker serialize scratch, whose capacity
-//     persists across jobs. The result carries exactly-sized wire bytes
-//     the poller only has to hand to the xRPC responder. See DESIGN.md
-//     §3.16.
+//   * encode (response direction): object tree → wire bytes. The
+//     submitter hands over a fully-local copy of an object (the slice +
+//     relocate trick run in reverse) and the worker runs the compiled
+//     serialize plan — size walk and emit fused in one
+//     ObjectSerializer::serialize call — into its per-worker serialize
+//     scratch, whose capacity persists across jobs. The result carries
+//     exactly-sized wire bytes. See DESIGN.md §3.16.
 //
-// A handoff is only worth it when a worker is awake to take it. Waking a
-// parked worker and being woken back costs tens of microseconds, against
-// well under one for a Small message's decode or an Ack's serialize. So
-// a DpuProxy lane runs a unary job on its own thread when idle() says
-// every worker is parked, the lane has no job out with the pool and
-// nothing queued behind the call (DESIGN.md §3.14). The pool then sees
-// the work that gains from it: backlogs, concurrent lanes and stream
-// chunks, which always come here.
+// Who submits what. DpuProxy hands the pool stream kDecodeChunk pieces
+// only: a unary call's codec runs on its own lane, straight into the send
+// block and straight from the receive block, because a handoff would cost
+// two cross-thread wakeups for well under a microsecond of codec work and
+// round-robin lane assignment already balances unary calls (DESIGN.md
+// §3.14). kDecode jobs come from harnesses that drive the pool directly
+// (bench/fig9_scaling, the perf benchmark's pool round trip). kEncode has
+// no production caller left; only the serialize-parity tests run it.
 //
 // Simulation posture: workers are host threads standing in for DPU cores;
 // each accounts its codec time scaled by the calibrated CostModel factor
@@ -71,8 +64,8 @@
 namespace dpurpc::dpu {
 
 /// A 64-byte-aligned heap slice holding a fully-local object tree: a
-/// worker decodes into one (request direction), a lane poller copies a
-/// received response object into one (response direction). Ownership
+/// worker decodes into one (request direction), a submitter copies an
+/// object to serialize into one (response direction). Ownership
 /// moves with the job/result through the handoff rings. The slice base is
 /// a multiple of the 8-byte payload alignment every embedded allocation
 /// uses (kPayloadAlign; class/field alignments never exceed it), so
@@ -108,7 +101,7 @@ enum class JobKind : uint8_t {
 };
 
 /// One codec request, handed from a lane poller to the pool. `cookie` is
-/// opaque to the pool (the proxy keys its pending-call maps with it). An
+/// opaque to the pool (the proxy keys its pending-piece map with it). An
 /// active `trace` makes the worker record ring-wait and codec spans
 /// (`submit_ns` marks the handoff instant the wait starts at).
 ///
@@ -222,13 +215,6 @@ class CodecPool {
   bool submit(size_t lane, CodecJob& job);
   /// Try-only: false when `lane` has no finished result waiting.
   bool try_pop_result(size_t lane, CodecResult& out);
-  /// True when every worker is parked and no job waits in any submit
-  /// ring: a job submitted now would first have to wake a worker. False
-  /// while a job is queued or running, and before start(). A lock-free
-  /// hint (stale the moment it returns) for callers that can do a small
-  /// job themselves instead of paying that wakeup; see DpuProxy.
-  bool idle() const noexcept;
-
   size_t worker_count() const noexcept { return workers_.size(); }
   size_t lane_count() const noexcept { return lanes_.size(); }
   WorkerStats worker_stats(size_t w) const;

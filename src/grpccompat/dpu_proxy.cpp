@@ -12,17 +12,14 @@
 namespace dpurpc::grpccompat {
 
 namespace {
-// Per-lane cap on jobs out with the pool, decode and encode combined.
-// Half the pool ring so the completion ring (same capacity) can always
-// absorb every outstanding result even across the ring's power-of-two
-// rounding.
+// Per-lane cap on stream pieces out with the pool. Half the pool ring so
+// the completion ring (same capacity) can always absorb every outstanding
+// result even across the ring's power-of-two rounding.
 constexpr size_t kMaxOutstandingJobs = 128;
 constexpr size_t kCodecRingCapacity = 256;
-// Slice cap for the pool: unary payloads are bounded by the block size,
-// but stream pieces (piece_target-sized, 8x decode inflation) need more
-// headroom. Slices are sized from the wire first and only grow to the
-// cap on arena exhaustion, so the larger cap costs nothing on the unary
-// path.
+// Slice cap for the pool: stream pieces are piece_target-sized and can
+// inflate ~8x on decode. Slices are sized from the wire first and only
+// grow to the cap on arena exhaustion.
 constexpr size_t kPoolSliceCap = 4u << 20;
 
 /// One protobuf varint at the front of [p, p+n). Returns its byte
@@ -111,10 +108,10 @@ DpuProxy::DpuProxy(const std::vector<rdmarpc::Connection*>& conns,
   dpu::CodecPool::Options pool_options;
   pool_options.workers = codec_workers;
   pool_options.ring_capacity = kCodecRingCapacity;
-  pool_options.max_slice_bytes =
-      std::max<size_t>(rdmarpc::kMaxPayloadSize, kPoolSliceCap);
+  pool_options.max_slice_bytes = kPoolSliceCap;
+  // Decode-only: replies serialize on the lane (complete_response).
   pool_ = std::make_unique<dpu::CodecPool>(
-      &deserializer_, &serializer_, lanes_.size(), pool_options,
+      &deserializer_, /*serializer=*/nullptr, lanes_.size(), pool_options,
       // Completion wakeup: runs on the worker thread; interrupt() kicks
       // the lane poller out of conn->wait().
       [this](size_t lane) { lanes_[lane]->conn->interrupt(); });
@@ -228,7 +225,7 @@ void DpuProxy::handle_call(xrpc::CallContext ctx) {
 Status DpuProxy::dispatch_event(Lane& lane, PendingCall event) {
   switch (event.kind) {
     case PendingCall::Kind::kCall:
-      return submit_decode(lane, std::move(event));
+      return forward(lane, std::move(event));
     case PendingCall::Kind::kStreamOpen:
       open_stream(lane, std::move(event));
       return Status::ok();
@@ -542,7 +539,7 @@ void DpuProxy::maybe_finish_stream(Lane& lane, uint32_t stream_id) {
             retire_stream_hold(*sit->second);
             lane->streams.erase(sit);
           }
-          complete_response(*lane, respond, tctx, rpc_result, resp);
+          complete_response(respond, tctx, rpc_result, resp);
         },
         tctx);
     if (st.is_ok()) break;
@@ -584,51 +581,8 @@ void DpuProxy::fail_stream(Lane& lane, uint32_t stream_id, const Status& why) {
   (*respond)(why.code() == Code::kOk ? Code::kInternal : why.code(), {});
 }
 
-DPURPC_HOT_PATH bool DpuProxy::run_on_lane(const Lane& lane) const noexcept {
-  // Cheapest first: own outstanding count, queue-size mirror, then the
-  // pool's park state. None of them takes a lock.
-  return relaxed::load(lane.outstanding) == 0 && lane.queue.size() == 0 &&
-         pool_->idle();
-}
-
-Status DpuProxy::submit_decode(Lane& lane, PendingCall call) {
-  if (call.trace.active()) {
-    uint64_t now = WallTimer::now();
-    // Time spent queued behind this lane's other calls.
-    trace::Tracer::instance().record(trace::Stage::kLaneQueueWait, call.trace,
-                                     call.enqueue_ns, now);
-    call.enqueue_ns = now;  // decode-ring wait starts where the queue ended
-  }
-  if (run_on_lane(lane)) {
-    // Parked pool, nothing else waiting: decode straight into the send
-    // block here (the decode lands inside this call's block_build span).
-    relaxed::add(stats_.lane_run_decodes, 1);
-    return forward(lane, std::move(call));
-  }
-  dpu::CodecJob job;
-  job.kind = dpu::JobKind::kDecode;
-  job.class_index = call.method->input_class;
-  job.cookie = ++lane.next_cookie;
-  job.wire = std::move(call.payload);
-  job.trace = call.trace;
-  job.submit_ns = call.enqueue_ns;
-  if (relaxed::load(lane.outstanding) < kMaxOutstandingJobs &&
-      pool_->submit(lane.index, job)) {
-    lane.pending.emplace(
-        job.cookie,
-        PendingDecode{call.method, std::move(call.respond), call.trace});
-    relaxed::add(lane.outstanding, 1);
-    return Status::ok();
-  }
-  // Ring full (or shutting down): spill to the lane thread rather than
-  // block — the old inline path is still bit-identical in output.
-  relaxed::add(stats_.inline_decodes, 1);
-  call.payload = std::move(job.wire);
-  return forward(lane, std::move(call));
-}
-
 void DpuProxy::complete_response(
-    Lane& lane, const std::shared_ptr<xrpc::Server::Responder>& respond,
+    const std::shared_ptr<xrpc::Server::Responder>& respond,
     const trace::TraceContext& tctx, const Status& result,
     const rdmarpc::InMessage& resp) {
   uint64_t t0 = tctx.active() ? WallTimer::now() : 0;
@@ -650,23 +604,13 @@ void DpuProxy::complete_response(
     (*respond)(result.code(), {});
   } else if ((resp.header.flags & rdmarpc::kFlagInPlaceObject) != 0) {
     // Offloaded response: the host handed back an object, not bytes.
-    // With the pool parked and nothing else waiting, serialize it here
-    // while the receive block is still valid (the serialize lands inside
-    // this reply's kComplete span). Otherwise serialize it on the codec
-    // pool; the receive block is acked the moment this continuation
-    // returns, so the object is copied out into an owned slice first
-    // (inside submit_encode). kComplete for a pool reply is recorded by
-    // finish_encoded; t0 doubles as the encode ring-wait start so the
-    // copy-out is accounted, not hidden.
-    const bool lane_run = run_on_lane(lane);
-    if (!lane_run && submit_encode(lane, respond, tctx, resp, t0)) return;
-    // Lane-run, or budget/ring full (overload spill): the pre-offload
-    // inline serialize, bit-identical bytes.
-    relaxed::add(lane_run ? stats_.lane_run_serializes : stats_.inline_serializes,
-                 1);
+    // Serialize it here, straight from the receive block while it is
+    // still valid (the serialize lands inside this reply's kComplete
+    // span).
     Bytes wire;
     Status st = serializer_.serialize(
         adt::ObjectRef(resp.header.aux, resp.payload_addr), wire);
+    if (st.is_ok()) relaxed::add(stats_.offloaded_responses, 1);
     complete_span();
     (*respond)(st.is_ok() ? Code::kOk : st.code(), ByteSpan(wire));
   } else {
@@ -675,136 +619,12 @@ void DpuProxy::complete_response(
   }
 }
 
-bool DpuProxy::submit_encode(
-    Lane& lane, const std::shared_ptr<xrpc::Server::Responder>& respond,
-    const trace::TraceContext& tctx, const rdmarpc::InMessage& resp,
-    uint64_t submit_ns) {
-  if (relaxed::load(lane.outstanding) >= kMaxOutstandingJobs) return false;
-  const size_t bytes = resp.payload.size();
-  dpu::ScratchSlice slice = dpu::ScratchSlice::allocate(bytes);
-  if (!slice) return false;
-  // The response tree occupies [payload_addr, payload_addr + size) with
-  // its root at offset 0 (rdmarpc's in-place commit guarantees it), and
-  // its pointers are receiver-local. Copy + rebase with publish delta ==
-  // move delta makes the copy fully local to the slice — serializable
-  // from any thread, any time.
-  std::memcpy(slice.data(), resp.payload_addr, bytes);
-  adt::ArenaDeserializer::SliceRelocation rel;
-  rel.old_begin = resp.payload_addr;
-  rel.old_end = resp.payload_addr + bytes;
-  rel.move_delta = slice.data() - resp.payload_addr;
-  rel.publish_delta = rel.move_delta;
-  deserializer_.relocate(resp.header.aux, slice.data(), rel);
-
-  dpu::CodecJob job;
-  job.kind = dpu::JobKind::kEncode;
-  job.class_index = resp.header.aux;
-  job.cookie = ++lane.next_cookie;
-  job.object = std::move(slice);
-  job.object_used = static_cast<uint32_t>(bytes);
-  job.obj_offset = 0;
-  job.trace = tctx;
-  job.submit_ns = submit_ns;
-  if (!pool_->submit(lane.index, job)) return false;
-  lane.pending_encodes.emplace(job.cookie, PendingEncode{respond, tctx});
-  relaxed::add(lane.outstanding, 1);
-  return true;
-}
-
-void DpuProxy::finish_encoded(Lane& lane, dpu::CodecResult result) {
-  uint64_t t0 = WallTimer::now();
-  auto it = lane.pending_encodes.find(result.cookie);
-  if (it == lane.pending_encodes.end()) return;  // failed out already
-  PendingEncode pending = std::move(it->second);
-  lane.pending_encodes.erase(it);
-  relaxed::sub(lane.outstanding, 1);
-
-  if (pending.trace.active()) {
-    // Completion-ring pop + pending-map retirement for a pool-serialized
-    // reply. Recorded before the responder write for the same reason as
-    // complete_response: once the client observes the reply, the tree may
-    // finalize.
-    trace::Tracer::instance().record(trace::Stage::kComplete, pending.trace,
-                                     t0, WallTimer::now());
-  }
-  if (result.status.is_ok()) {
-    relaxed::add(stats_.offloaded_responses, 1);
-    (*pending.respond)(Code::kOk, ByteSpan(result.wire));
-  } else {
-    (*pending.respond)(result.status.code(), {});
-  }
-}
-
-Status DpuProxy::forward_decoded(Lane& lane, dpu::CodecResult result) {
-  auto it = lane.pending.find(result.cookie);
-  if (it == lane.pending.end()) return Status::ok();  // failed out already
-  PendingDecode pending = std::move(it->second);
-  lane.pending.erase(it);
-  relaxed::sub(lane.outstanding, 1);
-
-  if (!result.status.is_ok()) {
-    // Per-request decode failure (malformed payload, oversized message):
-    // reject it to the xRPC client; the datapath stays healthy.
-    relaxed::add(stats_.deserialize_failures, 1);
-    // dpulint: allow(trace-pairing): decode-failure reject — the request
-    // never completed a datapath traversal, so no kComplete span exists.
-    pending.respond(result.status.code(), {});
-    return Status::ok();
-  }
-
-  const MethodEntry* entry = pending.method;
-  auto respond = std::make_shared<xrpc::Server::Responder>(std::move(pending.respond));
-  trace::TraceContext tctx = pending.trace;
-
-  for (int attempt = 0;; ++attempt) {
-    Status st = lane.client.call_inplace(
-        entry->method_id, static_cast<uint16_t>(entry->input_class), result.used,
-        // The sharded offload tail: the tree is already decoded (fully
-        // local to the worker's scratch slice); copy it into the block
-        // payload and rebase every pointer into the host's address space.
-        // Equivalent to having deserialized straight into the block.
-        [&](arena::Arena& arena, const arena::AddressTranslator& xlate)
-            -> StatusOr<uint32_t> {
-          // kPayloadAlign placement = offset 0 of the payload, exactly
-          // where the receiver expects the root object; the 64-aligned
-          // scratch base keeps every interior alignment intact.
-          void* dst = arena.allocate(result.used, kPayloadAlign);
-          if (dst == nullptr) {
-            return Status(Code::kResourceExhausted, "block cannot hold decoded object");
-          }
-          std::memcpy(dst, result.slice.data(), result.used);
-          adt::ArenaDeserializer::SliceRelocation rel;
-          rel.old_begin = result.slice.data();
-          rel.old_end = result.slice.data() + result.used;
-          rel.move_delta = static_cast<std::byte*>(dst) - result.slice.data();
-          rel.publish_delta = rel.move_delta + xlate.delta;
-          deserializer_.relocate(entry->input_class,
-                                 static_cast<std::byte*>(dst) + result.obj_offset,
-                                 rel);
-          return static_cast<uint32_t>(arena.used());
-        },
-        [this, lane = &lane, respond, tctx](const Status& rpc_result,
-                                            const rdmarpc::InMessage& resp) {
-          complete_response(*lane, respond, tctx, rpc_result, resp);
-        },
-        tctx);
-    if (st.is_ok()) {
-      relaxed::add(stats_.offloaded_requests, 1);
-      relaxed::add(lane.forwarded, 1);
-      return Status::ok();
-    }
-    if (st.code() != Code::kUnavailable && st.code() != Code::kResourceExhausted) {
-      return st;
-    }
-    // Backpressure: drain the event loop and retry.
-    if (attempt > 100000) return st;
-    auto pumped = lane.client.event_loop_once();
-    if (!pumped.is_ok()) return pumped.status();
-    if (*pumped == 0) lane.conn->wait(1);
-  }
-}
-
 Status DpuProxy::forward(Lane& lane, PendingCall call) {
+  if (call.trace.active()) {
+    // Time spent queued behind this lane's other calls.
+    trace::Tracer::instance().record(trace::Stage::kLaneQueueWait, call.trace,
+                                     call.enqueue_ns, WallTimer::now());
+  }
   const MethodEntry* entry = call.method;
   // Size hint: the deserialized object is usually a small multiple of the
   // wire size (varints expand, headers/bitfields add a constant).
@@ -816,6 +636,9 @@ Status DpuProxy::forward(Lane& lane, PendingCall call) {
   trace::TraceContext tctx = call.trace;
 
   for (int attempt = 0;; ++attempt) {
+    // Set when the payload itself is bad, as opposed to the block being
+    // too small (kResourceExhausted, which call_inplace retries).
+    bool malformed = false;
     Status st = lane.client.call_inplace(
         entry->method_id, static_cast<uint16_t>(entry->input_class), hint,
         // The offload itself: deserialize the protobuf payload straight
@@ -824,15 +647,18 @@ Status DpuProxy::forward(Lane& lane, PendingCall call) {
             -> StatusOr<uint32_t> {
           auto obj = deserializer_.deserialize(entry->input_class, ByteSpan(payload),
                                                arena, xlate);
-          if (!obj.is_ok()) return obj.status();
+          if (!obj.is_ok()) {
+            malformed = obj.status().code() != Code::kResourceExhausted;
+            return obj.status();
+          }
           return static_cast<uint32_t>(arena.used());
         },
         // Continuation: the copy-path response is already serialized by
         // the host; an offloaded response (kFlagInPlaceObject) arrives as
-        // an in-place object the codec pool serializes (§III.A extension).
-        [this, lane = &lane, respond, tctx](const Status& rpc_result,
-                                            const rdmarpc::InMessage& resp) {
-          complete_response(*lane, respond, tctx, rpc_result, resp);
+        // an in-place object serialized on this lane (§III.A extension).
+        [this, respond, tctx](const Status& rpc_result,
+                              const rdmarpc::InMessage& resp) {
+          complete_response(respond, tctx, rpc_result, resp);
         },
         tctx);
     if (st.is_ok()) {
@@ -840,19 +666,20 @@ Status DpuProxy::forward(Lane& lane, PendingCall call) {
       relaxed::add(lane.forwarded, 1);
       return Status::ok();
     }
-    if (st.code() == Code::kDataLoss || st.code() == Code::kInvalidArgument) {
-      // Malformed request payload: reject it to the xRPC client; the
-      // datapath stays healthy.
+    if (malformed || st.code() == Code::kOutOfRange) {
+      // Per-call reject: a malformed payload, or one whose decoded object
+      // cannot fit even a maximum-size block. The datapath stays healthy.
       relaxed::add(stats_.deserialize_failures, 1);
-      // dpulint: allow(trace-pairing): malformed-payload reject on the
-      // forward path — the request never completed, no kComplete span.
+      // dpulint: allow(trace-pairing): per-call reject on the forward
+      // path — the request never completed, no kComplete span.
       (*respond)(st.code(), {});
       return Status::ok();
     }
     if (st.code() != Code::kUnavailable && st.code() != Code::kResourceExhausted) {
       return st;
     }
-    // Backpressure: drain the event loop and retry.
+    // Backpressure (no credit, no request ID, send buffer full): drain the
+    // event loop and retry.
     if (attempt > 100000) return st;
     auto pumped = lane.client.event_loop_once();
     if (!pumped.is_ok()) return pumped.status();
@@ -861,12 +688,10 @@ Status DpuProxy::forward(Lane& lane, PendingCall call) {
 }
 
 void DpuProxy::fail_pending(Lane& lane) {
-  // Discard any results the pool already finished (their slices/bytes free
-  // with the ring entries), then fail every call still waiting on a job.
+  // Discard any pieces the pool already finished (their buffers free with
+  // the ring entries), then fail every stream still open on the lane.
   dpu::CodecResult result;
   while (pool_->try_pop_result(lane.index, result)) {
-    lane.pending.erase(result.cookie);
-    lane.pending_encodes.erase(result.cookie);
     lane.pending_chunks.erase(result.cookie);
   }
   for (auto& [sid, ps] : lane.streams) {
@@ -877,23 +702,14 @@ void DpuProxy::fail_pending(Lane& lane) {
   }
   lane.streams.clear();
   lane.pending_chunks.clear();
-  for (auto& [cookie, pending] : lane.pending) {
-    // dpulint: allow(trace-pairing): shutdown path — pending calls are
-    // failed wholesale; their traces are abandoned, not completed.
-    pending.respond(Code::kUnavailable, {});
-  }
-  lane.pending.clear();
-  for (auto& [cookie, pending] : lane.pending_encodes) {
-    (*pending.respond)(Code::kUnavailable, {});
-  }
-  lane.pending_encodes.clear();
   relaxed::store(lane.outstanding, 0);
 }
 
 void DpuProxy::poller_loop(Lane& lane) {
   // §IV: "the user is responsible for queueing enough requests to fill a
   // block before calling the event loop update function" — drain whatever
-  // is queued into the codec pool, ship finished jobs, run one loop turn,
+  // is queued (unary calls decode straight into the send block, stream
+  // pieces go to the codec pool), ship finished pieces, run one loop turn,
   // then block briefly when idle.
   while (!relaxed::load(stopping_)) {
     bool did_work = false;
@@ -912,20 +728,7 @@ void DpuProxy::poller_loop(Lane& lane) {
     dpu::CodecResult result;
     while (pool_->try_pop_result(lane.index, result)) {
       did_work = true;
-      if (result.kind == dpu::JobKind::kEncode) {
-        finish_encoded(lane, std::move(result));
-        continue;
-      }
-      if (result.kind == dpu::JobKind::kDecodeChunk) {
-        chunk_decoded(lane, std::move(result));
-        continue;
-      }
-      Status st = forward_decoded(lane, std::move(result));
-      if (!st.is_ok()) {
-        relaxed::store(stopping_, true);
-        fail_pending(lane);
-        return;
-      }
+      chunk_decoded(lane, std::move(result));
     }
     auto pumped = lane.client.event_loop_once();
     if (!pumped.is_ok()) {

@@ -12,22 +12,14 @@
 // Threading (§III.C + lane sharding, DESIGN.md §3.14/§3.16): one poller
 // thread (lane) per RDMA connection owns that connection's RpcClient and
 // event loop; xRPC reader threads enqueue work round-robin across lanes.
-// The codec itself is sharded off the lanes onto a full-duplex CodecPool
-// sized from the DPU core count. Request direction: the poller hands the
-// wire bytes to the pool through a per-lane ring, the worker decodes into
-// a private fully-local scratch slice, and the poller memcpys the
-// finished slice into the send block and relocates its pointers into host
-// space. Response direction: when the host answers with an in-place
-// object, the poller copies the object out of the receive block into a
-// fully-local slice (the block is acked as soon as the continuation
-// returns), hands it to the pool as an encode descriptor, and a worker
-// runs the compiled serialize plan; the poller then only has to hand the
-// finished wire bytes to the xRPC responder. A lane whose codec work is
-// slow therefore queues against the pool, not against its siblings, and
-// idle workers steal the backlog. When the pool is parked and the lane
-// has nothing else to do, the lane runs a unary job itself (decode
-// straight into the send block, serialize straight from the receive
-// block) rather than pay two wakeups for it — see run_on_lane().
+// A unary call's codec runs on its own lane, both ways: the request
+// decodes straight into the RDMA send block (§V), and an in-place object
+// reply serializes straight from the receive block before it is acked.
+// Round-robin already balances unary work across lanes, so a handoff
+// would only add a slice copy, two rings and two cross-thread wakeups.
+// Stream pieces (~160 KiB each, pinned to their stream's lane) go to the
+// CodecPool instead, so a piece's decode never holds the unary calls
+// queued behind it on the lane.
 #pragma once
 
 #include <atomic>
@@ -54,32 +46,21 @@ class ResourceSampler;
 
 namespace dpurpc::grpccompat {
 
-/// Where each codec job ran. Every unary request decodes exactly once:
-/// on a pool worker, on the lane because the pool was parked
-/// (lane_run_decodes), or on the lane as overload spill (inline_decodes).
-/// In-place object replies split the same way.
+/// Datapath counters. Every unary request decodes on its lane and every
+/// in-place object reply serializes there; the pool sees stream pieces
+/// only.
 struct DpuProxyStats {
   std::atomic<uint64_t> offloaded_requests{0};
   std::atomic<uint64_t> deserialize_failures{0};
   std::atomic<uint64_t> responses_forwarded{0};
-  /// Requests decoded on the lane thread because the pool ring was full
-  /// (overload spill; the pre-sharding behavior). Overload only: the
-  /// parked-pool case counts in lane_run_decodes.
+  /// Stream pieces validate-decoded on the lane thread because the pool
+  /// ring (or the per-lane outstanding budget) was full: overload spill.
   std::atomic<uint64_t> inline_decodes{0};
-  /// Requests decoded on the lane thread, straight into the send block,
-  /// because every pool worker was parked and nothing else was waiting
-  /// (the hand-off rule, DESIGN.md §3.14).
-  std::atomic<uint64_t> lane_run_decodes{0};
-  /// In-place object responses serialized by the codec pool.
+  /// In-place object responses serialized on the DPU.
   std::atomic<uint64_t> offloaded_responses{0};
-  /// In-place object responses serialized on the lane thread because the
-  /// pool ring (or the per-lane outstanding budget) was full. Overload
-  /// only, like inline_decodes.
+  /// Always 0: replies serialize on the lane, so nothing spills.
+  /// Kept because the perf benchmark reads it.
   std::atomic<uint64_t> inline_serializes{0};
-  /// In-place object responses serialized on the lane thread, straight
-  /// from the receive block, under the same hand-off rule as
-  /// lane_run_decodes.
-  std::atomic<uint64_t> lane_run_serializes{0};
   /// Streaming: chunk pieces decoded on the pool, payload bytes shipped
   /// through streams, and the high-water mark of bytes any single stream
   /// held inside the proxy (carry + pieces awaiting host ack) — the
@@ -149,8 +130,8 @@ class DpuProxy {
   uint64_t lane_requests(size_t i) const noexcept {
     return i < lanes_.size() ? relaxed::load(lanes_[i]->forwarded) : 0;
   }
-  /// Codec jobs lane `i` currently has out with the pool (its share of
-  /// the outstanding budget). Same monitor-read contract as
+  /// Stream pieces lane `i` currently has out with the pool (its share
+  /// of the outstanding budget). Same monitor-read contract as
   /// lane_requests: racy, out-of-range reads as zero.
   uint64_t lane_outstanding(size_t i) const noexcept {
     return i < lanes_.size()
@@ -191,21 +172,6 @@ class DpuProxy {
     trace::TraceContext trace;
     uint64_t enqueue_ns = 0;
   };
-  /// A call whose payload is out with the codec pool's decode direction;
-  /// keyed by cookie.
-  struct PendingDecode {
-    const MethodEntry* method;
-    xrpc::Server::Responder respond;
-    trace::TraceContext trace;
-  };
-  /// A reply whose object is out with the codec pool's encode direction;
-  /// keyed by cookie (the cookie space is shared with decodes but the
-  /// maps are separate, so no collision is possible).
-  struct PendingEncode {
-    std::shared_ptr<xrpc::Server::Responder> respond;
-    trace::TraceContext trace;
-  };
-
   /// One inbound streaming call, owned by its lane's poller thread.
   /// Lifecycle: created at kStreamOpen (grants the whole budget to the
   /// client), accumulates chunk bytes into `carry`, cuts whole-record
@@ -251,13 +217,11 @@ class DpuProxy {
     std::atomic<uint64_t> forwarded{0};
     // Poller-thread-only state (submission and completion both happen on
     // the lane's poller; the pool only sees opaque cookies). `outstanding`
-    // counts both kinds together — the budget that keeps the shared
+    // counts stream pieces out with the pool — the budget that keeps the
     // completion ring drainable. Atomic (single writer: the poller) only
     // so the resource sampler can watch it from outside the lane.
     uint64_t next_cookie = 0;
     std::atomic<size_t> outstanding{0};
-    std::unordered_map<uint64_t, PendingDecode> pending;
-    std::unordered_map<uint64_t, PendingEncode> pending_encodes;
     /// Live streams owned by this lane, keyed by proxy-wide stream id.
     std::unordered_map<uint32_t, std::unique_ptr<ProxyStream>> streams;
     /// kDecodeChunk cookie → (stream id, piece sequence). Kept separate
@@ -299,40 +263,18 @@ class DpuProxy {
   /// Every path that erases a ProxyStream must pass through this, or the
   /// proxy-wide gauge leaks the stream's unacked bytes forever.
   void retire_stream_hold(ProxyStream& ps) noexcept;
-  /// The hand-off rule: true when the lane should run a unary codec job
-  /// itself — every pool worker is parked, this lane has no job out with
-  /// the pool, and nothing waits in its queue. A handoff would then only
-  /// pay a worker wakeup and a poller wakeup for well under a
-  /// microsecond of codec work. Lock-free.
-  bool run_on_lane(const Lane& lane) const noexcept;
-  /// Hand a call's decode to the pool, or decode it on the lane (the
-  /// hand-off rule, or a full ring). Returns non-ok only on unrecoverable
-  /// datapath failure.
-  Status submit_decode(Lane& lane, PendingCall call);
-  /// Ship a pool-decoded slice: copy into the send block, relocate its
-  /// pointers to host space, and fire the RPC.
-  Status forward_decoded(Lane& lane, dpu::CodecResult result);
-  /// Decode straight into the send block on the lane thread (§V): the
-  /// lane-run path, and the overload spill.
+  /// Decode a unary request straight into the send block on the lane
+  /// thread (§V) and fire the RPC. A request that cannot fit a block fails
+  /// only its own call. Returns non-ok only on unrecoverable datapath
+  /// failure.
   Status forward(Lane& lane, PendingCall call);
   /// Shared RPC continuation tail: error → error reply; in-place object →
-  /// encode offload, or serialize on the lane (hand-off rule or spill);
-  /// bytes → pass through.
-  void complete_response(Lane& lane,
-                         const std::shared_ptr<xrpc::Server::Responder>& respond,
+  /// serialize it on the lane, straight from the receive block; bytes →
+  /// pass through.
+  void complete_response(const std::shared_ptr<xrpc::Server::Responder>& respond,
                          const trace::TraceContext& tctx, const Status& result,
                          const rdmarpc::InMessage& resp);
-  /// Copy an in-place response object out of the receive block into a
-  /// fully-local slice and hand it to the pool as an encode job. False
-  /// when the job could not be submitted (budget/ring full, copy failed):
-  /// the caller serializes inline.
-  bool submit_encode(Lane& lane,
-                     const std::shared_ptr<xrpc::Server::Responder>& respond,
-                     const trace::TraceContext& tctx,
-                     const rdmarpc::InMessage& resp, uint64_t submit_ns);
-  /// Deliver a pool-serialized reply to its xRPC responder.
-  void finish_encoded(Lane& lane, dpu::CodecResult result);
-  /// Fail every call still waiting on a pool job (shutdown/teardown).
+  /// Fail every stream still open on the lane (shutdown/teardown).
   void fail_pending(Lane& lane);
 
   const OffloadManifest* manifest_;

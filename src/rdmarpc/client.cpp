@@ -120,8 +120,14 @@ Status RpcClient::call_inplace(uint16_t method_id, uint16_t class_index,
     if (size.is_ok()) {
       uint16_t flags = kFlagInPlaceObject;
       if (extra != 0) flags |= kFlagTraced;
-      DPURPC_RETURN_IF_ERROR(conn_->commit_message(*size, method_id,
-                                                   flags, class_index));
+      Status committed = conn_->commit_message(*size, method_id, flags, class_index);
+      if (!committed.is_ok()) {
+        // An object past the 64 KiB header limit (a maximum-size block's
+        // arena can be a little larger): kOutOfRange, per call. Close the
+        // message so the next call can open one.
+        conn_->abort_message();
+        return committed;
+      }
       uint64_t commit_ns = 0;
       if (tctx.active()) {
         commit_ns = WallTimer::now();
@@ -136,7 +142,8 @@ Status RpcClient::call_inplace(uint16_t method_id, uint16_t class_index,
     // Out of block space: retry once in a fresh, maximum-size block.
     hint = kMaxPayloadSize;
   }
-  return Status(Code::kResourceExhausted,
+  // Per-call, not backpressure: no amount of draining makes it fit.
+  return Status(Code::kOutOfRange,
                 "request payload does not fit in a maximum-size block");
 }
 

@@ -45,7 +45,9 @@ class RpcClient {
 
   /// Enqueue an in-place request (the offload path). `payload_hint` sizes
   /// the block-space reservation; on arena exhaustion the builder is
-  /// retried once in a fresh maximum-size block.
+  /// retried once in a fresh maximum-size block, and kOutOfRange means it
+  /// did not fit there either (a per-call error). kUnavailable and
+  /// kResourceExhausted are backpressure: drain the event loop and retry.
   Status call_inplace(uint16_t method_id, uint16_t class_index,
                       uint32_t payload_hint, const InPlaceBuilder& builder,
                       Continuation done,

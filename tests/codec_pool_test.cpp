@@ -13,9 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
@@ -23,10 +23,13 @@
 
 #include "adt/arena_deserializer.hpp"
 #include "adt/object_codec.hpp"
+#include "common/cpu_timer.hpp"
 #include "common/rng.hpp"
 #include "dpu/codec_pool.hpp"
 #include "proto/dynamic_message.hpp"
 #include "proto/schema_parser.hpp"
+#include "trace/collector.hpp"
+#include "trace/trace.hpp"
 
 namespace dpurpc::dpu {
 namespace {
@@ -601,43 +604,73 @@ TEST_F(CodecPoolFixture, WorkerCountClampsAndEnvOverride) {
   EXPECT_EQ(DeviceInfo::current().cores, expect);
 }
 
-// idle() is the hand-off rule's view of the pool: true only once every
-// worker has parked, false while a job waits in a ring or runs.
-TEST_F(CodecPoolFixture, IdleOnlyWhileEveryWorkerIsParked) {
-  CodecPool::Options opts;
-  opts.workers = 2;
-  CodecPool pool(deser_.get(), ser_.get(), /*lanes=*/2, opts);
-  EXPECT_FALSE(pool.idle());  // not started: nobody is parked
-  pool.start();
-  auto wait_idle = [&pool] {
-    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (!pool.idle() && std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    return pool.idle();
-  };
-  ASSERT_TRUE(wait_idle());
-  // Backstop timeouts must not unpark an idle pool: idle() holds across
-  // several of them.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(pool.idle());
+// A traced job records its ring wait and its codec span under the job's
+// trace, in both directions, and the spans export under their wire names.
+// The proxy no longer hands unary calls to the pool, so this direct job is
+// what keeps the export of these stages covered.
+TEST_F(CodecPoolFixture, TracedJobsExportWorkerSpans) {
+#if !DPURPC_TRACE_ENABLED
+  GTEST_SKIP() << "tracing compiled out (DPURPC_TRACE=OFF)";
+#endif
+  std::vector<trace::SpanRecord> leftovers;
+  trace::Tracer::instance().drain_into(leftovers);
+  trace::TraceConfig config;
+  config.mode = trace::Mode::kFull;
+  trace::Tracer::instance().configure(config);
+  metrics::Registry reg;
+  trace::TraceCollector::Options copts;
+  copts.registry = &reg;
+  copts.tail_keep_every = 1;
+  trace::TraceCollector collector(copts);
 
-  // A queued job: false from the moment submit() returns until the
-  // result is out, whichever worker is mid-wakeup.
-  const Bytes wire = node_wire(3);
-  CodecJob job;
-  job.kind = JobKind::kDecode;
-  job.class_index = node_;
-  job.cookie = 1;
-  job.wire = wire;
-  ASSERT_TRUE(pool.submit(1, job));
-  EXPECT_FALSE(pool.idle());
-  CodecResult r = std::move(drain(pool, 1)[0]);
-  EXPECT_TRUE(r.status.is_ok());
-  // Once the worker is done and parks again, the pool reads idle again.
-  EXPECT_TRUE(wait_idle());
+  CodecPool::Options opts;
+  opts.workers = 1;
+  CodecPool pool(deser_.get(), ser_.get(), /*lanes=*/1, opts);
+  pool.start();
+  const trace::TraceContext ctx = trace::Tracer::instance().begin_trace();
+  ASSERT_TRUE(ctx.active());
+  const uint64_t t0 = WallTimer::now();
+
+  CodecJob decode_job;
+  decode_job.kind = JobKind::kDecode;
+  decode_job.class_index = node_;
+  decode_job.wire = node_wire(5);
+  decode_job.trace = ctx;
+  decode_job.submit_ns = WallTimer::now();
+  ASSERT_TRUE(pool.submit(0, decode_job));
+  CodecResult decoded = std::move(drain(pool, 1)[0]);
+  ASSERT_TRUE(decoded.status.is_ok()) << decoded.status.to_string();
+
+  CodecJob encode_job;
+  encode_job.kind = JobKind::kEncode;
+  encode_job.class_index = node_;
+  encode_job.object = std::move(decoded.slice);
+  encode_job.object_used = decoded.used;
+  encode_job.obj_offset = decoded.obj_offset;
+  encode_job.trace = ctx;
+  encode_job.submit_ns = WallTimer::now();
+  ASSERT_TRUE(pool.submit(0, encode_job));
+  CodecResult encoded = std::move(drain(pool, 1)[0]);
+  ASSERT_TRUE(encoded.status.is_ok()) << encoded.status.to_string();
   pool.stop();
-  EXPECT_FALSE(pool.idle());
+  trace::Tracer::instance().record_root(ctx, t0, WallTimer::now());
+  collector.collect();
+  trace::Tracer::instance().configure(trace::TraceConfig{});
+
+  ASSERT_EQ(collector.retained().size(), 1u);
+  const trace::SpanTree& tree = collector.retained()[0];
+  std::map<trace::Stage, int> counts;
+  for (const trace::Span& span : tree.spans) counts[span.stage] += 1;
+  for (trace::Stage st : {trace::Stage::kDecodeRingWait, trace::Stage::kWorkerDecode,
+                          trace::Stage::kEncodeRingWait, trace::Stage::kWorkerEncode}) {
+    EXPECT_EQ(counts[st], 1) << trace::stage_name(st);
+  }
+  const std::string json = collector.export_chrome_json();
+  for (const char* name : {"decode_ring_wait", "worker_decode", "encode_ring_wait",
+                           "worker_encode"}) {
+    EXPECT_NE(json.find("\"name\":\"" + std::string(name) + "\""), std::string::npos)
+        << name;
+  }
 }
 
 }  // namespace

@@ -179,10 +179,6 @@ TEST(DpulintRealTree, RequiredHotRootsAnnotated) {
            // and the chunk-cut/submit loop on the proxy's lane thread.
            "dpurpc::rdmarpc::RpcServer::accept_fragment",
            "dpurpc::grpccompat::DpuProxy::scan_and_submit",
-           // The hand-off rule, asked once per unary codec job on the
-           // lane thread, and the pool park state it reads.
-           "dpurpc::grpccompat::DpuProxy::run_on_lane",
-           "dpurpc::dpu::CodecPool::idle",
            // Tail forensics: the per-tree trigger check on the collector
            // thread and the sampler's per-period read pass.
            "dpurpc::trace::FlightRecorder::should_capture",

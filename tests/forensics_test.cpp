@@ -168,8 +168,8 @@ TEST_F(ForensicsFixture, ScrapeCarriesQuantilesGaugesAndExemplars) {
                    scrape->size());
 
   // Satellite (a): derived per-stage quantiles are first-class series.
-  // block_build is a stage every offloaded call records, whether its
-  // codec ran on the pool or on the lane (DESIGN.md §3.14 hand-off rule).
+  // block_build is a stage every offloaded call records (the request
+  // decodes inside it, on the lane: DESIGN.md §3.14).
   for (const char* line : {
            "dpurpc_trace_stage_seconds_p50{stage=\"block_build\"}",
            "dpurpc_trace_stage_seconds_p95{stage=\"block_build\"}",

@@ -321,6 +321,60 @@ TEST_F(OffloadFixture, MalformedPayloadRejectedAtTheDpu) {
   EXPECT_EQ(host_->requests_served(), 0u);  // the host never saw it
 }
 
+// A request whose decoded object cannot fit even a maximum-size RDMA
+// block is a per-call error: it fails fast with kOutOfRange, the lane
+// keeps serving, and no credit is left behind.
+TEST_F(OffloadFixture, OversizedRequestFailsOnlyItsOwnCall) {
+  ASSERT_TRUE(host_
+                  ->register_unary(
+                      "kv.KvStore/Put",
+                      [](const ServerContext&, const adt::LayoutView&,
+                         proto::DynamicMessage& resp) {
+                        resp.set_uint64(resp.descriptor()->field_by_name("created"),
+                                        1);
+                        return Status::ok();
+                      })
+                  .is_ok());
+  start_host_loop();
+  proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
+  auto port = proxy_->start();
+  ASSERT_TRUE(port.is_ok());
+  auto chan = xrpc::Channel::connect(*port);
+  ASSERT_TRUE(chan.is_ok());
+  const auto* put_desc = pool_.find_message("kv.PutRequest");
+  auto put = [&](const std::string& key, size_t value_bytes) {
+    proto::DynamicMessage m(put_desc);
+    m.set_string(put_desc->field_by_name("key"), key);
+    m.set_string(put_desc->field_by_name("value"), std::string(value_bytes, 'v'));
+    Bytes wire = proto::WireCodec::serialize(m);
+    return (*chan)->call("kv.KvStore/Put", ByteSpan(wire), /*timeout_ms=*/1000);
+  };
+  // Credits at rest, after one call has completed the connection setup.
+  ASSERT_TRUE(put("warm", 8).is_ok());
+  auto credits_settle_at = [&](uint32_t want) {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (dpu_conn_->credits_available() != want &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return dpu_conn_->credits_available();
+  };
+  const uint32_t baseline = credits_settle_at(rdmarpc::ConnectionConfig{}.credits);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  auto big = put("big", 100 * 1024);
+  EXPECT_EQ(big.status().code(), Code::kOutOfRange);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  EXPECT_EQ(proxy_->stats().deserialize_failures.load(), 1u);
+
+  // The same (only) lane keeps serving, and the host never saw the reject.
+  auto small = put("small", 8);
+  ASSERT_TRUE(small.is_ok()) << small.status().to_string();
+  EXPECT_EQ(host_->requests_served(), 2u);
+  EXPECT_EQ(proxy_->stats().offloaded_requests.load(), 2u);
+  EXPECT_EQ(credits_settle_at(baseline), baseline);
+}
+
 TEST_F(OffloadFixture, UnknownXrpcMethodRejectedAtTheDpu) {
   start_host_loop();
   proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
@@ -446,11 +500,6 @@ TEST_F(OffloadFixture, StreamedBulkTransferEndToEnd) {
   }
   ASSERT_GT(oracle.size(), sopts.per_stream_budget);
 
-  // Start from a parked pool, where a unary call would run on the lane.
-  for (int i = 0; i < 10000 && !proxy_->codec_pool().idle(); ++i) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  ASSERT_TRUE(proxy_->codec_pool().idle());
   auto stream = (*chan)->open_stream("kv.KvStore/Put");
   ASSERT_TRUE(stream.is_ok()) << stream.status().to_string();
   constexpr size_t kWrite = 32 * 1024;  // deliberately not record-aligned
@@ -477,16 +526,16 @@ TEST_F(OffloadFixture, StreamedBulkTransferEndToEnd) {
   EXPECT_LE(proxy_->stats().stream_peak_bytes.load(), sopts.per_stream_budget);
   EXPECT_EQ(proxy_->stats().stream_aborts.load(), 0u);
   EXPECT_EQ(proxy_->stats().deserialize_failures.load(), 0u);
-  // Stream pieces never run on the lane under the hand-off rule, even
-  // though the pool was parked when the stream opened: every piece is a
-  // pool decode unless the ring was full (overload spill).
-  EXPECT_EQ(proxy_->stats().lane_run_decodes.load(), 0u);
+  // Stream pieces are the pool's work: every piece is a pool decode
+  // unless the ring was full (overload spill), and nothing else reached
+  // the pool.
   const dpu::CodecPool& codec = proxy_->codec_pool();
-  uint64_t pool_decodes = codec.total_jobs();
-  for (size_t w = 0; w < codec.worker_count(); ++w)
-    pool_decodes -= codec.worker_stats(w).encodes;
-  EXPECT_EQ(pool_decodes + proxy_->stats().inline_decodes.load(),
+  for (size_t w = 0; w < codec.worker_count(); ++w) {
+    EXPECT_EQ(codec.worker_stats(w).encodes, 0u) << "worker " << w;
+  }
+  EXPECT_EQ(codec.total_jobs() + proxy_->stats().inline_decodes.load(),
             proxy_->stats().stream_chunks.load());
+  EXPECT_EQ(proxy_->stats().offloaded_requests.load(), 0u);
   // Backpressure engaged at the xRPC edge: the 1.5 MB stream had to wait
   // for the 256 KiB window at least once.
   EXPECT_GE((*stream)->credit_stalls(), 1u);

@@ -476,6 +476,47 @@ TEST(Integration, InPlacePayloadArrivesAtTranslatedAddress) {
   EXPECT_EQ(answer, 42u);
 }
 
+TEST(Integration, OversizedInPlaceRequestIsOutOfRangeAndLeaksNothing) {
+  // An in-place request that cannot fit a maximum-size block is a per-call
+  // error, not backpressure: kOutOfRange, with no request ID, queued
+  // continuation, credit or open message left behind, so the next call
+  // goes through. Two ways to be too big: the builder's arena runs dry in
+  // the maximum-size block, or the object fits that block's arena but not
+  // the 64 KiB header field.
+  Fabric f;
+  register_echo(f.server);
+  const uint32_t credits = f.client_conn.credits_available();
+  uint64_t answered = 0;
+  for (uint32_t object_bytes : {uint32_t{1} << 20, kMaxPayloadSize + 1}) {
+    int builds = 0;
+    Status st = f.client.call_inplace(
+        kEcho, /*class_index=*/1, /*payload_hint=*/64,
+        [&](arena::Arena& arena,
+            const arena::AddressTranslator&) -> StatusOr<uint32_t> {
+          ++builds;
+          if (arena.allocate(object_bytes) == nullptr) {
+            return Status(Code::kResourceExhausted, "full");
+          }
+          return static_cast<uint32_t>(arena.used());
+        },
+        [](const Status&, const InMessage&) { FAIL() << "must never complete"; });
+    EXPECT_EQ(st.code(), Code::kOutOfRange) << object_bytes;
+    EXPECT_EQ(builds, 2) << object_bytes;  // hinted block, then maximum-size
+    EXPECT_EQ(f.client.enqueued_unflushed(), 0u);
+    EXPECT_EQ(f.client.in_flight(), 0u);
+    EXPECT_EQ(f.client_conn.credits_available(), credits);
+
+    Status next = f.client.call(kEcho, as_bytes_view("next"),
+                                [&](const Status& rst, const InMessage&) {
+                                  EXPECT_TRUE(rst.is_ok());
+                                  ++answered;
+                                });
+    ASSERT_TRUE(next.is_ok()) << object_bytes << ": " << next.to_string();
+    ASSERT_TRUE(f.pump_until(answered + 1).is_ok());
+  }
+  EXPECT_EQ(answered, 2u);
+}
+
 TEST(Integration, OversizedInPlaceResponseGetsItsOwnBlock) {
   // The in-place response path starts with a small block hint; a handler
   // whose object exceeds the 8 KiB block must be retried in progressively

@@ -1,7 +1,7 @@
 // End-to-end trace propagation over the full offload datapath: xRPC
-// client → DPU proxy (pool or lane-run codec) → RPC over RDMA → host →
-// back. Every datapath stage must record exactly one span into the
-// request's tree, and which codec stages appear says where the codec ran.
+// client → DPU proxy (codec on the lane) → RPC over RDMA → host → back.
+// Every datapath stage must record exactly one span into the request's
+// tree, and a unary tree carries no codec-pool stage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -90,11 +90,9 @@ class TraceE2eFixture : public ::testing::Test {
 
   /// kWarm warm-up calls (the first span on each thread creates its span
   /// ring, a cold spill that would break those trees' tiling), then
-  /// kSerial blocking calls on a parked pool (the hand-off rule runs each
-  /// on the lane), then kBurst async calls over two channels with
-  /// kWindow in flight (the lane queue and the pool stay busy, so work is
-  /// handed off). Trace ids follow call order, so the first kWarm trees
-  /// are the warm-up.
+  /// kSerial blocking calls, then kBurst async calls over two channels
+  /// with kWindow in flight (the lane queue stays busy). Trace ids follow
+  /// call order, so the first kWarm trees are the warm-up.
   void drive_calls() {
     start_host_loop();
     proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), manifest_.get());
@@ -106,16 +104,10 @@ class TraceE2eFixture : public ::testing::Test {
       chans_.push_back(std::move(*chan));
     }
     ASSERT_NO_FATAL_FAILURE(run_window(0, kWarm, kWarm));
-    for (int i = 0; i < 10000 && !proxy_->codec_pool().idle(); ++i) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    ASSERT_TRUE(proxy_->codec_pool().idle());
-    const uint64_t lane_before = proxy_->stats().lane_run_decodes.load();
     ASSERT_NO_FATAL_FAILURE(run_window(kWarm, kWarm + kSerial, 1));
-    // Serial calls on a parked pool never wake it.
-    EXPECT_EQ(proxy_->stats().lane_run_decodes.load() - lane_before,
-              static_cast<uint64_t>(kSerial));
     ASSERT_NO_FATAL_FAILURE(run_window(kWarm + kSerial, kTotal, kWindow));
+    // Unary codec work never leaves the lane, serial or windowed.
+    EXPECT_EQ(proxy_->codec_pool().total_jobs(), 0u);
   }
 
   /// Calls [first, last) alternating between the channels, at most
@@ -162,34 +154,12 @@ class TraceE2eFixture : public ::testing::Test {
     ASSERT_EQ(collector.retained().size(), static_cast<size_t>(kTotal));
   }
 
-  /// How many trees ran each codec direction on the pool (the rest ran
-  /// on the lane).
-  struct Placement {
-    int pool_decodes = 0;
-    int pool_encodes = 0;
-  };
-
-  /// Every tree carries `base` exactly once, plus, per codec direction,
-  /// either the whole pool-run stage group exactly once or none of it —
-  /// nothing else. Tree shape holds for every tree, tiling for both sets.
-  Placement check_trees(const trace::TraceCollector& collector,
-                        const std::vector<trace::Stage>& base,
-                        const std::vector<trace::Stage>& encode_stages) {
-    const std::vector<trace::Stage> decode_stages = {
-        trace::Stage::kDecodeRingWait, trace::Stage::kWorkerDecode};
-    Placement p;
-    // Count one optional stage group: all of it once (pool-run) or none
-    // of it (lane-run). Returns true for pool-run.
-    auto group = [](std::map<trace::Stage, int>& counts,
-                    const std::vector<trace::Stage>& stages, uint64_t id) {
-      const bool pool = !stages.empty() && counts[stages[0]] > 0;
-      for (trace::Stage st : stages) {
-        EXPECT_EQ(counts[st], pool ? 1 : 0)
-            << "stage " << trace::stage_name(st) << " in trace " << id;
-      }
-      return pool;
-    };
-    double stage_ns[2] = {0, 0}, e2e_ns[2] = {0, 0};  // [pool_decode]
+  /// Every tree carries exactly the lane-run stage set `base`, each stage
+  /// once, and nothing else: no ring wait, no worker span. Tree shape
+  /// holds for every tree; tiling holds over the trees past the warm-up.
+  void check_trees(const trace::TraceCollector& collector,
+                   const std::vector<trace::Stage>& base) {
+    double stage_ns = 0, e2e_ns = 0;
     std::vector<const trace::SpanTree*> trees;
     for (const trace::SpanTree& tree : collector.retained()) trees.push_back(&tree);
     std::sort(trees.begin(), trees.end(), [](const auto* x, const auto* y) {
@@ -203,13 +173,7 @@ class TraceE2eFixture : public ::testing::Test {
         EXPECT_EQ(counts[st], 1) << "stage " << trace::stage_name(st)
                                  << " in trace " << tree.trace_id;
       }
-      const bool pool_decode = group(counts, decode_stages, tree.trace_id);
-      const bool pool_encode = group(counts, encode_stages, tree.trace_id);
-      p.pool_decodes += pool_decode ? 1 : 0;
-      p.pool_encodes += pool_encode ? 1 : 0;
-      EXPECT_EQ(tree.spans.size(),
-                base.size() + (pool_decode ? decode_stages.size() : 0) +
-                    (pool_encode ? encode_stages.size() : 0))
+      EXPECT_EQ(tree.spans.size(), base.size())
           << "unexpected extra spans in trace " << tree.trace_id;
 
       // Tree shape: one root, every stage span parented to it.
@@ -222,36 +186,22 @@ class TraceE2eFixture : public ::testing::Test {
         EXPECT_EQ(s.parent_span_id, root->span_id);
         EXPECT_LE(s.start_ns, s.end_ns);
       }
-      // Tiling, past the warm-up, summed per decode stage set (the
-      // ratio perfbench reports as trace.tiling_ratio).
       if (i < kWarm) continue;
-      stage_ns[pool_decode] += static_cast<double>(tree.stage_sum_ns());
-      e2e_ns[pool_decode] += static_cast<double>(root->duration_ns());
+      stage_ns += static_cast<double>(tree.stage_sum_ns());
+      e2e_ns += static_cast<double>(root->duration_ns());
     }
-    // Stage spans cover most of the end-to-end time and do not count any
-    // of it twice, on the lane-run and the pool-run set alike. (Single
+    // Stage spans cover most of the end-to-end time and count none of it
+    // twice (the ratio perfbench reports as trace.tiling_ratio). Single
     // trees can stray: a thread preempted at a span boundary stretches
-    // one span over the next, or leaves a gap.)
-    for (int set = 0; set < 2; ++set) {
-      if (e2e_ns[set] == 0) continue;
-      const double tiling = stage_ns[set] / e2e_ns[set];
-      EXPECT_GE(tiling, 0.5) << (set ? "pool-run" : "lane-run");
-      EXPECT_LE(tiling, 1.05) << (set ? "pool-run" : "lane-run");
-    }
-    // The trees agree with the proxy's placement ledger (a lane-run and
-    // an overload-spill decode trace alike), and the serial phase
-    // guarantees lane-run trees exist.
-    const DpuProxyStats& stats = proxy_->stats();
-    EXPECT_EQ(static_cast<uint64_t>(kTotal - p.pool_decodes),
-              stats.lane_run_decodes.load() + stats.inline_decodes.load());
-    EXPECT_GE(stats.lane_run_decodes.load(), static_cast<uint64_t>(kSerial));
-    return p;
+    // one span over the next, or leaves a gap.
+    ASSERT_GT(e2e_ns, 0);
+    EXPECT_GE(stage_ns / e2e_ns, 0.5);
+    EXPECT_LE(stage_ns / e2e_ns, 1.05);
   }
 
-  /// Per-stage histograms: every base stage observed once per call, each
-  /// pool-run stage once per pool-run tree.
-  void expect_stage_counts(const std::vector<trace::Stage>& base,
-                           const Placement& p) {
+  /// Per-stage histograms: every base stage observed once per call, and
+  /// no codec-pool stage at all.
+  void expect_stage_counts(const std::vector<trace::Stage>& base) {
     metrics::Snapshot snap = reg_.scrape();
     auto count_of = [&snap](trace::Stage st) {
       const metrics::Sample* c = snap.find("dpurpc_trace_stage_seconds_count",
@@ -261,10 +211,10 @@ class TraceE2eFixture : public ::testing::Test {
     for (trace::Stage st : base) {
       EXPECT_EQ(count_of(st), static_cast<double>(kTotal)) << trace::stage_name(st);
     }
-    EXPECT_EQ(count_of(trace::Stage::kDecodeRingWait), static_cast<double>(p.pool_decodes));
-    EXPECT_EQ(count_of(trace::Stage::kWorkerDecode), static_cast<double>(p.pool_decodes));
-    EXPECT_EQ(count_of(trace::Stage::kEncodeRingWait), static_cast<double>(p.pool_encodes));
-    EXPECT_EQ(count_of(trace::Stage::kWorkerEncode), static_cast<double>(p.pool_encodes));
+    for (trace::Stage st : {trace::Stage::kDecodeRingWait, trace::Stage::kWorkerDecode,
+                            trace::Stage::kEncodeRingWait, trace::Stage::kWorkerEncode}) {
+      EXPECT_EQ(count_of(st), 0.0) << trace::stage_name(st);
+    }
   }
 
   proto::DescriptorPool pool_;
@@ -309,8 +259,7 @@ TEST_F(TraceE2eFixture, EveryStageRecordsExactlyOnce) {
   ASSERT_NO_FATAL_FAILURE(collect_all(collector));
 
   // The stages every offloaded request passes through, in Fig. 1 order.
-  // A lane-run request decodes inside block_build; a pool-run one adds
-  // the decode ring wait and the worker's decode span.
+  // The request decodes on the lane, inside block_build.
   const std::vector<trace::Stage> base = {
       trace::Stage::kRequest,       trace::Stage::kClientSerialize,
       trace::Stage::kXrpcInbound,   trace::Stage::kProxyDispatch,
@@ -320,21 +269,21 @@ TEST_F(TraceE2eFixture, EveryStageRecordsExactlyOnce) {
       trace::Stage::kRespFlushWait, trace::Stage::kRdmaOutbound,
       trace::Stage::kComplete,      trace::Stage::kXrpcOutbound,
   };
-  const Placement p = check_trees(collector, base, /*encode_stages=*/{});
-  EXPECT_EQ(p.pool_encodes, 0);
-  expect_stage_counts(base, p);
+  check_trees(collector, base);
+  expect_stage_counts(base);
 
-  // The exporter produces an openable timeline for what we retained.
+  // The exporter produces an openable timeline for what we retained
+  // (codec_pool_test covers the worker spans' export).
   std::string json = collector.export_chrome_json();
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"worker_decode\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"block_build\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"request\""), std::string::npos);
 }
 
 // The response-offload variant: handlers built with register_unary_object
 // reply with an in-place *object* that the DPU serializes. The
-// host-serialize span disappears; a pool-serialized reply adds the two
-// response-side pool stages, a lane-run one serializes inside complete.
+// host-serialize span disappears, and the lane serializes the reply
+// inside its complete span.
 TEST_F(TraceE2eFixture, OffloadedReplyStagesRecordExactlyOnce) {
 #if !DPURPC_TRACE_ENABLED
   GTEST_SKIP() << "tracing compiled out (DPURPC_TRACE=OFF)";
@@ -349,11 +298,9 @@ TEST_F(TraceE2eFixture, OffloadedReplyStagesRecordExactlyOnce) {
                       })
                   .is_ok());
   ASSERT_NO_FATAL_FAILURE(drive_calls());
-  // Nothing spilled: every reply was serialized on the DPU, by the pool
-  // or on the lane, exactly once.
+  // Every reply was serialized on the DPU exactly once, and none spilled.
   const auto& stats = proxy_->stats();
-  ASSERT_EQ(stats.offloaded_responses.load() + stats.lane_run_serializes.load(),
-            static_cast<uint64_t>(kTotal));
+  ASSERT_EQ(stats.offloaded_responses.load(), static_cast<uint64_t>(kTotal));
   ASSERT_EQ(stats.inline_serializes.load(), 0u);
   ASSERT_NO_FATAL_FAILURE(collect_all(collector));
 
@@ -366,25 +313,20 @@ TEST_F(TraceE2eFixture, OffloadedReplyStagesRecordExactlyOnce) {
       trace::Stage::kRdmaOutbound,  trace::Stage::kComplete,
       trace::Stage::kXrpcOutbound,
   };
-  const Placement p = check_trees(
-      collector, base,
-      {trace::Stage::kEncodeRingWait, trace::Stage::kWorkerEncode});
+  check_trees(collector, base);
   for (const trace::SpanTree& tree : collector.retained()) {
     for (const trace::Span& s : tree.spans) {
       EXPECT_NE(s.stage, trace::Stage::kHostSerialize)
           << "offloaded reply must not record a host serialize span";
     }
   }
-  // The trees agree with the proxy's own placement ledger.
-  EXPECT_EQ(static_cast<uint64_t>(p.pool_encodes),
-            stats.offloaded_responses.load());
-  expect_stage_counts(base, p);
+  expect_stage_counts(base);
 
-  // Perfetto/Chrome timelines still tile: the response-side spans export
-  // under their wire names.
+  // Perfetto/Chrome timelines still export the response-side spans under
+  // their wire names.
   std::string json = collector.export_chrome_json();
-  EXPECT_NE(json.find("\"name\":\"worker_encode\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"encode_ring_wait\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"complete\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"rdma_outbound\""), std::string::npos);
 }
 
 }  // namespace
