@@ -65,13 +65,11 @@ struct Result {
 
 // Offline unit cost of request deserialize + response serialize for one
 // message, bulk-measured so clock overhead amortizes (same method as
-// fig8_datapath). The serialize leg uses the compiled plan — both sides
-// of the comparison get the fastest codec; only its *placement* differs.
+// fig8_datapath). Both sides of the comparison run the same compiled
+// codec; only its *placement* differs.
 double measure_codec_unit_ns(BenchEnv& env, const Shape& s) {
   arena::OwningArena arena(1 << 21);
-  adt::CodecOptions opts;
-  opts.use_serialize_plan = true;
-  adt::ObjectSerializer ser(&env.adt, opts);
+  adt::ObjectSerializer ser(&env.adt);
   Bytes out;
   constexpr int kIters = 3000;
   ThreadCpuTimer t;
@@ -103,9 +101,7 @@ Result run_shape(BenchEnv& env, const Shape& s, bool offload) {
   rdmarpc::RpcClient client(&dpu_conn);
   rdmarpc::RpcServer server(&host_conn);
 
-  adt::CodecOptions copts;
-  copts.use_serialize_plan = true;
-  adt::ObjectSerializer ser(&env.adt, copts);
+  adt::ObjectSerializer ser(&env.adt);
   Result res;
   arena::OwningArena host_scratch(1 << 21);
   Bytes host_wire, dpu_wire;

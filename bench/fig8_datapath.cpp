@@ -86,24 +86,21 @@ double measure_deser_unit_ns(BenchEnv& env, uint32_t class_index, const Bytes& w
 }
 
 // Offline unit cost of the response path: serializing the in-memory object
-// back to wire form, with the compiled serialize plan on or off (DESIGN.md
-// §3.13). Bulk-measured for the same reason as measure_deser_unit_ns. The
-// Fig. 8 scenarios themselves run empty responses per §VI.C, so this is
-// reported as a separate split rather than folded into the pipeline model.
-double measure_ser_unit_ns(BenchEnv& env, uint32_t class_index, const Bytes& wire,
-                           bool use_plan) {
+// back to wire form through the compiled serialize plan (DESIGN.md §3.13).
+// Bulk-measured for the same reason as measure_deser_unit_ns. The Fig. 8
+// scenarios themselves run empty responses per §VI.C, so this is reported
+// as a separate split rather than folded into the pipeline model.
+double measure_ser_unit_ns(BenchEnv& env, uint32_t class_index, const Bytes& wire) {
   arena::OwningArena arena(1 << 21);
   auto obj = env.deserializer->deserialize(class_index, ByteSpan(wire), arena, {});
   if (!obj.is_ok()) std::abort();
-  adt::CodecOptions opts;
-  opts.use_serialize_plan = use_plan;
-  adt::ObjectSerializer ser(&env.adt, opts);
+  adt::ObjectSerializer ser(&env.adt);
   adt::ObjectRef ref(class_index, *obj);
   Bytes out;
   constexpr int kIters = 3000;
   ThreadCpuTimer t;
   for (int i = 0; i < kIters; ++i) {
-    out.clear();  // capacity retained, matching ablation_serplan
+    out.clear();  // capacity retained: steady-state reply buffer
     if (!ser.serialize(ref, out).is_ok()) std::abort();
     volatile const void* sink = out.data();
     (void)sink;
@@ -331,7 +328,7 @@ RoundTripResult run_roundtrip(BenchEnv& env, const Workload& w, bool offload) {
   // run_scenario): decode + serialize land on whichever side ran them.
   const double unit_codec_ns =
       measure_deser_unit_ns(env, w.class_index, w.wire) +
-      measure_ser_unit_ns(env, w.class_index, w.wire, /*use_plan=*/true);
+      measure_ser_unit_ns(env, w.class_index, w.wire);
   if (offload) {
     res.dpu_codec_ns = unit_codec_ns * static_cast<double>(completed);
     res.host_codec_ns = 0;  // the host never touches wire bytes
@@ -587,12 +584,8 @@ int main(int argc, char** argv) {
   }
   std::printf("\nResponse path (serialize unit cost, object -> wire, single core):\n");
   for (const auto& w : workloads) {
-    double plan_ns = measure_ser_unit_ns(env, w.class_index, w.wire, /*use_plan=*/true);
-    double interp_ns =
-        measure_ser_unit_ns(env, w.class_index, w.wire, /*use_plan=*/false);
-    std::printf("  %-12s serialize_plan %9.1f ns   interpretive %9.1f ns   "
-                "speedup %.2fx\n",
-                w.name, plan_ns, interp_ns, interp_ns / plan_ns);
+    std::printf("  %-12s serialize_plan %9.1f ns\n", w.name,
+                measure_ser_unit_ns(env, w.class_index, w.wire));
   }
 
   // Round-trip mode: echoed responses, with the response codec riding the

@@ -18,7 +18,6 @@ namespace {
 
 using proto::FieldType;
 using wire::Reader;
-using wire::WireType;
 
 /// In-memory shape of RepeatedField<T> / RepeatedPtrField<T>. Kept in sync
 /// by the static_asserts in repeated_field.hpp.
@@ -45,61 +44,6 @@ uint32_t scalar_elem_size(FieldType t) noexcept {
   }
 }
 
-void set_has_bit(std::byte* base, const ClassEntry& cls, const FieldEntry& f) noexcept {
-  if (f.has_bit < 0) return;
-  auto* word = reinterpret_cast<uint32_t*>(base + cls.has_bits_offset);
-  *word |= 1u << f.has_bit;
-}
-
-/// Store one decoded scalar (already type-normalized into `v64`) at `dst`.
-void store_scalar(std::byte* dst, FieldType t, uint64_t raw) noexcept {
-  switch (t) {
-    case FieldType::kBool:
-      *reinterpret_cast<uint8_t*>(dst) = raw != 0 ? 1 : 0;
-      break;
-    case FieldType::kInt32:
-    case FieldType::kEnum:
-      dpurpc::store_le(dst, static_cast<uint32_t>(raw));  // two's complement
-      break;
-    case FieldType::kSint32:
-      dpurpc::store_le(dst, static_cast<uint32_t>(wire::zigzag_decode32(
-                                static_cast<uint32_t>(raw))));
-      break;
-    case FieldType::kUint32:
-    case FieldType::kFixed32:
-    case FieldType::kSfixed32:
-    case FieldType::kFloat:
-      dpurpc::store_le(dst, static_cast<uint32_t>(raw));
-      break;
-    case FieldType::kSint64:
-      dpurpc::store_le(dst, static_cast<uint64_t>(wire::zigzag_decode64(raw)));
-      break;
-    default:
-      dpurpc::store_le(dst, raw);
-      break;
-  }
-}
-
-/// Read one element of a packed/unpacked scalar from the wire.
-StatusOr<uint64_t> read_scalar_raw(Reader& r, FieldType t) noexcept {
-  switch (proto::wire_type_for(t)) {
-    case WireType::kVarint: {
-      auto v = r.read_varint();
-      if (!v.is_ok()) return v.status();
-      return *v;
-    }
-    case WireType::kFixed32: {
-      auto v = r.read_fixed32();
-      if (!v.is_ok()) return v.status();
-      return static_cast<uint64_t>(*v);
-    }
-    case WireType::kFixed64:
-      return r.read_fixed64();
-    default:
-      return Status(Code::kInternal, "scalar with length-delimited wire type");
-  }
-}
-
 /// Grow a repeated header's buffer to hold `needed` elements of
 /// `elem_size` bytes. Data pointer stays *local* during parsing.
 Status ensure_capacity(RepHeader& h, uint32_t needed, uint32_t elem_size,
@@ -117,42 +61,10 @@ Status ensure_capacity(RepHeader& h, uint32_t needed, uint32_t elem_size,
   return Status::ok();
 }
 
-/// Count elements in a packed payload without decoding values: one scan,
-/// enabling a single exact-size allocation (the deserializer's hot loop
-/// for the paper's x512 Ints workload).
-StatusOr<uint32_t> count_packed_elements(std::string_view payload, FieldType t) {
-  switch (proto::wire_type_for(t)) {
-    case WireType::kFixed32:
-      if (payload.size() % 4 != 0) {
-        return Status(Code::kDataLoss, "packed fixed32 payload not a multiple of 4");
-      }
-      return static_cast<uint32_t>(payload.size() / 4);
-    case WireType::kFixed64:
-      if (payload.size() % 8 != 0) {
-        return Status(Code::kDataLoss, "packed fixed64 payload not a multiple of 8");
-      }
-      return static_cast<uint32_t>(payload.size() / 8);
-    case WireType::kVarint: {
-      uint32_t count = 0;
-      for (unsigned char c : payload) {
-        if ((c & 0x80) == 0) ++count;
-      }
-      if (!payload.empty() &&
-          (static_cast<unsigned char>(payload.back()) & 0x80) != 0) {
-        return Status(Code::kDataLoss, "packed varint payload ends mid-element");
-      }
-      return count;
-    }
-    default:
-      return Status(Code::kInternal, "packed non-scalar");
-  }
-}
-
 /// Process-wide deserializer counters (default metrics registry). Looked
 /// up once; the hot path only pays relaxed atomic adds at flush time.
 struct DeserCounters {
   metrics::Counter& plan_parses;
-  metrics::Counter& interp_parses;
   metrics::Counter& plan_fields;
   metrics::Counter& prediction_hits;
 };
@@ -161,8 +73,6 @@ DeserCounters& deser_counters() {
   static DeserCounters c{
       metrics::default_counter("dpurpc_deser_plan_parses_total",
                                "Messages deserialized through a parse plan"),
-      metrics::default_counter("dpurpc_deser_interp_parses_total",
-                               "Messages deserialized through the interpretive path"),
       metrics::default_counter("dpurpc_deser_plan_fields_total",
                                "Wire fields dispatched through parse-plan slots"),
       metrics::default_counter("dpurpc_deser_prediction_hits_total",
@@ -177,7 +87,7 @@ ArenaDeserializer::ArenaDeserializer(const Adt* adt, CodecOptions options)
     : adt_(adt),
       flavor_(static_cast<arena::StdLibFlavor>(adt->fingerprint().string_flavor)),
       options_(options),
-      plans_(options.use_parse_plan ? adt->plans() : nullptr) {}
+      plans_(adt->plans()) {}
 
 StatusOr<void*> ArenaDeserializer::deserialize(
     uint32_t class_index, ByteSpan wire, arena::Arena& arena,
@@ -188,7 +98,8 @@ StatusOr<void*> ArenaDeserializer::deserialize(
   // lane on an unrelated critical section or, worse, implies the plan
   // data it reads needs that lock. Debug builds enforce the rule.
   DPURPC_LOCKDEP_ASSERT_NO_LOCKS_HELD("ArenaDeserializer::deserialize");
-  if (class_index >= adt_->class_count()) {
+  const ParsePlan* plan = plans_->parse().for_class(class_index);
+  if (plan == nullptr) {
     return Status(Code::kNotFound, "unknown ADT class index");
   }
   const ClassEntry& cls = adt_->class_at(class_index);
@@ -199,14 +110,10 @@ StatusOr<void*> ArenaDeserializer::deserialize(
   // The default-instance copy seeds unset fields *and* the vptr (§V.B).
   std::memcpy(base, cls.default_bytes.data(), cls.size);
   PlanParseStats stats;
-  DPURPC_RETURN_IF_ERROR(parse_msg(class_index, base, wire, arena, xlate, 0, stats));
+  DPURPC_RETURN_IF_ERROR(parse_msg(*plan, base, wire, arena, xlate, 0, stats));
   if (xlate.delta != 0) fix_pointers(cls, base, xlate);
   DeserCounters& c = deser_counters();
-  if (plans_ != nullptr && plans_->parse().for_class(class_index) != nullptr) {
-    c.plan_parses.inc();
-  } else {
-    c.interp_parses.inc();
-  }
+  c.plan_parses.inc();
   if (stats.fields != 0) {
     c.plan_fields.inc(stats.fields);
     c.prediction_hits.inc(stats.prediction_hits);
@@ -214,30 +121,13 @@ StatusOr<void*> ArenaDeserializer::deserialize(
   return static_cast<void*>(base);
 }
 
-Status ArenaDeserializer::parse_msg(uint32_t class_index, std::byte* base,
+// The plan-driven hot loop: one flat switch on a precompiled opcode per
+// wire field, with the next slot predicted from the encoder's ascending
+// field order.
+Status ArenaDeserializer::parse_msg(const ParsePlan& plan, std::byte* base,
                                     ByteSpan wire, arena::Arena& arena,
                                     const arena::AddressTranslator& xlate,
                                     int depth, PlanParseStats& stats) const {
-  const ClassEntry& cls = adt_->class_at(class_index);
-  if (plans_ != nullptr) {
-    if (const ParsePlan* plan = plans_->parse().for_class(class_index)) {
-      return parse_with_plan(cls, *plan, base, wire, arena, xlate, depth, stats);
-    }
-  }
-  return parse_into(cls, base, wire, arena, xlate, depth, stats);
-}
-
-// The plan-driven hot loop: one flat switch on a precompiled opcode per
-// wire field, with the next slot predicted from the encoder's ascending
-// field order. Allocation order is kept byte-for-byte identical to
-// parse_into so both paths produce the same arena image (asserted by
-// parse_plan_test).
-Status ArenaDeserializer::parse_with_plan(const ClassEntry& cls, const ParsePlan& plan,
-                                          std::byte* base, ByteSpan wire,
-                                          arena::Arena& arena,
-                                          const arena::AddressTranslator& xlate,
-                                          int depth, PlanParseStats& stats) const {
-  (void)cls;
   if (depth > options_.max_recursion_depth) {
     return Status(Code::kDataLoss, "message nesting exceeds recursion limit");
   }
@@ -415,8 +305,8 @@ Status ArenaDeserializer::parse_with_plan(const ClassEntry& cls, const ParsePlan
         const auto* pp = reinterpret_cast<const uint8_t*>(payload->data());
         const auto* pend = pp + payload->size();
         // Terminator scan: exact element count for a single allocation,
-        // and the same mid-element truncation check as the interpretive
-        // path. Values are decoded by the batch decoder below.
+        // and a mid-element truncation check. Values are decoded by the
+        // batch decoder below.
         uint32_t count = wire::count_varint_terminators(pp, pend);
         if (pp != pend && (pend[-1] & 0x80) != 0) {
           return Status(Code::kDataLoss, "packed varint payload ends mid-element");
@@ -501,7 +391,8 @@ Status ArenaDeserializer::parse_with_plan(const ClassEntry& cls, const ParsePlan
         auto payload = r.read_length_delimited();
         if (!payload.is_ok()) return payload.status();
         const ClassEntry& child_cls = adt_->class_at(s->aux);
-        // proto3 merge semantics, as in the interpretive path.
+        // proto3 merge semantics: a repeated occurrence of a singular
+        // message field merges into the existing instance.
         auto* existing =
             reinterpret_cast<std::byte*>(dpurpc::load_le<uint64_t>(dst));
         std::byte* child = existing;
@@ -513,8 +404,9 @@ Status ArenaDeserializer::parse_with_plan(const ClassEntry& cls, const ParsePlan
           }
           std::memcpy(child, child_cls.default_bytes.data(), child_cls.size);
         }
-        DPURPC_RETURN_IF_ERROR(parse_msg(s->aux, child, as_bytes_view(*payload),
-                                         arena, xlate, depth + 1, stats));
+        DPURPC_RETURN_IF_ERROR(parse_msg(*plans_->parse().for_class(s->aux), child,
+                                         as_bytes_view(*payload), arena, xlate,
+                                         depth + 1, stats));
         dpurpc::store_le(dst, reinterpret_cast<uint64_t>(child));  // local
         set_has(s);
         break;
@@ -531,8 +423,9 @@ Status ArenaDeserializer::parse_with_plan(const ClassEntry& cls, const ParsePlan
           return Status(Code::kResourceExhausted, "arena full (child message)");
         }
         std::memcpy(child, child_cls.default_bytes.data(), child_cls.size);
-        DPURPC_RETURN_IF_ERROR(parse_msg(s->aux, child, as_bytes_view(*payload),
-                                         arena, xlate, depth + 1, stats));
+        DPURPC_RETURN_IF_ERROR(parse_msg(*plans_->parse().for_class(s->aux), child,
+                                         as_bytes_view(*payload), arena, xlate,
+                                         depth + 1, stats));
         static_cast<void**>(h.data)[h.size++] = child;  // local; fixed up later
         break;
       }
@@ -547,157 +440,6 @@ Status ArenaDeserializer::parse_with_plan(const ClassEntry& cls, const ParsePlan
 
   stats.fields += fields;
   stats.prediction_hits += hits;
-  return Status::ok();
-}
-
-Status ArenaDeserializer::parse_into(const ClassEntry& cls, std::byte* base,
-                                     ByteSpan wire, arena::Arena& arena,
-                                     const arena::AddressTranslator& xlate,
-                                     int depth, PlanParseStats& stats) const {
-  if (depth > options_.max_recursion_depth) {
-    return Status(Code::kDataLoss, "message nesting exceeds recursion limit");
-  }
-  Reader r(wire);
-  while (!r.done()) {
-    auto tag = r.read_tag();
-    if (!tag.is_ok()) return tag.status();
-    uint32_t number = wire::tag_field_number(*tag);
-    WireType wt = wire::tag_wire_type(*tag);
-    const FieldEntry* f = cls.field_by_number(number);
-    if (f == nullptr) {
-      DPURPC_RETURN_IF_ERROR(r.skip_value(wt));
-      continue;
-    }
-    std::byte* dst = base + f->offset;
-
-    if (wt == WireType::kLengthDelimited) {
-      auto payload = r.read_length_delimited();
-      if (!payload.is_ok()) return payload.status();
-      switch (f->type) {
-        case FieldType::kString:
-          if (options_.validate_utf8 && !wire::validate_utf8(*payload)) {
-            return Status(Code::kDataLoss, "invalid UTF-8 in string field");
-          }
-          [[fallthrough]];
-        case FieldType::kBytes: {
-          uint32_t slot_size = adt_->fingerprint().string_size;
-          if (f->repeated) {
-            auto& h = *reinterpret_cast<RepHeader*>(dst);
-            DPURPC_RETURN_IF_ERROR(ensure_capacity(h, h.size + 1, sizeof(void*), 8, arena));
-            void* slot = arena.allocate(slot_size, 8);
-            if (slot == nullptr) {
-              return Status(Code::kResourceExhausted, "arena full (string slot)");
-            }
-            DPURPC_RETURN_IF_ERROR(
-                arena::craft_string(slot, *payload, arena, xlate, flavor_));
-            static_cast<void**>(h.data)[h.size++] = slot;  // local; fixed up below
-          } else {
-            DPURPC_RETURN_IF_ERROR(
-                arena::craft_string(dst, *payload, arena, xlate, flavor_));
-            set_has_bit(base, cls, *f);
-          }
-          break;
-        }
-        case FieldType::kMessage: {
-          const ClassEntry& child_cls = adt_->class_at(f->child_class);
-          if (f->repeated) {
-            auto& h = *reinterpret_cast<RepHeader*>(dst);
-            DPURPC_RETURN_IF_ERROR(ensure_capacity(h, h.size + 1, sizeof(void*), 8, arena));
-            auto* child = static_cast<std::byte*>(
-                arena.allocate(child_cls.size, child_cls.align));
-            if (child == nullptr) {
-              return Status(Code::kResourceExhausted, "arena full (child message)");
-            }
-            std::memcpy(child, child_cls.default_bytes.data(), child_cls.size);
-            DPURPC_RETURN_IF_ERROR(parse_msg(f->child_class, child,
-                                             as_bytes_view(*payload), arena, xlate,
-                                             depth + 1, stats));
-            static_cast<void**>(h.data)[h.size++] = child;  // local; fixed up below
-          } else {
-            // proto3 merge semantics: a repeated occurrence of a singular
-            // message field merges into the existing instance.
-            auto* existing =
-                reinterpret_cast<std::byte*>(dpurpc::load_le<uint64_t>(dst));
-            std::byte* child = existing;
-            if (child == nullptr) {
-              child = static_cast<std::byte*>(
-                  arena.allocate(child_cls.size, child_cls.align));
-              if (child == nullptr) {
-                return Status(Code::kResourceExhausted, "arena full (child message)");
-              }
-              std::memcpy(child, child_cls.default_bytes.data(), child_cls.size);
-            }
-            DPURPC_RETURN_IF_ERROR(parse_msg(f->child_class, child,
-                                             as_bytes_view(*payload), arena, xlate,
-                                             depth + 1, stats));
-            dpurpc::store_le(dst, reinterpret_cast<uint64_t>(child));  // local
-            set_has_bit(base, cls, *f);
-          }
-          break;
-        }
-        default: {
-          // Packed repeated scalars.
-          if (!f->repeated || !proto::is_packable(f->type)) {
-            return Status(Code::kDataLoss, "length-delimited data for scalar field");
-          }
-          auto count = count_packed_elements(*payload, f->type);
-          if (!count.is_ok()) return count.status();
-          uint32_t elem = scalar_elem_size(f->type);
-          auto& h = *reinterpret_cast<RepHeader*>(dst);
-          DPURPC_RETURN_IF_ERROR(ensure_capacity(h, h.size + *count, elem, elem, arena));
-          auto* out = static_cast<std::byte*>(h.data) +
-                      static_cast<size_t>(h.size) * elem;
-          // Hot loop (the paper's dominant cost for the x512 Ints
-          // workload): raw-pointer decode, no per-element Status
-          // machinery. The pre-scan already proved the payload
-          // well-formed for fixed-width types and varint termination.
-          const auto* pp = reinterpret_cast<const uint8_t*>(payload->data());
-          const auto* pend = pp + payload->size();
-          switch (proto::wire_type_for(f->type)) {
-            case WireType::kFixed32:
-              std::memcpy(out, pp, static_cast<size_t>(*count) * 4);
-              break;
-            case WireType::kFixed64:
-              std::memcpy(out, pp, static_cast<size_t>(*count) * 8);
-              break;
-            default:
-              for (uint32_t i = 0; i < *count; ++i, out += elem) {
-                auto r = wire::decode_varint(pp, pend);
-                if (!r.ok) [[unlikely]] {
-                  return Status(Code::kDataLoss, "malformed packed varint");
-                }
-                store_scalar(out, f->type, r.value);
-                pp = r.next;
-              }
-              break;
-          }
-          h.size += *count;
-          break;
-        }
-      }
-      continue;
-    }
-
-    // Non-length-delimited value.
-    if (wt != proto::wire_type_for(f->type)) {
-      return Status(Code::kDataLoss, "wire type mismatch");
-    }
-    auto raw = read_scalar_raw(r, f->type);
-    if (!raw.is_ok()) return raw.status();
-    if (f->repeated) {
-      uint32_t elem = scalar_elem_size(f->type);
-      auto& h = *reinterpret_cast<RepHeader*>(dst);
-      DPURPC_RETURN_IF_ERROR(ensure_capacity(h, h.size + 1, elem, elem, arena));
-      store_scalar(static_cast<std::byte*>(h.data) +
-                       static_cast<size_t>(h.size) * elem,
-                   f->type, *raw);
-      ++h.size;
-    } else {
-      store_scalar(dst, f->type, *raw);
-      set_has_bit(base, cls, *f);
-    }
-  }
-
   return Status::ok();
 }
 

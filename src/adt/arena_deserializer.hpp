@@ -80,25 +80,17 @@ class ArenaDeserializer {
     uint64_t prediction_hits = 0;
   };
 
-  /// Dispatch: plan-driven loop when a plan exists for the class and
-  /// options enabled it, interpretive loop otherwise.
-  Status parse_msg(uint32_t class_index, std::byte* base, ByteSpan wire,
+  /// The plan-driven parse loop for one message (recursing into children).
+  Status parse_msg(const ParsePlan& plan, std::byte* base, ByteSpan wire,
                    arena::Arena& arena, const arena::AddressTranslator& xlate,
                    int depth, PlanParseStats& stats) const;
-  Status parse_with_plan(const ClassEntry& cls, const ParsePlan& plan,
-                         std::byte* base, ByteSpan wire, arena::Arena& arena,
-                         const arena::AddressTranslator& xlate, int depth,
-                         PlanParseStats& stats) const;
-  Status parse_into(const ClassEntry& cls, std::byte* base, ByteSpan wire,
-                    arena::Arena& arena, const arena::AddressTranslator& xlate,
-                    int depth, PlanParseStats& stats) const;
   void fix_pointers(const ClassEntry& cls, std::byte* base,
                     const arena::AddressTranslator& xlate) const;
 
   const Adt* adt_;
   arena::StdLibFlavor flavor_;
   CodecOptions options_;
-  std::shared_ptr<const PlanSet> plans_;  ///< null when parse plans disabled
+  std::shared_ptr<const PlanSet> plans_;  ///< captured at construction
 };
 
 /// Typed, bounds-checked read access to an object produced by

@@ -1,22 +1,15 @@
 // Unified knobs for both halves of the ADT datapath codec.
 //
 // The deserializer (ArenaDeserializer) and the serializer
-// (ObjectSerializer) are the two directions of the same offload; they
-// share their limits and each has a compiled-plan toggle whose `false`
-// setting is the interpretive ablation baseline. One options struct keeps
-// call sites symmetric — a DpuProxy configures its whole datapath with a
-// single value.
+// (ObjectSerializer) are the two directions of the same offload and share
+// their limits. One options struct keeps call sites symmetric — a DpuProxy
+// configures its whole datapath with a single value.
 #pragma once
 
 namespace dpurpc::adt {
 
 struct CodecOptions {
   bool validate_utf8 = true;        ///< proto3 requires it for `string` fields
-  bool use_parse_plan = true;       ///< tag-fused parse plans (parse_plan.hpp);
-                                    ///< false = interpretive ablation baseline
-  bool use_serialize_plan = true;   ///< compiled serialize plans
-                                    ///< (serialize_plan.hpp); false =
-                                    ///< interpretive field-table walk
   int max_recursion_depth = 100;    ///< hostile nesting guard, both directions
 };
 

@@ -5,30 +5,19 @@
 #include "adt/serialize_plan.hpp"
 #include "common/endian.hpp"
 #include "metrics/metrics.hpp"
-#include "wire/coded_stream.hpp"
-#include "wire/varint.hpp"
 
 namespace dpurpc::adt {
 
 namespace {
 
 using proto::FieldType;
-using wire::WireType;
 
-/// Process-wide serializer counters (default metrics registry), the
+/// Process-wide serializer counter (default metrics registry), the
 /// response-path mirror of the dpurpc_deser_* family.
-struct SerCounters {
-  metrics::Counter& plan_serializes;
-  metrics::Counter& interp_serializes;
-};
-
-SerCounters& ser_counters() {
-  static SerCounters c{
+metrics::Counter& plan_serializes() {
+  static metrics::Counter& c =
       metrics::default_counter("dpurpc_ser_plan_serializes_total",
-                               "objects serialized through a compiled plan"),
-      metrics::default_counter("dpurpc_ser_interp_serializes_total",
-                               "objects serialized by the interpretive walk"),
-  };
+                               "objects serialized through a compiled plan");
   return c;
 }
 
@@ -54,261 +43,20 @@ uint32_t scalar_elem_size(FieldType t) noexcept {
   }
 }
 
-/// Stored representation at `p` -> the u64 the varint encoder takes.
-uint64_t varint_wire_value(FieldType t, const std::byte* p) noexcept {
-  switch (t) {
-    case FieldType::kBool:
-      return *reinterpret_cast<const uint8_t*>(p) != 0 ? 1 : 0;
-    case FieldType::kInt32:
-    case FieldType::kEnum:
-      return static_cast<uint64_t>(
-          static_cast<int64_t>(static_cast<int32_t>(load_le<uint32_t>(p))));
-    case FieldType::kSint32:
-      return wire::zigzag_encode32(static_cast<int32_t>(load_le<uint32_t>(p)));
-    case FieldType::kSint64:
-      return wire::zigzag_encode64(static_cast<int64_t>(load_le<uint64_t>(p)));
-    case FieldType::kUint32:
-      return load_le<uint32_t>(p);
-    case FieldType::kInt64:
-    case FieldType::kUint64:
-      return load_le<uint64_t>(p);
-    default:
-      return 0;
-  }
-}
-
-bool scalar_is_zero(FieldType t, const std::byte* p) noexcept {
-  // Bit-pattern zero is the proto3 default for every scalar (including
-  // floats: -0.0 is emitted, matching protobuf semantics).
-  return scalar_elem_size(t) == 1   ? *reinterpret_cast<const uint8_t*>(p) == 0
-         : scalar_elem_size(t) == 4 ? load_le<uint32_t>(p) == 0
-                                    : load_le<uint64_t>(p) == 0;
-}
-
-bool has_bit_set(const ClassEntry& cls, const std::byte* base, const FieldEntry& f) {
-  if (f.has_bit < 0) return true;
-  return (load_le<uint32_t>(base + cls.has_bits_offset) & (1u << f.has_bit)) != 0;
-}
-
 }  // namespace
 
 Status ObjectSerializer::serialize(ObjectRef ref, Bytes& out) const {
-  if (ref.class_index >= adt_->class_count()) {
+  if (plans_->serialize().for_class(ref.class_index) == nullptr) {
     return Status(Code::kNotFound, "unknown ADT class index");
   }
-  if (plans_ != nullptr &&
-      plans_->serialize().for_class(ref.class_index) != nullptr) {
-    ser_counters().plan_serializes.inc();
-    return plans_->serialize().serialize(*adt_, ref.class_index, ref.base, flavor_,
-                                         options_.max_recursion_depth, out);
-  }
-  ser_counters().interp_serializes.inc();
-  return serialize_impl(adt_->class_at(ref.class_index),
-                        static_cast<const std::byte*>(ref.base), out, 0);
+  plan_serializes().inc();
+  return plans_->serialize().serialize(*adt_, ref.class_index, ref.base, flavor_,
+                                       options_.max_recursion_depth, out);
 }
 
 StatusOr<size_t> ObjectSerializer::byte_size(ObjectRef ref) const {
-  if (ref.class_index >= adt_->class_count()) {
-    return Status(Code::kNotFound, "unknown ADT class index");
-  }
-  if (plans_ != nullptr &&
-      plans_->serialize().for_class(ref.class_index) != nullptr) {
-    return plans_->serialize().byte_size(*adt_, ref.class_index, ref.base, flavor_,
-                                         options_.max_recursion_depth);
-  }
-  return size_impl(adt_->class_at(ref.class_index),
-                   static_cast<const std::byte*>(ref.base), 0);
-}
-
-StatusOr<size_t> ObjectSerializer::size_impl(const ClassEntry& cls,
-                                             const std::byte* base, int depth) const {
-  if (depth > options_.max_recursion_depth) {
-    return Status(Code::kInternal, "object nesting too deep");
-  }
-  size_t total = 0;
-  for (const FieldEntry& f : cls.fields) {
-    const std::byte* p = base + f.offset;
-    uint32_t tag = wire::make_tag(f.number, proto::wire_type_for(f.type));
-    size_t tag_size = wire::varint_size(tag);
-    if (f.repeated) {
-      RepHeader h;
-      std::memcpy(&h, p, sizeof(h));
-      if (h.size == 0) continue;
-      if (proto::is_packable(f.type)) {
-        size_t body = 0;
-        switch (proto::wire_type_for(f.type)) {
-          case WireType::kFixed32: body = h.size * 4ull; break;
-          case WireType::kFixed64: body = h.size * 8ull; break;
-          default: {
-            const auto* data = static_cast<const std::byte*>(h.data);
-            uint32_t elem = scalar_elem_size(f.type);
-            for (uint32_t i = 0; i < h.size; ++i) {
-              body += wire::varint_size(varint_wire_value(f.type, data + i * elem));
-            }
-            break;
-          }
-        }
-        uint32_t ptag = wire::make_tag(f.number, WireType::kLengthDelimited);
-        total += wire::varint_size(ptag) + wire::varint_size(body) + body;
-      } else if (f.type == FieldType::kMessage) {
-        const ClassEntry& child = adt_->class_at(f.child_class);
-        auto* const* elems = static_cast<void* const*>(h.data);
-        for (uint32_t i = 0; i < h.size; ++i) {
-          auto body = size_impl(child, static_cast<const std::byte*>(elems[i]),
-                                depth + 1);
-          if (!body.is_ok()) return body.status();
-          total += tag_size + wire::varint_size(*body) + *body;
-        }
-      } else {  // repeated string/bytes
-        auto* const* elems = static_cast<void* const*>(h.data);
-        for (uint32_t i = 0; i < h.size; ++i) {
-          auto sv = arena::read_crafted_string(elems[i], flavor_);
-          if (!sv.is_ok()) return sv.status();
-          total += tag_size + wire::varint_size(sv->size()) + sv->size();
-        }
-      }
-      continue;
-    }
-    if (!has_bit_set(cls, base, f)) continue;
-    switch (f.type) {
-      case FieldType::kString:
-      case FieldType::kBytes: {
-        auto sv = arena::read_crafted_string(p, flavor_);
-        if (!sv.is_ok()) return sv.status();
-        if (sv->empty()) continue;
-        total += tag_size + wire::varint_size(sv->size()) + sv->size();
-        break;
-      }
-      case FieldType::kMessage: {
-        const auto* child = reinterpret_cast<const std::byte*>(load_le<uint64_t>(p));
-        if (child == nullptr) continue;
-        auto body = size_impl(adt_->class_at(f.child_class), child, depth + 1);
-        if (!body.is_ok()) return body.status();
-        total += tag_size + wire::varint_size(*body) + *body;
-        break;
-      }
-      case FieldType::kFloat:
-      case FieldType::kFixed32:
-      case FieldType::kSfixed32:
-        if (scalar_is_zero(f.type, p)) continue;
-        total += tag_size + 4;
-        break;
-      case FieldType::kDouble:
-      case FieldType::kFixed64:
-      case FieldType::kSfixed64:
-        if (scalar_is_zero(f.type, p)) continue;
-        total += tag_size + 8;
-        break;
-      default:
-        if (scalar_is_zero(f.type, p)) continue;
-        total += tag_size + wire::varint_size(varint_wire_value(f.type, p));
-        break;
-    }
-  }
-  return total;
-}
-
-Status ObjectSerializer::serialize_impl(const ClassEntry& cls, const std::byte* base,
-                                        Bytes& out, int depth) const {
-  if (depth > options_.max_recursion_depth) {
-    return Status(Code::kInternal, "object nesting too deep");
-  }
-  wire::Writer w(out);
-  for (const FieldEntry& f : cls.fields) {
-    const std::byte* p = base + f.offset;
-    if (f.repeated) {
-      RepHeader h;
-      std::memcpy(&h, p, sizeof(h));
-      if (h.size == 0) continue;
-      if (proto::is_packable(f.type)) {
-        size_t body = 0;
-        const auto* data = static_cast<const std::byte*>(h.data);
-        uint32_t elem = scalar_elem_size(f.type);
-        switch (proto::wire_type_for(f.type)) {
-          case WireType::kFixed32: body = h.size * 4ull; break;
-          case WireType::kFixed64: body = h.size * 8ull; break;
-          default:
-            for (uint32_t i = 0; i < h.size; ++i) {
-              body += wire::varint_size(varint_wire_value(f.type, data + i * elem));
-            }
-            break;
-        }
-        w.write_tag(f.number, WireType::kLengthDelimited);
-        w.write_varint(body);
-        for (uint32_t i = 0; i < h.size; ++i) {
-          const std::byte* ep = data + i * elem;
-          switch (proto::wire_type_for(f.type)) {
-            case WireType::kFixed32: w.write_fixed32(load_le<uint32_t>(ep)); break;
-            case WireType::kFixed64: w.write_fixed64(load_le<uint64_t>(ep)); break;
-            default: w.write_varint(varint_wire_value(f.type, ep)); break;
-          }
-        }
-      } else if (f.type == FieldType::kMessage) {
-        const ClassEntry& child = adt_->class_at(f.child_class);
-        auto* const* elems = static_cast<void* const*>(h.data);
-        for (uint32_t i = 0; i < h.size; ++i) {
-          const auto* eb = static_cast<const std::byte*>(elems[i]);
-          auto body = size_impl(child, eb, depth + 1);
-          if (!body.is_ok()) return body.status();
-          w.write_tag(f.number, WireType::kLengthDelimited);
-          w.write_varint(*body);
-          DPURPC_RETURN_IF_ERROR(serialize_impl(child, eb, out, depth + 1));
-        }
-      } else {
-        auto* const* elems = static_cast<void* const*>(h.data);
-        for (uint32_t i = 0; i < h.size; ++i) {
-          auto sv = arena::read_crafted_string(elems[i], flavor_);
-          if (!sv.is_ok()) return sv.status();
-          w.write_tag(f.number, WireType::kLengthDelimited);
-          w.write_length_delimited(*sv);
-        }
-      }
-      continue;
-    }
-    if (!has_bit_set(cls, base, f)) continue;
-    switch (f.type) {
-      case FieldType::kString:
-      case FieldType::kBytes: {
-        auto sv = arena::read_crafted_string(p, flavor_);
-        if (!sv.is_ok()) return sv.status();
-        if (sv->empty()) continue;
-        w.write_tag(f.number, WireType::kLengthDelimited);
-        w.write_length_delimited(*sv);
-        break;
-      }
-      case FieldType::kMessage: {
-        const auto* child = reinterpret_cast<const std::byte*>(load_le<uint64_t>(p));
-        if (child == nullptr) continue;
-        auto body = size_impl(adt_->class_at(f.child_class), child, depth + 1);
-        if (!body.is_ok()) return body.status();
-        w.write_tag(f.number, WireType::kLengthDelimited);
-        w.write_varint(*body);
-        DPURPC_RETURN_IF_ERROR(
-            serialize_impl(adt_->class_at(f.child_class), child, out, depth + 1));
-        break;
-      }
-      case FieldType::kFloat:
-      case FieldType::kFixed32:
-      case FieldType::kSfixed32:
-        if (scalar_is_zero(f.type, p)) continue;
-        w.write_tag(f.number, WireType::kFixed32);
-        w.write_fixed32(load_le<uint32_t>(p));
-        break;
-      case FieldType::kDouble:
-      case FieldType::kFixed64:
-      case FieldType::kSfixed64:
-        if (scalar_is_zero(f.type, p)) continue;
-        w.write_tag(f.number, WireType::kFixed64);
-        w.write_fixed64(load_le<uint64_t>(p));
-        break;
-      default:
-        if (scalar_is_zero(f.type, p)) continue;
-        w.write_tag(f.number, WireType::kVarint);
-        w.write_varint(varint_wire_value(f.type, p));
-        break;
-    }
-  }
-  return Status::ok();
+  return plans_->serialize().byte_size(*adt_, ref.class_index, ref.base, flavor_,
+                                       options_.max_recursion_depth);
 }
 
 // ---------------------------------------------------------- LayoutBuilder

@@ -47,16 +47,14 @@ struct ObjectRef {
 
 class ObjectSerializer {
  public:
-  /// `adt` must outlive the serializer. With use_serialize_plan set (the
-  /// default) the constructor captures the ADT's compiled-plan snapshot
-  /// (Adt::plans()) and serialization runs the single-pass planned path;
-  /// otherwise the interpretive field-table walk — the ablation baseline —
-  /// is used. Both produce bit-identical bytes (tests/serialize_plan_test).
+  /// `adt` must outlive the serializer. The constructor captures the
+  /// ADT's compiled-plan snapshot (Adt::plans()); serialization runs the
+  /// single-pass planned path (serialize_plan.hpp).
   explicit ObjectSerializer(const Adt* adt, CodecOptions options = {})
       : adt_(adt),
         flavor_(static_cast<arena::StdLibFlavor>(adt->fingerprint().string_flavor)),
         options_(options),
-        plans_(options.use_serialize_plan ? adt->plans() : nullptr) {}
+        plans_(adt->plans()) {}
 
   /// Serialize the object `ref` points at (pointers valid in this address
   /// space) to proto3 wire format, appending to `out`. Fields are emitted
@@ -69,15 +67,10 @@ class ObjectSerializer {
   StatusOr<size_t> byte_size(ObjectRef ref) const;
 
  private:
-  Status serialize_impl(const ClassEntry& cls, const std::byte* base, Bytes& out,
-                        int depth) const;
-  StatusOr<size_t> size_impl(const ClassEntry& cls, const std::byte* base,
-                             int depth) const;
-
   const Adt* adt_;
   arena::StdLibFlavor flavor_;
   CodecOptions options_;
-  std::shared_ptr<const PlanSet> plans_;  ///< null when serialize plans disabled
+  std::shared_ptr<const PlanSet> plans_;  ///< captured at construction
 };
 
 /// Write-side access to a synthesized-layout object under construction in

@@ -1,5 +1,7 @@
 #include "adt/parse_plan.hpp"
 
+#include <algorithm>
+
 #include "proto/descriptor.hpp"
 #include "wire/wire_format.hpp"
 
@@ -73,19 +75,26 @@ constexpr WireType kAllWireTypes[] = {WireType::kVarint, WireType::kFixed64,
 
 }  // namespace
 
+const PlanSlot* ParsePlan::sparse_slot(uint32_t tag) const noexcept {
+  auto it = std::lower_bound(
+      sparse_.begin(), sparse_.end(), tag,
+      [](const SparseSlot& s, uint32_t t) { return s.tag < t; });
+  return it != sparse_.end() && it->tag == tag ? &it->slot : nullptr;
+}
+
 ParsePlanSet ParsePlanSet::build(const Adt& adt) {
   ParsePlanSet set;
   set.plans_.resize(adt.class_count());
-  set.built_.assign(adt.class_count(), false);
 
   for (uint32_t ci = 0; ci < adt.class_count(); ++ci) {
     const ClassEntry& cls = adt.class_at(ci);
-    uint32_t max_number = cls.fields.empty() ? 0 : cls.fields.back().number;
-    if (max_number > kMaxPlanFieldNumber) continue;  // interpretive fallback
-
     ParsePlan& plan = set.plans_[ci];
     plan.has_bits_offset_ = cls.has_bits_offset;
-    plan.slots_.assign((static_cast<size_t>(max_number) + 1) << 3, PlanSlot{});
+    uint32_t max_dense = 0;
+    for (const FieldEntry& f : cls.fields) {
+      if (f.number <= kMaxPlanFieldNumber) max_dense = std::max(max_dense, f.number);
+    }
+    plan.slots_.assign((static_cast<size_t>(max_dense) + 1) << 3, PlanSlot{});
 
     for (size_t fi = 0; fi < cls.fields.size(); ++fi) {
       const FieldEntry& f = cls.fields[fi];
@@ -102,7 +111,7 @@ ParsePlanSet ParsePlanSet::build(const Adt& adt) {
       uint32_t predicted = self_repeats ? self_tag : next_emitted;
 
       for (WireType wt : kAllWireTypes) {
-        PlanSlot& s = plan.slots_[wire::make_tag(f.number, wt)];
+        PlanSlot s;
         s.offset = f.offset;
         s.has_mask = (!f.repeated && f.has_bit >= 0)
                          ? (1u << static_cast<uint32_t>(f.has_bit))
@@ -132,6 +141,15 @@ ParsePlanSet ParsePlanSet::build(const Adt& adt) {
           s.op = scalar_op(f.type, f.repeated);
           if (f.repeated) s.next_tag = self_tag;  // unpacked runs repeat
         }
+
+        // Fields are sorted by number and kAllWireTypes ascends, so the
+        // side table fills in tag order.
+        uint32_t tag = wire::make_tag(f.number, wt);
+        if (f.number <= kMaxPlanFieldNumber) {
+          plan.slots_[tag] = s;
+        } else {
+          plan.sparse_.push_back({tag, s});
+        }
       }
     }
 
@@ -139,7 +157,6 @@ ParsePlanSet ParsePlanSet::build(const Adt& adt) {
       const FieldEntry& first = cls.fields.front();
       plan.first_tag_ = proto::emitted_tag(first.number, first.type, first.repeated);
     }
-    set.built_[ci] = true;
   }
   return set;
 }

@@ -1,21 +1,25 @@
-// Per-class parse plans: the precompiled datapath for the deserializer.
+// Per-class parse plans: the deserializer's only datapath.
 //
-// The interpretive hot loop pays a binary-search field lookup plus a
-// nested type/wire-type/repeated switch for every field of every message.
-// A ParsePlan flattens all of that, once per class at ADT load time, into
-// a dense table keyed by the full wire *tag* (field number << 3 | wire
-// type): each slot holds a fused opcode (wire shape × storage op), the
-// precomputed destination offset, has-bit mask, auxiliary data (child
+// An ADT-driven parser would otherwise pay a binary-search field lookup
+// plus a nested type/wire-type/repeated switch for every field of every
+// message. A ParsePlan flattens all of that, once per class at ADT load
+// time, into a dense table keyed by the full wire *tag* (field number << 3
+// | wire type): each slot holds a fused opcode (wire shape × storage op),
+// the precomputed destination offset, has-bit mask, auxiliary data (child
 // class / element size), and the predicted next tag. Protobuf encoders
 // emit fields in ascending field-number order, so the steady-state loop
 // is: read tag, hit the predicted slot, dispatch through one flat switch.
 //
+// Field numbers above kMaxPlanFieldNumber would blow the dense table up
+// (8 slots per field number), so their tags live in a small sorted side
+// table instead, binary-searched only for tags past the dense table.
+// Classes without such fields keep an empty side table. Every class gets
+// a plan.
+//
 // Plans are built lazily (Adt::plans(), which bundles them with the
 // serialize plans of serialize_plan.hpp), cached by class index, and
 // shared by every deserializer over the same table — the DPU proxy lanes
-// and the host compat layer. Classes with field numbers above
-// kMaxPlanFieldNumber get no plan; the deserializer falls back to the
-// interpretive path for those classes only.
+// and the host compat layer.
 #pragma once
 
 #include <cstdint>
@@ -60,12 +64,14 @@ struct PlanSlot {
   uint32_t next_tag = 0;   ///< predicted next wire tag
 };
 
-/// Dense-by-tag parse program for one class.
+/// Dense-by-tag parse program for one class, plus the sorted side table
+/// for tags of fields numbered above kMaxPlanFieldNumber.
 class ParsePlan {
  public:
-  /// Slot for `tag`, or nullptr for tags beyond the table (unknown field).
+  /// Slot for `tag`, or nullptr for an unknown tag past the dense table.
   const PlanSlot* slot(uint32_t tag) const noexcept {
-    return tag < slots_.size() ? &slots_[tag] : nullptr;
+    if (tag < slots_.size()) [[likely]] return &slots_[tag];
+    return sparse_slot(tag);
   }
 
   /// Prediction seed: the tag the encoder emits first (lowest field).
@@ -75,36 +81,40 @@ class ParsePlan {
 
  private:
   friend class ParsePlanSet;
+
+  struct SparseSlot {
+    uint32_t tag;
+    PlanSlot slot;
+  };
+
+  /// Out of line: the hot loop only reaches it past the dense table.
+  const PlanSlot* sparse_slot(uint32_t tag) const noexcept;
+
   std::vector<PlanSlot> slots_;
+  std::vector<SparseSlot> sparse_;  ///< sorted by tag; usually empty
   uint32_t first_tag_ = 0;
   uint32_t has_bits_offset_ = 0;
 };
 
-/// Field numbers above this get no dense slot; such classes fall back to
-/// the interpretive parser (the table would be 8 slots per field number).
+/// Field numbers above this get no dense slot (the table would be 8 slots
+/// per field number); their tags go to the plan's sorted side table.
 inline constexpr uint32_t kMaxPlanFieldNumber = 1024;
 
 /// All of one ADT's plans, indexed by class index.
 class ParsePlanSet {
  public:
-  /// Compile plans for every eligible class of `adt`.
+  /// Compile plans for every class of `adt`.
   static ParsePlanSet build(const Adt& adt);
 
-  /// Plan for a class, or nullptr when the class is interpretive-only.
+  /// Plan for a class, or nullptr for an index past the ADT.
   const ParsePlan* for_class(uint32_t class_index) const noexcept {
-    if (class_index >= plans_.size() || !built_[class_index]) return nullptr;
-    return &plans_[class_index];
+    return class_index < plans_.size() ? &plans_[class_index] : nullptr;
   }
 
-  size_t plan_count() const noexcept {
-    size_t n = 0;
-    for (bool b : built_) n += b ? 1 : 0;
-    return n;
-  }
+  size_t plan_count() const noexcept { return plans_.size(); }
 
  private:
   std::vector<ParsePlan> plans_;
-  std::vector<bool> built_;
 };
 
 }  // namespace dpurpc::adt

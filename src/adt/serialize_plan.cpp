@@ -211,7 +211,7 @@ uint64_t singular_wire_value(SerOp op, const std::byte* p) noexcept {
 
 bool stored_is_zero(uint32_t elem, const std::byte* p) noexcept {
   // Bit-pattern zero is the proto3 default for every scalar (so -0.0
-  // floats are emitted, matching the interpretive path and protobuf).
+  // floats are emitted, matching protobuf).
   return elem == 1   ? *reinterpret_cast<const uint8_t*>(p) == 0
          : elem == 4 ? load_le<uint32_t>(p) == 0
                      : load_le<uint64_t>(p) == 0;
@@ -452,8 +452,8 @@ SerializePlanSet SerializePlanSet::build(const Adt& adt) {
       s.op = f.repeated ? repeated_op(f.type) : singular_op(f.type);
       s.elem_size = static_cast<uint8_t>(scalar_elem_size(f.type));
       s.offset = f.offset;
-      // has_mask == 0 means "no has-bit check" (has_bit < 0 semantics of
-      // the interpretive path); repeated fields key on element count.
+      // has_mask == 0 means "no has-bit check" (a field with has_bit < 0
+      // is always present); repeated fields key on element count.
       s.has_mask = (!f.repeated && f.has_bit >= 0) ? 1u << f.has_bit : 0;
       s.aux = f.child_class;
       const uint32_t tag = proto::emitted_tag(f.number, f.type, f.repeated);

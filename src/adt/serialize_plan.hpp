@@ -1,12 +1,12 @@
-// Per-class serialize plans: the precompiled response datapath.
+// Per-class serialize plans: the serializer's only datapath.
 //
-// The interpretive ObjectSerializer re-derives, for every field of every
-// message, the emitted wire tag (a make_tag + varint_size pair), a nested
+// A field-table walk would re-derive, for every field of every message,
+// the emitted wire tag (a make_tag + varint_size pair), a nested
 // type/wire-type/repeated switch, and — worst of all — the body size of
-// every sub-message *twice*: once inside byte_size for the enclosing
-// length prefix and again when the recursion reaches the child during
-// emission. A SerializePlan flattens all of that once per class at ADT
-// load time, mirroring ParsePlanSet on the parse side:
+// every sub-message *twice*: once for the enclosing length prefix and
+// again when the recursion reaches the child during emission. A
+// SerializePlan flattens all of that once per class at ADT load time,
+// mirroring ParsePlanSet on the parse side:
 //
 //   * fields pre-sorted by number (= proto3 canonical emission order)
 //     with the tag varint pre-encoded into the plan step;
@@ -19,11 +19,11 @@
 //     raw-pointer stores, no per-write growth or bounds tests, and
 //     packed varint payloads batch through wire::encode_varint_run.
 //
-// Output is bit-for-bit identical to the interpretive serializer (the
-// differential suite in tests/serialize_plan_test.cpp holds both against
-// the WireCodec oracle). Plans are built lazily together with parse plans
-// (Adt::plans()) and published under the same immutable-snapshot
-// contract: const from birth, shared lock-free by every serializer.
+// Output is bit-for-bit identical to the reference WireCodec (the
+// differential suite in tests/serialize_plan_test.cpp). Plans are built
+// lazily together with parse plans (Adt::plans()) and published under the
+// same immutable-snapshot contract: const from birth, shared lock-free by
+// every serializer.
 #pragma once
 
 #include <cstdint>
@@ -84,9 +84,8 @@ class SerializePlan {
   uint32_t has_bits_offset_ = 0;
 };
 
-/// All of one ADT's serialize plans, indexed by class index. Unlike parse
-/// plans (dense-by-tag, capped at kMaxPlanFieldNumber), a serialize plan
-/// is one step per field, so every class is eligible.
+/// All of one ADT's serialize plans, indexed by class index: one step
+/// per field, one plan per class.
 class SerializePlanSet {
  public:
   /// Compile plans for every class of `adt`.

@@ -146,8 +146,15 @@ Status RpcServer::write_response_inplace(uint16_t request_id, const RequestView&
     if (result.is_ok()) {
       uint16_t flags = kFlagInPlaceObject;
       if (extra != 0) flags |= kFlagTraced;
-      DPURPC_RETURN_IF_ERROR(conn_->commit_message(payload_size, request_id,
-                                                   flags, class_index));
+      Status committed =
+          conn_->commit_message(payload_size, request_id, flags, class_index);
+      if (!committed.is_ok()) {
+        // An object past the 64 KiB header limit (a maximum-size block's
+        // arena can be a little larger): kOutOfRange for this request
+        // only. Close the message and answer with the status.
+        conn_->abort_message();
+        return write_response(request_id, committed, {}, tctx);
+      }
       open_block_ids_.push_back(request_id);
       if (tctx.active()) {
         open_block_traced_.push_back({tctx, WallTimer::now()});

@@ -559,6 +559,48 @@ TEST(Integration, OversizedInPlaceResponseGetsItsOwnBlock) {
   EXPECT_GT(f.server.block_hint_retries(), 0u);
 }
 
+TEST(Integration, OversizedInPlaceResponseFailsOnlyItsOwnCall) {
+  // An in-place reply object that fits a maximum-size block's arena but
+  // not the 64 KiB header field fails at commit. That request gets
+  // kOutOfRange; the server's open message is closed, so the next call
+  // on the same connection is answered normally.
+  Fabric f;
+  f.server.register_inplace_handler(
+      kEcho, [](const RequestView& req, arena::Arena& arena,
+                const arena::AddressTranslator&, uint32_t* payload_size,
+                uint16_t* class_index) -> Status {
+        const bool big = as_string_view(req.payload) == "big";
+        const uint32_t bytes = big ? kMaxPayloadSize + 1 : 64;
+        if (arena.allocate(bytes) == nullptr) {
+          return Status(Code::kResourceExhausted, "full");
+        }
+        *payload_size = static_cast<uint32_t>(arena.used());
+        *class_index = 3;
+        return Status::ok();
+      });
+  Status big_status;
+  ASSERT_TRUE(f.client
+                  .call(kEcho, as_bytes_view("big"),
+                        [&](const Status& st, const InMessage&) { big_status = st; })
+                  .is_ok());
+  ASSERT_TRUE(f.pump_until(1).is_ok());
+  EXPECT_EQ(big_status.code(), Code::kOutOfRange) << big_status.to_string();
+
+  Status small_status(Code::kInternal, "not answered");
+  uint32_t small_size = 0;
+  ASSERT_TRUE(f.client
+                  .call(kEcho, as_bytes_view("small"),
+                        [&](const Status& st, const InMessage& resp) {
+                          small_status = st;
+                          small_size = resp.header.payload_size;
+                        })
+                  .is_ok());
+  ASSERT_TRUE(f.pump_until(2).is_ok());
+  EXPECT_TRUE(small_status.is_ok()) << small_status.to_string();
+  EXPECT_GE(small_size, 64u);
+  EXPECT_EQ(f.server.requests_served(), 2u);
+}
+
 TEST(Integration, CreditsAndBuffersFullyReclaimedAtQuiescence) {
   ConnectionConfig small_client;
   small_client.credits = 8;

@@ -1,12 +1,10 @@
 // Tests for the serialize-plan compiler and the planned response path.
 //
-// The load-bearing property mirrors parse_plan_test: *bit-for-bit
-// equivalence*. With use_serialize_plan toggled, the serializer must emit
-// identical bytes (and identical error statuses) for every object — the
-// interpretive walk stays as the ablation baseline, so any divergence
-// would poison the comparison. The reference WireCodec acts as a third,
-// independent oracle: everything either path emits must re-decode to the
-// message we started from.
+// The load-bearing property mirrors parse_plan_test: agreement with the
+// reference WireCodec. An object deserialized from WireCodec bytes must
+// serialize back to exactly those bytes, and byte_size must predict the
+// length — for the bench shapes, every field type, and randomized
+// schemas.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -19,7 +17,6 @@
 #include "adt/object_codec.hpp"
 #include "adt/serialize_plan.hpp"
 #include "common/rng.hpp"
-#include "metrics/metrics.hpp"
 #include "proto/dynamic_message.hpp"
 #include "proto/schema_parser.hpp"
 
@@ -185,15 +182,8 @@ class SerializePlanFixture : public ::testing::Test {
     return i;
   }
 
-  static CodecOptions interp_options() {
-    CodecOptions o;
-    o.use_serialize_plan = false;
-    return o;
-  }
-
-  /// Deserialize `wire`, then serialize the object through both paths and
-  /// demand byte-identical output — and, since `wire` came from the
-  /// reference codec, identity with the original bytes too.
+  /// Deserialize `wire` (bytes from the reference codec), serialize the
+  /// object back and demand identity with the original bytes.
   void expect_roundtrip_identical(uint32_t class_index, const Bytes& wire,
                                   const char* what) {
     OwningArena arena(1 << 18);
@@ -202,21 +192,15 @@ class SerializePlanFixture : public ::testing::Test {
     ASSERT_TRUE(obj.is_ok()) << what << ": " << obj.status().to_string();
     ObjectRef ref(class_index, *obj);
 
-    ObjectSerializer plan_ser(&adt_);
-    ObjectSerializer interp_ser(&adt_, interp_options());
-    Bytes from_plan, from_interp;
-    Status ps = plan_ser.serialize(ref, from_plan);
-    Status is = interp_ser.serialize(ref, from_interp);
-    ASSERT_TRUE(ps.is_ok()) << what << ": " << ps.to_string();
-    ASSERT_TRUE(is.is_ok()) << what << ": " << is.to_string();
-    EXPECT_EQ(from_plan, from_interp) << what << ": paths diverge";
-    EXPECT_EQ(from_plan, wire) << what << ": round trip not identical";
+    ObjectSerializer ser(&adt_);
+    Bytes out;
+    Status st = ser.serialize(ref, out);
+    ASSERT_TRUE(st.is_ok()) << what << ": " << st.to_string();
+    EXPECT_EQ(out, wire) << what << ": round trip not identical";
 
-    auto plan_size = plan_ser.byte_size(ref);
-    auto interp_size = interp_ser.byte_size(ref);
-    ASSERT_TRUE(plan_size.is_ok() && interp_size.is_ok()) << what;
-    EXPECT_EQ(*plan_size, wire.size()) << what;
-    EXPECT_EQ(*interp_size, wire.size()) << what;
+    auto size = ser.byte_size(ref);
+    ASSERT_TRUE(size.is_ok()) << what;
+    EXPECT_EQ(*size, wire.size()) << what;
   }
 
   proto::DescriptorPool pool_;
@@ -228,8 +212,7 @@ class SerializePlanFixture : public ::testing::Test {
 TEST_F(SerializePlanFixture, PlansCompiledForEveryClass) {
   auto plans = adt_.plans();
   ASSERT_NE(plans, nullptr);
-  // Unlike parse plans (dense-by-tag, capped), serialize plans are one
-  // step per field: every class is eligible.
+  // One step per field, one plan per class.
   EXPECT_EQ(plans->serialize().plan_count(), adt_.class_count());
   for (uint32_t ci = 0; ci < adt_.class_count(); ++ci) {
     const SerializePlan* p = plans->serialize().for_class(ci);
@@ -262,7 +245,7 @@ TEST_F(SerializePlanFixture, PlanSetBundlesBothDirectionsInOneCache) {
   auto a = adt_.plans();
   auto b = adt_.plans();
   EXPECT_EQ(a.get(), b.get());  // one compile, one snapshot, both codecs
-  EXPECT_EQ(a->parse().plan_count() > 0, true);
+  EXPECT_EQ(a->parse().plan_count(), adt_.class_count());
   EXPECT_EQ(a->serialize().plan_count(), adt_.class_count());
 
   // Mutation invalidates the single cache slot for both directions.
@@ -277,7 +260,7 @@ TEST_F(SerializePlanFixture, PlanSetBundlesBothDirectionsInOneCache) {
   EXPECT_EQ(c->serialize().plan_count(), adt_.class_count());
 }
 
-// ----------------------------------------- bit-for-bit path equivalence
+// ------------------------------------------ agreement with WireCodec
 
 TEST_F(SerializePlanFixture, DifferentialBenchShapes) {
   std::mt19937_64 rng(kDefaultSeed);
@@ -317,7 +300,7 @@ TEST_F(SerializePlanFixture, DifferentialBenchShapes) {
       m.add_string(nested->field_by_name("tags"), "tag-" + std::to_string(i));
       m.add_int64(nested->field_by_name("deltas"), (i - 2) * 1'000'000'007ll);
     }
-    m.set_string(nested->field_by_name("label"), "plan-vs-interp");
+    m.set_string(nested->field_by_name("label"), "plan-vs-oracle");
     m.set_double(nested->field_by_name("weight"), 2.75);
     expect_roundtrip_identical(cls("sp.Nested"), WireCodec::serialize(m), "Nested");
   }
@@ -378,13 +361,9 @@ TEST_F(SerializePlanFixture, DifferentialRandomizedSchemas) {
     ArenaDeserializer deser(&adt);
     auto obj = deser.deserialize(*idx, ByteSpan(wire), arena, {});
     ASSERT_TRUE(obj.is_ok()) << schema;
-    ObjectRef ref(*idx, *obj);
-    Bytes from_plan, from_interp;
-    ASSERT_TRUE(ObjectSerializer(&adt).serialize(ref, from_plan).is_ok());
-    ASSERT_TRUE(
-        ObjectSerializer(&adt, interp_options()).serialize(ref, from_interp).is_ok());
-    EXPECT_EQ(from_plan, from_interp) << schema;
-    EXPECT_EQ(from_plan, wire) << schema;
+    Bytes out;
+    ASSERT_TRUE(ObjectSerializer(&adt).serialize(ObjectRef(*idx, *obj), out).is_ok());
+    EXPECT_EQ(out, wire) << schema;
   }
 }
 
@@ -414,7 +393,8 @@ TEST_F(SerializePlanFixture, PackedVarintEdgeValues) {
 
 TEST_F(SerializePlanFixture, ExplicitZerosStayUnemittedByBothPaths) {
   // A has-bit can be set while the stored value is the proto3 default
-  // (e.g. a peer explicitly encoded a zero). Neither path may emit it.
+  // (e.g. a peer explicitly encoded a zero). Like WireCodec, the plan
+  // must not emit it.
   Bytes wire;
   wire.push_back(std::byte{0x08});  // id = 0 (explicit varint zero)
   wire.push_back(std::byte{0x00});
@@ -426,13 +406,13 @@ TEST_F(SerializePlanFixture, ExplicitZerosStayUnemittedByBothPaths) {
   auto obj = deser.deserialize(cls("sp.Small"), ByteSpan(wire), arena, {});
   ASSERT_TRUE(obj.is_ok());
   ObjectRef ref(cls("sp.Small"), *obj);
-  Bytes from_plan, from_interp;
+  Bytes from_plan;
   ASSERT_TRUE(ObjectSerializer(&adt_).serialize(ref, from_plan).is_ok());
-  ASSERT_TRUE(ObjectSerializer(&adt_, interp_options())
-                  .serialize(ref, from_interp)
-                  .is_ok());
   EXPECT_TRUE(from_plan.empty());
-  EXPECT_TRUE(from_interp.empty());
+
+  DynamicMessage m(pool_.find_message("sp.Small"));
+  ASSERT_TRUE(WireCodec::parse(ByteSpan(wire), m).is_ok());
+  EXPECT_TRUE(WireCodec::serialize(m).empty());
 }
 
 // --------------------------------------------------- errors and limits
@@ -447,8 +427,8 @@ TEST_F(SerializePlanFixture, UnknownClassRejected) {
 
 TEST_F(SerializePlanFixture, RecursionDepthEnforcedIdentically) {
   // Build a chain deeper than the configured limit with LayoutBuilder,
-  // then serialize under a small max_recursion_depth: both paths must
-  // fail with the same status, and the output must be untouched.
+  // then serialize under a small max_recursion_depth: serialize and
+  // byte_size must fail alike, and the output must be untouched.
   OwningArena arena(1 << 16);
   auto root = LayoutBuilder::create(&adt_, cls("sp.Recur"), &arena);
   ASSERT_TRUE(root.is_ok());
@@ -461,24 +441,30 @@ TEST_F(SerializePlanFixture, RecursionDepthEnforcedIdentically) {
   }
   CodecOptions shallow;
   shallow.max_recursion_depth = 4;
-  CodecOptions shallow_interp = shallow;
-  shallow_interp.use_serialize_plan = false;
+  ObjectSerializer shallow_ser(&adt_, shallow);
 
-  Bytes plan_out, interp_out;
-  Status ps = ObjectSerializer(&adt_, shallow).serialize(ObjectRef(*root), plan_out);
-  Status is =
-      ObjectSerializer(&adt_, shallow_interp).serialize(ObjectRef(*root), interp_out);
-  EXPECT_FALSE(ps.is_ok());
-  EXPECT_EQ(ps.to_string(), is.to_string());
-  EXPECT_TRUE(plan_out.empty());  // failed serialize must not leave bytes
+  Bytes out;
+  Status st = shallow_ser.serialize(ObjectRef(*root), out);
+  EXPECT_FALSE(st.is_ok());
+  auto size = shallow_ser.byte_size(ObjectRef(*root));
+  ASSERT_FALSE(size.is_ok());
+  EXPECT_EQ(st.to_string(), size.status().to_string());
+  EXPECT_TRUE(out.empty());  // failed serialize must not leave bytes
 
-  // With the default limit the same chain serializes fine on both paths.
-  Bytes ok_plan, ok_interp;
-  ASSERT_TRUE(ObjectSerializer(&adt_).serialize(ObjectRef(*root), ok_plan).is_ok());
-  ASSERT_TRUE(ObjectSerializer(&adt_, interp_options())
-                  .serialize(ObjectRef(*root), ok_interp)
-                  .is_ok());
-  EXPECT_EQ(ok_plan, ok_interp);
+  // With the default limit the same chain serializes fine, and the bytes
+  // re-decode through WireCodec to the 12-deep chain.
+  Bytes ok_out;
+  ASSERT_TRUE(ObjectSerializer(&adt_).serialize(ObjectRef(*root), ok_out).is_ok());
+  const auto* desc = pool_.find_message("sp.Recur");
+  DynamicMessage m(desc);
+  ASSERT_TRUE(WireCodec::parse(ByteSpan(ok_out), m).is_ok());
+  EXPECT_EQ(WireCodec::serialize(m), ok_out);
+  int depth = 0;
+  for (const DynamicMessage* p = &m; p->has(desc->field_by_name("next"));
+       p = p->get_message(desc->field_by_name("next"))) {
+    ++depth;
+  }
+  EXPECT_EQ(depth, 12);
 }
 
 // ------------------------------------------------- ObjectRef plumbing
@@ -499,24 +485,6 @@ TEST_F(SerializePlanFixture, ObjectRefFromBuilderViewAndRawAgree) {
   EXPECT_EQ(from_builder, from_view);
   EXPECT_EQ(from_builder, from_raw);
   EXPECT_FALSE(from_builder.empty());
-}
-
-// ----------------------------------------------------------- metrics
-
-TEST_F(SerializePlanFixture, DispatchCountersSplitPlanFromInterp) {
-  auto& plan_c = metrics::default_counter("dpurpc_ser_plan_serializes_total", "");
-  auto& interp_c = metrics::default_counter("dpurpc_ser_interp_serializes_total", "");
-  const uint64_t p0 = plan_c.value(), i0 = interp_c.value();
-
-  OwningArena arena(1 << 12);
-  auto b = LayoutBuilder::create(&adt_, cls("sp.Small"), &arena);
-  ASSERT_TRUE(b.is_ok());
-  Bytes out;
-  ASSERT_TRUE(ObjectSerializer(&adt_).serialize(ObjectRef(*b), out).is_ok());
-  EXPECT_EQ(plan_c.value(), p0 + 1);
-  ASSERT_TRUE(
-      ObjectSerializer(&adt_, interp_options()).serialize(ObjectRef(*b), out).is_ok());
-  EXPECT_EQ(interp_c.value(), i0 + 1);
 }
 
 }  // namespace

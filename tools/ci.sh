@@ -31,8 +31,10 @@
 #   bench-smoke     — builds the plain tree's bench/ binaries and runs each
 #                     one once with DPURPC_BENCH_SMOKE=1 (tiny iteration
 #                     counts): proves every harness still sets up, measures
-#                     and reports without crashing (ablation_trace rides in
-#                     via the glob). Numbers are meaningless. The figure
+#                     and reports without crashing. The harness list is
+#                     bench/bench_targets.txt, written by CMake, so stale
+#                     binaries of deleted harnesses never run. Numbers are
+#                     meaningless. The figure
 #                     harnesses (fig8/fig9/fig10/fig11/fig12) additionally
 #                     run with --json; their outputs are combined into
 #                     <prefix>-plain/BENCH_6.json for the workflow artifact.
@@ -57,7 +59,7 @@ while [ $# -gt 0 ]; do
     --pass) pass="$2"; shift 2 ;;
     --pass=*) pass="${1#--pass=}"; shift ;;
     -h|--help)
-      sed -n '2,31p' "$0"; exit 0 ;;
+      sed -n '2,51p' "$0"; exit 0 ;;
     -*)
       echo "ci: unknown flag $1 (see --help)" >&2; exit 64 ;;
     *)
@@ -150,10 +152,16 @@ pass_bench_smoke() {
   build_dir "$prefix-plain"
   local bench name failed=0
   local json_dir="$prefix-plain/bench-json"
+  local list="$prefix-plain/bench/bench_targets.txt"
   mkdir -p "$json_dir"
-  for bench in "$prefix-plain"/bench/*; do
-    [ -f "$bench" ] && [ -x "$bench" ] || continue
-    name="$(basename "$bench")"
+  [ -s "$list" ] || { echo "ci: no bench list at $list" >&2; return 1; }
+  for name in $(<"$list"); do
+    bench="$prefix-plain/bench/$name"
+    if [ ! -x "$bench" ]; then
+      echo "ci: bench smoke FAILED: $name not built" >&2
+      failed=1
+      continue
+    fi
     echo "=== smoke $name" >&2
     # The figure harnesses emit machine-readable results; collect them
     # into BENCH_6.json below (archived as a workflow artifact).
