@@ -125,20 +125,15 @@ int main(int argc, char** argv) {
   static BenchEnv env;
   Bytes wire = bench::make_small_wire(env);
 
-  // The collector lives across modes; its registry histograms are only fed
-  // while tracing is on. Own registry so repeated runs don't stack.
-  metrics::Registry reg;
-  trace::TraceCollector::Options copts;
-  copts.registry = &reg;
-  trace::TraceCollector collector(copts);
+  // The collector lives across modes; its histograms are only fed while
+  // tracing is on.
+  trace::TraceCollector collector;
 
   // The rec mode's deployment shape: a second collector with a flight
   // recorder attached, so every finalized tree pays the trigger check
   // (rolling-quantile compare) and every collect() pays the watch poll.
-  trace::FlightRecorder::Options ropts;
-  ropts.registry = &reg;
-  trace::FlightRecorder recorder(ropts);
-  trace::TraceCollector rec_collector(copts);
+  trace::FlightRecorder recorder;
+  trace::TraceCollector rec_collector;
   rec_collector.set_flight_recorder(&recorder);
 
   configure(trace::Mode::kOff);

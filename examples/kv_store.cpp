@@ -7,7 +7,9 @@
 // methodology (instant rate of increase over scrapes).
 //
 //   $ ./kv_store [num_requests_per_client]
+#include <algorithm>
 #include <iostream>
+#include <string_view>
 #include <thread>
 
 #include "common/cpu_timer.hpp"
@@ -53,16 +55,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Instrumented transport (§VI: "directly instrumentalized at the
-  // library level with a Prometheus client").
-  metrics::Registry registry;
-  rdmarpc::ConnectionConfig dpu_cfg, host_cfg;
-  dpu_cfg.registry = &registry;
-  host_cfg.registry = &registry;
-
+  // Every layer registers in the process registry (§VI: "directly
+  // instrumentalized at the library level with a Prometheus client").
   simverbs::ProtectionDomain dpu_pd("dpu"), host_pd("host");
-  rdmarpc::Connection dpu_conn(rdmarpc::Role::kClient, &dpu_pd, dpu_cfg);
-  rdmarpc::Connection host_conn(rdmarpc::Role::kServer, &host_pd, host_cfg);
+  rdmarpc::Connection dpu_conn(rdmarpc::Role::kClient, &dpu_pd, {});
+  rdmarpc::Connection host_conn(rdmarpc::Role::kServer, &host_pd, {});
   if (auto st = rdmarpc::Connection::connect(dpu_conn, host_conn); !st.is_ok()) {
     std::cerr << st.to_string() << "\n";
     return 1;
@@ -162,7 +159,7 @@ int main(int argc, char** argv) {
   // process of §VI).
   std::thread monitor([&] {
     while (!stop.load()) {
-      (void)rps_monitor.observe(registry.scrape());
+      (void)rps_monitor.observe(metrics::default_registry().scrape());
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
   });
@@ -178,6 +175,8 @@ int main(int argc, char** argv) {
   scan.set_uint64(scan_desc->field_by_name("limit"), 10);
   Bytes scan_wire = proto::WireCodec::serialize(scan);
   auto scan_resp = (*chan)->call("kv.KvStore/Scan", ByteSpan(scan_wire));
+  // The monitoring process's scrape, over xRPC from the proxy's port.
+  auto scrape = (*chan)->call(xrpc::kMetricsMethod, {});
 
   stop.store(true);
   monitor.join();
@@ -201,15 +200,17 @@ int main(int argc, char** argv) {
     std::cout << "monitor instant rate (server messages/s): "
               << static_cast<uint64_t>(*rate) << "\n";
   }
+  // Transport and codec families, side by side in one scrape.
   std::cout << "--- metrics exposition (excerpt) ---\n";
-  std::string text = registry.expose_text();
-  std::cout << text.substr(0, 600) << (text.size() > 600 ? "...\n" : "");
-  // Client-side latency histogram (populated because the connection was
-  // constructed with a registry).
-  auto pos = text.find("rdmarpc_request_latency_seconds_count");
-  if (pos != std::string::npos) {
-    std::cout << "--- latency ---\n"
-              << text.substr(pos, text.find('\n', pos) - pos) << "\n";
+  std::string_view text = scrape.is_ok() ? as_string_view(ByteSpan(*scrape)) : "";
+  for (size_t pos = 0, end; pos < text.size(); pos = end + 1) {
+    end = std::min(text.find('\n', pos), text.size());
+    std::string_view line = text.substr(pos, end - pos);
+    for (std::string_view family :
+         {"rdmarpc_messages_sent_total", "rdmarpc_credits_available",
+          "rdmarpc_request_latency_seconds_count", "dpurpc_deser_plan_parses_total"}) {
+      if (line.starts_with(family)) std::cout << line << "\n";
+    }
   }
   return 0;
 }

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   std::map<std::string, std::vector<std::string>> index;  // term -> docs
 
   // Fully offloaded Find: in-place request in, in-place response out.
-  (void)host.register_unary_inplace(
+  (void)host.register_unary_object(
       "search.Search/Find",
       [&](const grpccompat::ServerContext&, const adt::LayoutView& req,
           adt::LayoutBuilder& resp) {

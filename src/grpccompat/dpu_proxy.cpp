@@ -6,7 +6,6 @@
 #include "arena/arena.hpp"
 #include "common/cpu_timer.hpp"
 #include "common/hot_path.hpp"
-#include "metrics/metrics.hpp"
 #include "trace/resource_sampler.hpp"
 
 namespace dpurpc::grpccompat {
@@ -121,8 +120,7 @@ DpuProxy::~DpuProxy() { stop(); }
 
 StatusOr<uint16_t> DpuProxy::start() {
   auto server = xrpc::Server::start(
-      xrpc::CallHandler([this](xrpc::CallContext ctx) { handle_call(std::move(ctx)); }),
-      &metrics::default_registry());
+      xrpc::CallHandler([this](xrpc::CallContext ctx) { handle_call(std::move(ctx)); }));
   if (!server.is_ok()) return server.status();
   xrpc_server_ = std::move(*server);
   pool_->start();

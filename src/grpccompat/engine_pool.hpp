@@ -40,14 +40,6 @@ class HostEnginePool {
     return Status::ok();
   }
 
-  Status register_unary_inplace(std::string_view full_name,
-                                HostEngine::InPlaceMethod method) {
-    for (auto& e : engines_) {
-      DPURPC_RETURN_IF_ERROR(e->register_unary_inplace(full_name, method));
-    }
-    return Status::ok();
-  }
-
   Status register_unary_object(std::string_view full_name,
                                HostEngine::InPlaceMethod method) {
     for (auto& e : engines_) {

@@ -67,39 +67,6 @@ Status HostEngine::register_unary(std::string_view full_name, Method method) {
   return Status::ok();
 }
 
-Status HostEngine::register_unary_inplace(std::string_view full_name,
-                                           InPlaceMethod method) {
-  const MethodEntry* entry = manifest_->find_by_name(full_name);
-  if (entry == nullptr) {
-    return Status(Code::kNotFound,
-                  "method not in offload manifest: " + std::string(full_name));
-  }
-  uint32_t input_class = entry->input_class;
-  uint32_t output_class = entry->output_class;
-  const OffloadManifest* manifest = manifest_;
-
-  server_.register_inplace_handler(
-      entry->method_id,
-      [method = std::move(method), manifest, input_class, output_class](
-          const rdmarpc::RequestView& req, arena::Arena& response_arena,
-          const arena::AddressTranslator& xlate, uint32_t* payload_size,
-          uint16_t* class_index) -> Status {
-        if (req.object == nullptr || req.class_index != input_class) {
-          return Status(Code::kInvalidArgument, "bad in-place request");
-        }
-        adt::LayoutView request(&manifest->adt(), input_class, req.object);
-        auto response = adt::LayoutBuilder::create(&manifest->adt(), output_class,
-                                                   &response_arena, xlate);
-        if (!response.is_ok()) return response.status();
-        ServerContext ctx;
-        DPURPC_RETURN_IF_ERROR(method(ctx, request, *response));
-        *payload_size = static_cast<uint32_t>(response_arena.used());
-        *class_index = static_cast<uint16_t>(output_class);
-        return Status::ok();
-      });
-  return Status::ok();
-}
-
 Status HostEngine::register_unary_object(std::string_view full_name,
                                           InPlaceMethod method) {
   const MethodEntry* entry = manifest_->find_by_name(full_name);

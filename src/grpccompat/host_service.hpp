@@ -5,7 +5,7 @@
 // familiar service-callback shape while requests arrive as ready-built
 // C++ objects with zero deserialization work. Handlers receive a
 // LayoutView over the in-place object (generated-class deployments would
-// static_cast to the real type instead). Responses come in three flavors:
+// static_cast to the real type instead). Handlers come in three shapes:
 //
 //   * register_unary           — handler fills a DynamicMessage; the host
 //     serializes it with the reference WireCodec (the paper's baseline:
@@ -16,9 +16,6 @@
 //     codec cost ≈ 0 in both directions). With offloading disabled the
 //     host serializes through the compiled plan instead — the middle rung
 //     fig10_roundtrip measures against.
-//   * register_unary_inplace   — handler builds the response object
-//     directly into the RDMA send block; the DPU serializes it (§III.A
-//     extension).
 //   * register_stream          — bulk-transfer requests: the proxy ships
 //     the stream as prefixed chunks (stream_wire.hpp), each decoded on
 //     the DPU pool first; the handler sees raw chunk bytes in order and
@@ -69,20 +66,16 @@ class HostEngine {
   Status register_unary(std::string_view full_name, Method method);
 
   /// Offloaded-response variant (§III.A extension): the handler builds the
-  /// response *object* through a LayoutBuilder; the host never serializes
-  /// it — the DPU does, with the ADT-driven ObjectSerializer.
-  using InPlaceMethod = std::function<Status(const ServerContext&,
-                                             const adt::LayoutView& request,
-                                             adt::LayoutBuilder& response)>;
-  Status register_unary_inplace(std::string_view full_name, InPlaceMethod method);
-
-  /// Typed-object variant: same handler shape as register_unary_inplace,
-  /// but the response object is built into per-thread scratch first —
+  /// response *object* through a LayoutBuilder into per-thread scratch —
   /// handlers never see block-arena backpressure, and the engine is safe
   /// to drive from multiple threads or engines. The finished object is
   /// then either copied+relocated into the send block for DPU-side
-  /// serialization (default) or serialized on the host through the
-  /// compiled plan (offload_object_responses = false).
+  /// serialization with the ADT-driven ObjectSerializer (default) or
+  /// serialized on the host through the compiled plan
+  /// (offload_object_responses = false).
+  using InPlaceMethod = std::function<Status(const ServerContext&,
+                                             const adt::LayoutView& request,
+                                             adt::LayoutBuilder& response)>;
   Status register_unary_object(std::string_view full_name, InPlaceMethod method);
 
   /// Streaming bulk-transfer handler. Invoked once per chunk with the raw

@@ -3,12 +3,26 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 
 #include "common/cpu_timer.hpp"
 
 namespace dpurpc::metrics {
+
+namespace {
+
+// Bucket bound as an `le` label value: shortest text that parses back to
+// exactly `bound`, so sub-microsecond bounds stay distinct (std::to_string
+// prints %f, collapsing 100e-9 and 250e-9 both to "0.000000").
+std::string format_bound(double bound) {
+  char buf[32];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), bound);
+  return std::string(buf, ec == std::errc() ? end : buf);
+}
+
+}  // namespace
 
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)),
@@ -235,7 +249,7 @@ Snapshot Registry::scrape() const {
           const auto& h = *c.histogram;
           for (size_t i = 0; i < h.bounds().size(); ++i) {
             Labels bl = labels;
-            bl["le"] = std::to_string(h.bounds()[i]);
+            bl["le"] = format_bound(h.bounds()[i]);
             snap.samples.push_back({f->name() + "_bucket", std::move(bl),
                                     static_cast<double>(h.bucket_count(i))});
           }
@@ -312,7 +326,7 @@ std::string Registry::expose_text() const {
           const auto& h = *c.histogram;
           for (size_t i = 0; i < h.bounds().size(); ++i) {
             Labels bl = labels;
-            bl["le"] = std::to_string(h.bounds()[i]);
+            bl["le"] = format_bound(h.bounds()[i]);
             out << f->name() << "_bucket";
             append_labels(out, bl);
             out << ' ' << h.bucket_count(i);

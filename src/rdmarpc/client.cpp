@@ -10,17 +10,13 @@ namespace dpurpc::rdmarpc {
 RpcClient::RpcClient(Connection* conn)
     : conn_(conn),
       in_flight_(id_pool_.capacity()),
-      in_flight_valid_(id_pool_.capacity(), false) {
-  if (conn_->config().registry != nullptr) {
-    latency_hist_ = &conn_->config()
-                         .registry
-                         ->histogram_family(
-                             "rdmarpc_request_latency_seconds",
-                             "flush-to-response latency",
-                             {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0})
-                         .histogram({{"role", "client"}});
-    sent_at_ns_.resize(id_pool_.capacity(), 0);
-  }
+      in_flight_valid_(id_pool_.capacity(), false),
+      latency_hist_(metrics::default_registry()
+                        .histogram_family("rdmarpc_request_latency_seconds",
+                                          "flush-to-response latency",
+                                          {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0})
+                        .histogram({{"role", "client"}})),
+      sent_at_ns_(id_pool_.capacity(), 0) {
   // The ID discipline (§IV.D) runs at every true block boundary —
   // including flushes the transport triggers itself when a block fills:
   // first release the IDs of responses processed since the previous flush
@@ -49,7 +45,7 @@ RpcClient::RpcClient(Connection* conn)
       in_flight_[*id] = std::move(pending.done);
       in_flight_valid_[*id] = true;
       ++in_flight_count_;
-      if (latency_hist_ != nullptr) sent_at_ns_[*id] = WallTimer::now();
+      sent_at_ns_[*id] = WallTimer::now();
     }
     open_block_requests_.clear();
   });
@@ -262,10 +258,8 @@ Status RpcClient::process_response_block(const Connection::ReceivedBlock& rb) {
                                        msg->trace.send_ns, WallTimer::now(),
                                        msg->payload.size());
     }
-    if (latency_hist_ != nullptr) {
-      latency_hist_->observe(static_cast<double>(WallTimer::now() - sent_at_ns_[id]) *
-                             1e-9);
-    }
+    latency_hist_.observe(static_cast<double>(WallTimer::now() - sent_at_ns_[id]) *
+                          1e-9);
     Continuation done = std::move(in_flight_[id]);
     in_flight_valid_[id] = false;
     --in_flight_count_;

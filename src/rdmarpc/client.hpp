@@ -105,10 +105,9 @@ class RpcClient {
   std::vector<uint16_t> ids_to_release_;  ///< freed at next flush
   std::vector<Connection::ReceivedBlock> poll_scratch_;
   uint64_t responses_received_ = 0;
-  /// Flush-to-response latency histogram (present when the connection is
-  /// configured with a metrics registry; the paper instruments at the
-  /// library level, §VI).
-  metrics::Histogram* latency_hist_ = nullptr;
+  /// Flush-to-response latency histogram in the process registry (the
+  /// paper instruments at the library level, §VI).
+  metrics::Histogram& latency_hist_;
   std::vector<uint64_t> sent_at_ns_;
   /// Reassembly key for the next call_fragmented() (running counter).
   uint32_t next_frag_stream_ = 1;

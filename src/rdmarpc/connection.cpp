@@ -9,6 +9,15 @@ namespace {
 // Receive WRs posted beyond the credit count: completions for in-flight
 // blocks can race with credit replenishment, so keep slack.
 constexpr uint32_t kRecvSlack = 16;
+
+metrics::Labels role_labels(Role role) {
+  return {{"role", role == Role::kClient ? "client" : "server"}};
+}
+
+metrics::Counter& role_counter(const char* name, const char* help, Role role) {
+  return metrics::default_registry().counter_family(name, help).counter(
+      role_labels(role));
+}
 }  // namespace
 
 Connection::Connection(Role role, simverbs::ProtectionDomain* pd, ConnectionConfig cfg)
@@ -21,36 +30,29 @@ Connection::Connection(Role role, simverbs::ProtectionDomain* pd, ConnectionConf
       recv_cq_(cfg.credits * 2 + kRecvSlack,
                cfg.shared_channel != nullptr ? cfg.shared_channel : &own_channel_),
       sbuf_alloc_(cfg.sbuf_size),
-      credits_(cfg.credits) {
+      credits_(cfg.credits),
+      blocks_sent_(role_counter("rdmarpc_blocks_sent_total", "blocks transmitted", role)),
+      messages_sent_(role_counter("rdmarpc_messages_sent_total",
+                                  "messages transmitted", role)),
+      blocks_received_(
+          role_counter("rdmarpc_blocks_received_total", "blocks received", role)),
+      messages_received_(role_counter("rdmarpc_messages_received_total",
+                                      "messages received", role)),
+      credits_gauge_(metrics::default_registry()
+                         .gauge_family("rdmarpc_credits_available",
+                                       "send credits available, summed over "
+                                       "the role's live connections")
+                         .gauge(role_labels(role))) {
+  credits_gauge_.add(cfg.credits);
   sbuf_mr_ = pd_->register_memory(sbuf_.data(), sbuf_.size());
   rbuf_mr_ = pd_->register_memory(rbuf_.data(), rbuf_.size());
   qp_ = std::make_unique<simverbs::QueuePair>(pd_, &send_cq_, &recv_cq_);
-  if (cfg_.registry != nullptr) {
-    metrics::Labels labels{{"role", role == Role::kClient ? "client" : "server"}};
-    blocks_sent_ = &cfg_.registry->counter_family("rdmarpc_blocks_sent_total",
-                                                  "blocks transmitted")
-                        .counter(labels);
-    messages_sent_ = &cfg_.registry
-                          ->counter_family("rdmarpc_messages_sent_total",
-                                           "messages transmitted")
-                          .counter(labels);
-    blocks_received_ = &cfg_.registry
-                            ->counter_family("rdmarpc_blocks_received_total",
-                                             "blocks received")
-                            .counter(labels);
-    messages_received_ = &cfg_.registry
-                              ->counter_family("rdmarpc_messages_received_total",
-                                               "messages received")
-                              .counter(labels);
-    credits_gauge_ = &cfg_.registry
-                          ->gauge_family("rdmarpc_credits_available",
-                                         "send credits currently available")
-                          .gauge(labels);
-    credits_gauge_->set(relaxed::load(credits_));
-  }
 }
 
-Connection::~Connection() { channel().interrupt(); }
+Connection::~Connection() {
+  credits_gauge_.sub(relaxed::load(credits_));
+  channel().interrupt();
+}
 
 Status Connection::connect(Connection& a, Connection& b) {
   if (a.cfg_.sbuf_size > b.cfg_.rbuf_size || b.cfg_.sbuf_size > a.cfg_.rbuf_size) {
@@ -142,11 +144,9 @@ StatusOr<bool> Connection::flush() {
   uint64_t seq = next_block_seq_++;
   sent_blocks_.push_back({seq, offset, false});
   relaxed::sub(credits_, 1);
-  if (credits_gauge_ != nullptr) {
-    credits_gauge_->set(relaxed::load(credits_));
-  }
-  if (blocks_sent_ != nullptr) blocks_sent_->inc();
-  if (messages_sent_ != nullptr) messages_sent_->inc(msg_count);
+  credits_gauge_.sub(1);
+  blocks_sent_.inc();
+  messages_sent_.inc(msg_count);
   if (flush_observer_) flush_observer_(seq);
   return true;
 }
@@ -196,9 +196,7 @@ void Connection::release_acked_prefix() {
     sbuf_alloc_.free(sent_blocks_.front().offset);
     sent_blocks_.pop_front();
     relaxed::add(credits_, 1);
-  }
-  if (credits_gauge_ != nullptr) {
-    credits_gauge_->set(relaxed::load(credits_));
+    credits_gauge_.add(1);
   }
 }
 
@@ -228,8 +226,8 @@ Status Connection::poll_into(std::vector<ReceivedBlock>& out) {
     if (reader->preamble().ack_blocks > 0) {
       handle_counter_acks(reader->preamble().ack_blocks);
     }
-    if (blocks_received_ != nullptr) blocks_received_->inc();
-    if (messages_received_ != nullptr) messages_received_->inc(reader->message_count());
+    blocks_received_.inc();
+    messages_received_.inc(reader->message_count());
 
     // Re-arm the receive the peer's write consumed.
     qp_->post_recv({});

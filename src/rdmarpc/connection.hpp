@@ -46,7 +46,6 @@ struct ConnectionConfig {
   uint64_t rbuf_size = 16ull << 20;  ///< Table I: server buffers 16 MiB
   uint32_t credits = 256;            ///< Table I
   uint32_t block_size = 8192;        ///< Table I: 8 KiB optimal minimum
-  metrics::Registry* registry = nullptr;  ///< optional instrumentation
   /// Share one completion channel across connections so a single server
   /// poller can sleep on all of them (§III.C "a single poller can share
   /// multiple connections on the server side"). Null = private channel.
@@ -242,11 +241,13 @@ class Connection {
   std::vector<simverbs::Completion> send_scratch_;
 
   // Instrumentation (≈5% cost in the paper; negligible with counters).
-  metrics::Counter* blocks_sent_ = nullptr;
-  metrics::Counter* messages_sent_ = nullptr;
-  metrics::Counter* blocks_received_ = nullptr;
-  metrics::Counter* messages_received_ = nullptr;
-  metrics::Gauge* credits_gauge_ = nullptr;
+  // Shared per role in the process registry; the credits gauge carries
+  // this connection's share, added on change and removed on destruction.
+  metrics::Counter& blocks_sent_;
+  metrics::Counter& messages_sent_;
+  metrics::Counter& blocks_received_;
+  metrics::Counter& messages_received_;
+  metrics::Gauge& credits_gauge_;
 };
 
 }  // namespace dpurpc::rdmarpc

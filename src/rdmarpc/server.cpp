@@ -53,15 +53,12 @@ void RpcServer::background_worker() {
   }
 }
 
-RpcServer::RpcServer(Connection* conn) : conn_(conn) {
-  if (conn_->config().registry != nullptr) {
-    hint_retries_ = &conn_->config()
-                         .registry
-                         ->counter_family(
-                             "dpurpc_block_hint_retries_total",
-                             "write_response_inplace block-hint ladder retries")
-                         .counter({{"role", "server"}});
-  }
+RpcServer::RpcServer(Connection* conn)
+    : conn_(conn),
+      hint_retries_(metrics::default_registry()
+                        .counter_family("dpurpc_block_hint_retries_total",
+                                        "write_response_inplace block-hint ladder retries")
+                        .counter({{"role", "server"}})) {
   // Every flushed response block contributes one FIFO entry of answered
   // request IDs; the entry is retired — and its IDs released — when the
   // client's piggybacked ack counter covers it. This mirrors the client's

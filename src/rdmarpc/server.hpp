@@ -111,7 +111,8 @@ class RpcServer {
   /// dispatched (reassembly in flight).
   size_t reassembly_streams() const noexcept { return reassembly_.size(); }
   /// Times the write_response_inplace block-hint ladder re-ran the handler
-  /// in a bigger block (mirrors dpurpc_block_hint_retries_total).
+  /// in a bigger block (this server's share of the process-wide
+  /// dpurpc_block_hint_retries_total).
   uint64_t block_hint_retries() const noexcept { return hint_retries_count_; }
 
  private:
@@ -166,7 +167,7 @@ class RpcServer {
   Status pump_for_space();
   void note_hint_retry() noexcept {
     ++hint_retries_count_;
-    if (hint_retries_ != nullptr) hint_retries_->inc();
+    hint_retries_.inc();
   }
   void advance_ack_order();
   Status drain_background_results();
@@ -190,7 +191,7 @@ class RpcServer {
   /// stream_id -> in-flight reassembly (fragmented requests, §8).
   std::map<uint32_t, FragBuffer> reassembly_;
   uint64_t max_fragmented_payload_ = 64ull << 20;
-  metrics::Counter* hint_retries_ = nullptr;
+  metrics::Counter& hint_retries_;
   uint64_t hint_retries_count_ = 0;
 
   // Background execution (§III.D extension).

@@ -49,12 +49,10 @@ Span from_record(const SpanRecord& r) {
 
 }  // namespace
 
-TraceCollector::TraceCollector(Options options) : options_(options) {
-  metrics::Registry* reg = options_.registry != nullptr
-                               ? options_.registry
-                               : &metrics::default_registry();
-  options_.registry = reg;
-  auto& fam = reg->histogram_family(
+TraceCollector::TraceCollector(Options options)
+    : options_(options), tail_hist_(stage_seconds_bounds()) {
+  metrics::Registry& reg = metrics::default_registry();
+  auto& fam = reg.histogram_family(
       "dpurpc_trace_stage_seconds",
       "Per-request datapath stage durations from the trace subsystem",
       stage_seconds_bounds());
@@ -63,16 +61,16 @@ TraceCollector::TraceCollector(Options options) : options_(options) {
         &fam.histogram({{"stage", stage_name(static_cast<Stage>(i))}});
   }
   request_hist_ = stage_hist_[static_cast<size_t>(Stage::kRequest)];
-  drop_counter_ = &reg->counter_family(
+  drop_counter_ = &reg.counter_family(
                           "dpurpc_trace_ring_dropped_total",
                           "Span records dropped because a thread ring was full")
                        .counter();
   orphan_counter_ =
-      &reg->counter_family(
+      &reg.counter_family(
               "dpurpc_trace_orphans_dropped_total",
               "Pending traces discarded because their root span never arrived")
            .counter();
-  evict_counter_ = &reg->counter_family(
+  evict_counter_ = &reg.counter_family(
                            "dpurpc_trace_retained_evicted_total",
                            "Retained span trees evicted past max_retained")
                         .counter();
@@ -93,7 +91,9 @@ void TraceCollector::collect() {
     Span s = from_record(r);
     size_t stage_idx = std::min<size_t>(
         r.stage, static_cast<size_t>(Stage::kStageCount) - 1);
-    stage_hist_[stage_idx]->observe(static_cast<double>(s.duration_ns()) / 1e9);
+    double seconds = static_cast<double>(s.duration_ns()) / 1e9;
+    stage_hist_[stage_idx]->observe(seconds);
+    if (stage_idx == static_cast<size_t>(Stage::kRequest)) tail_hist_.observe(seconds);
 
     if (r.trace_id == 0) {  // global event: side track, never a tree member
       if (globals_.size() < options_.max_global_events) globals_.push_back(s);
@@ -132,12 +132,11 @@ void TraceCollector::collect() {
     }
   }
 
-  // Mirror ring drops into the registry so scrapes see trace loss.
+  // Mirror ring drops into the registry so scrapes see trace loss. The
+  // counter itself is the accounted total, shared by every collector.
   uint64_t drops = tracer.dropped_total();
-  if (drops > drops_accounted_) {
-    drop_counter_->inc(drops - drops_accounted_);
-    drops_accounted_ = drops;
-  }
+  uint64_t accounted = drop_counter_->value();
+  if (drops > accounted) drop_counter_->inc(drops - accounted);
 }
 
 void TraceCollector::finalize(uint64_t trace_id, PendingTrace&& pending) {
@@ -166,9 +165,9 @@ void TraceCollector::finalize(uint64_t trace_id, PendingTrace&& pending) {
     // Tail sampling: keep trees slower than the rolling pX of end-to-end
     // latency. Needs a populated histogram to be meaningful; early on
     // (cold histogram) the 1-in-N head retention above carries coverage.
-    double threshold = request_hist_->quantile(options_.tail_keep_quantile);
+    double threshold = tail_hist_.quantile(options_.tail_keep_quantile);
     double e2e = static_cast<double>(tree.duration_ns()) / 1e9;
-    keep = request_hist_->total_count() >= 16 && e2e >= threshold;
+    keep = tail_hist_.total_count() >= 16 && e2e >= threshold;
   }
   if (!keep) return;
 

@@ -77,10 +77,8 @@ class FlightRecorder;
 class TraceCollector {
  public:
   struct Options {
-    /// Registry the per-stage histograms register in.
-    metrics::Registry* registry = nullptr;  // null → metrics::default_registry()
     /// Tail sampling: retain a tree when its root duration exceeds this
-    /// quantile of the end-to-end (Stage::kRequest) histogram so far.
+    /// quantile of the end-to-end latencies this collector has seen.
     double tail_keep_quantile = 0.95;
     /// …plus every Nth completed trace regardless of latency (0 = never).
     uint32_t tail_keep_every = 32;
@@ -121,7 +119,8 @@ class TraceCollector {
   /// Traces still waiting for their root span (quiesce check).
   size_t pending_traces() const noexcept { return pending_.size(); }
 
-  /// The live per-stage histogram (seconds); never null.
+  /// The live per-stage histogram (seconds) in the process registry,
+  /// shared by every collector: read it as snapshot deltas. Never null.
   const metrics::Histogram* stage_histogram(Stage stage) const noexcept {
     return stage_hist_[static_cast<size_t>(stage)];
   }
@@ -152,10 +151,13 @@ class TraceCollector {
   Options options_;
   metrics::Histogram* stage_hist_[static_cast<size_t>(Stage::kStageCount)] = {};
   metrics::Histogram* request_hist_ = nullptr;  ///< alias of kRequest's hist
+  /// Unregistered e2e history behind the tail-keep threshold: the
+  /// registry's request histogram is shared with every other collector in
+  /// the process, this one sees only this collector's trees.
+  metrics::Histogram tail_hist_;
   metrics::Counter* drop_counter_ = nullptr;
   metrics::Counter* orphan_counter_ = nullptr;
   metrics::Counter* evict_counter_ = nullptr;
-  uint64_t drops_accounted_ = 0;
   FlightRecorder* recorder_ = nullptr;
 
   std::vector<SpanRecord> scratch_;

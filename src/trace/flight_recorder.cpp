@@ -51,15 +51,12 @@ FlightRecorder::FlightRecorder(Options options)
     : options_(options), rolling_(rolling_bounds()) {
   if (options_.reservoir_capacity == 0) options_.reservoir_capacity = 1;
   reservoir_.reserve(options_.reservoir_capacity);
-  if (options_.registry != nullptr) {
-    auto& family = options_.registry->counter_family(
-        "dpurpc_flight_recorder_captures_total",
-        "Tail exemplars captured by the flight recorder, by trigger");
-    for (size_t i = 0; i < static_cast<size_t>(TriggerKind::kTriggerCount);
-         ++i) {
-      trigger_counter_[i] = &family.counter(
-          {{"trigger", trigger_name(static_cast<TriggerKind>(i))}});
-    }
+  auto& family = metrics::default_registry().counter_family(
+      "dpurpc_flight_recorder_captures_total",
+      "Tail exemplars captured by the flight recorder, by trigger");
+  for (size_t i = 0; i < static_cast<size_t>(TriggerKind::kTriggerCount); ++i) {
+    trigger_counter_[i] = &family.counter(
+        {{"trigger", trigger_name(static_cast<TriggerKind>(i))}});
   }
 }
 
@@ -127,9 +124,7 @@ void FlightRecorder::capture(const SpanTree& tree, TriggerKind kind,
                              double threshold_s) {
   ++captured_;
   ++trigger_counts_[static_cast<size_t>(kind)];
-  if (trigger_counter_[static_cast<size_t>(kind)] != nullptr) {
-    trigger_counter_[static_cast<size_t>(kind)]->inc();
-  }
+  trigger_counter_[static_cast<size_t>(kind)]->inc();
   TailExemplar ex;
   ex.trace_id = tree.trace_id;
   ex.trigger = kind;

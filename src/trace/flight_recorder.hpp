@@ -72,8 +72,6 @@ class FlightRecorder {
     size_t reservoir_capacity = 64;
     /// Trees captured after a counter watch fires (the capture window).
     uint32_t anomaly_window = 8;
-    /// Registry the capture counters register in (null → default).
-    metrics::Registry* registry = nullptr;
   };
   /// A watched cumulative counter; any increase between polls arms a
   /// capture window.

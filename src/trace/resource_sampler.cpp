@@ -17,12 +17,9 @@ size_t ResourceSampler::add_probe(std::string name, ProbeFn fn) {
   Probe p;
   p.name = std::move(name);
   p.fn = std::move(fn);
-  metrics::Registry& reg = options_.registry != nullptr
-                               ? *options_.registry
-                               : metrics::default_registry();
-  p.gauge = &reg.gauge_family("dpurpc_resource_occupancy",
-                              "Latest resource-occupancy sample, by probe")
-                 .gauge({{"probe", p.name}});
+  p.gauge = &metrics::default_gauge("dpurpc_resource_occupancy",
+                                    "Latest resource-occupancy sample, by probe",
+                                    {{"probe", p.name}});
   // Preallocate here so sample_once never allocates, with or without the
   // background thread.
   p.ring.resize(options_.capacity);

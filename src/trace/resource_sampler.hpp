@@ -47,8 +47,6 @@ class ResourceSampler {
     uint64_t period_ns = 200'000;
     /// Per-probe ring capacity; older samples are overwritten.
     size_t capacity = 1 << 13;
-    /// Registry for the live gauges (null → default).
-    metrics::Registry* registry = nullptr;
   };
   /// A probe reads one occupancy value; called on the sampler thread.
   using ProbeFn = std::function<double()>;

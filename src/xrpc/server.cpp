@@ -3,21 +3,18 @@
 #include <map>
 
 #include "common/cpu_timer.hpp"
+#include "metrics/metrics.hpp"
 
 namespace dpurpc::xrpc {
 
-StatusOr<std::unique_ptr<Server>> Server::start(Handler handler,
-                                                metrics::Registry* metrics) {
+StatusOr<std::unique_ptr<Server>> Server::start(Handler handler) {
   auto listener = Listener::create();
   if (!listener.is_ok()) return listener.status();
-  return std::unique_ptr<Server>(
-      new Server(std::move(*listener), std::move(handler), metrics));
+  return std::unique_ptr<Server>(new Server(std::move(*listener), std::move(handler)));
 }
 
-Server::Server(Listener listener, Handler handler, metrics::Registry* metrics)
-    : listener_(std::move(listener)),
-      handler_(std::move(handler)),
-      metrics_(metrics) {
+Server::Server(Listener listener, Handler handler)
+    : listener_(std::move(listener)), handler_(std::move(handler)) {
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
@@ -109,10 +106,10 @@ void Server::connection_loop(std::shared_ptr<ConnState> conn) {
         trace::TraceContext tctx =
             note_inbound(frame->request.trace, frame->request.payload.size());
         Responder respond = make_responder(conn, call_id, tctx);
-        if (metrics_ != nullptr && frame->request.method == kMetricsMethod) {
+        if (frame->request.method == kMetricsMethod) {
           // Built-in scrape endpoint: answer inline, never reaches the
           // handler.
-          std::string text = metrics_->expose_text();
+          std::string text = metrics::default_registry().expose_text();
           respond(Code::kOk,
                   ByteSpan(reinterpret_cast<const std::byte*>(text.data()),
                            text.size()));

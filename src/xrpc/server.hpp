@@ -19,7 +19,6 @@
 #include "common/relaxed.hpp"
 #include "common/status.hpp"
 #include "common/thread_annotations.hpp"
-#include "metrics/metrics.hpp"
 #include "trace/trace.hpp"
 #include "xrpc/call_context.hpp"
 #include "xrpc/frame.hpp"
@@ -27,9 +26,9 @@
 
 namespace dpurpc::xrpc {
 
-/// Method name the server answers itself with Registry::expose_text()
-/// when started with a metrics registry — the paper's monitoring-process
-/// scrape, served over the real transport instead of in-process calls.
+/// Method name every server answers itself with the process registry's
+/// text exposition — the paper's monitoring-process scrape, served over
+/// the real transport instead of in-process calls.
 inline constexpr std::string_view kMetricsMethod = "dpurpc.Metrics/Scrape";
 
 class Server {
@@ -44,10 +43,8 @@ class Server {
   using Handler = CallHandler;
 
   /// Listen on an OS-assigned loopback port and serve until shutdown().
-  /// A non-null `metrics` enables the built-in kMetricsMethod handler
-  /// (answered before the handler ever sees the call).
-  static StatusOr<std::unique_ptr<Server>> start(
-      Handler handler, metrics::Registry* metrics = nullptr);
+  /// kMetricsMethod is answered before the handler ever sees the call.
+  static StatusOr<std::unique_ptr<Server>> start(Handler handler);
 
   ~Server();
   Server(const Server&) = delete;
@@ -61,13 +58,12 @@ class Server {
   }
 
  private:
-  Server(Listener listener, Handler handler, metrics::Registry* metrics);
+  Server(Listener listener, Handler handler);
   void accept_loop();
   void connection_loop(std::shared_ptr<ConnState> conn);
 
   Listener listener_;
   Handler handler_;
-  metrics::Registry* metrics_;
   std::thread accept_thread_;
   lockdep::Mutex mu_{"xrpc.Server.mu"};
   // Shutdown protocol (stop/join ordering): shutdown() publishes

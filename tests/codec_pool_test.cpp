@@ -617,9 +617,7 @@ TEST_F(CodecPoolFixture, TracedJobsExportWorkerSpans) {
   trace::TraceConfig config;
   config.mode = trace::Mode::kFull;
   trace::Tracer::instance().configure(config);
-  metrics::Registry reg;
   trace::TraceCollector::Options copts;
-  copts.registry = &reg;
   copts.tail_keep_every = 1;
   trace::TraceCollector collector(copts);
 

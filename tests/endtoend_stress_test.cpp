@@ -84,7 +84,7 @@ TEST(EndToEndStress, EverythingAtOnce) {
                         return Status::ok();
                       })
                   .is_ok());
-  ASSERT_TRUE(host.register_unary_inplace(
+  ASSERT_TRUE(host.register_unary_object(
                       "st.Stress/FastSum",
                       [&](const ServerContext&, const adt::LayoutView& req,
                           adt::LayoutBuilder& resp) {

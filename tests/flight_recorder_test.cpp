@@ -21,7 +21,6 @@
 
 namespace {
 
-using dpurpc::metrics::Registry;
 using dpurpc::trace::CounterSeries;
 using dpurpc::trace::FlightRecorder;
 using dpurpc::trace::ResourceSampler;
@@ -55,12 +54,15 @@ SpanTree make_tree(uint64_t trace_id, uint64_t e2e_ns) {
 // ------------------------------------------------------- latency trigger
 
 TEST(FlightRecorder, LatencyTriggerWaitsForHistoryThenFires) {
-  Registry reg;
   FlightRecorder::Options o;
-  o.registry = &reg;
   o.min_history = 8;
   o.latency_factor = 3.0;
   FlightRecorder rec(o);
+  dpurpc::metrics::Counter& latency_captures =
+      dpurpc::metrics::default_registry()
+          .counter_family("dpurpc_flight_recorder_captures_total", "")
+          .counter({{"trigger", "latency"}});
+  const uint64_t latency_captures_before = latency_captures.value();
 
   // Below min_history nothing can fire, outlier or not — a cold quantile
   // is meaningless.
@@ -83,6 +85,7 @@ TEST(FlightRecorder, LatencyTriggerWaitsForHistoryThenFires) {
   EXPECT_TRUE(rec.offer(make_tree(999, 100'000'000)));
   EXPECT_EQ(rec.captured_total(), 1u);
   EXPECT_EQ(rec.trigger_total(TriggerKind::kLatency), 1u);
+  EXPECT_EQ(latency_captures.value() - latency_captures_before, 1u);
   ASSERT_EQ(rec.exemplars().size(), 1u);
   const auto& ex = rec.exemplars()[0];
   EXPECT_EQ(ex.trace_id, 999u);
@@ -97,9 +100,7 @@ TEST(FlightRecorder, SlowBurstDoesNotMaskItself) {
   // should_capture checks BEFORE the observation feeds the rolling
   // histogram, so a burst of equally-slow requests is captured at least
   // at its front — the burst can't raise the threshold ahead of itself.
-  Registry reg;
   FlightRecorder::Options o;
-  o.registry = &reg;
   o.min_history = 8;
   o.latency_factor = 2.0;
   FlightRecorder rec(o);
@@ -114,9 +115,7 @@ TEST(FlightRecorder, SlowBurstDoesNotMaskItself) {
 // -------------------------------------------------------- counter watches
 
 TEST(FlightRecorder, WatchPrimesThenArmsWindowOnIncrease) {
-  Registry reg;
   FlightRecorder::Options o;
-  o.registry = &reg;
   o.anomaly_window = 2;
   FlightRecorder rec(o);
 
@@ -146,9 +145,7 @@ TEST(FlightRecorder, WatchPrimesThenArmsWindowOnIncrease) {
 }
 
 TEST(FlightRecorder, ManualArmOpensOneWindow) {
-  Registry reg;
   FlightRecorder::Options o;
-  o.registry = &reg;
   o.anomaly_window = 1;
   FlightRecorder rec(o);
   rec.arm(TriggerKind::kManual);
@@ -160,9 +157,7 @@ TEST(FlightRecorder, ManualArmOpensOneWindow) {
 // ----------------------------------------------------- bounded reservoir
 
 TEST(FlightRecorder, ReservoirIsBoundedRing) {
-  Registry reg;
   FlightRecorder::Options o;
-  o.registry = &reg;
   o.reservoir_capacity = 4;
   o.anomaly_window = 100;  // capture everything offered
   FlightRecorder rec(o);
@@ -181,9 +176,7 @@ TEST(FlightRecorder, ReservoirIsBoundedRing) {
 // ------------------------------------------------------------- JSON dump
 
 TEST(FlightRecorder, ToJsonCarriesTriggerAndTraceId) {
-  Registry reg;
   FlightRecorder::Options o;
-  o.registry = &reg;
   o.anomaly_window = 1;
   FlightRecorder rec(o);
   rec.arm(TriggerKind::kManual);
@@ -198,9 +191,7 @@ TEST(FlightRecorder, ToJsonCarriesTriggerAndTraceId) {
 // --------------------------------------------------------------- sampler
 
 TEST(ResourceSampler, SampleOnceFillsRingsAndGauges) {
-  Registry reg;
   ResourceSampler::Options o;
-  o.registry = &reg;
   o.capacity = 8;
   ResourceSampler sampler(o);
   double depth = 3.0;
@@ -223,7 +214,7 @@ TEST(ResourceSampler, SampleOnceFillsRingsAndGauges) {
   EXPECT_GE(series[0].points[1].first, series[0].points[0].first);
 
   // The live gauges mirror the most recent sample, labeled by probe.
-  std::string text = reg.expose_text();
+  std::string text = dpurpc::metrics::default_registry().expose_text();
   EXPECT_NE(text.find("dpurpc_resource_occupancy{probe=\"lane0_ring_depth\"} 5"),
             std::string::npos);
   EXPECT_NE(text.find("dpurpc_resource_occupancy{probe=\"worker_busy\"} 0.5"),
@@ -231,9 +222,7 @@ TEST(ResourceSampler, SampleOnceFillsRingsAndGauges) {
 }
 
 TEST(ResourceSampler, RingOverwritesOldestBeyondCapacity) {
-  Registry reg;
   ResourceSampler::Options o;
-  o.registry = &reg;
   o.capacity = 4;
   ResourceSampler sampler(o);
   double v = 0;
@@ -251,9 +240,7 @@ TEST(ResourceSampler, RingOverwritesOldestBeyondCapacity) {
 }
 
 TEST(ResourceSampler, BackgroundThreadSamples) {
-  Registry reg;
   ResourceSampler::Options o;
-  o.registry = &reg;
   o.period_ns = 1'000'000;  // 1ms
   ResourceSampler sampler(o);
   sampler.add_probe("p", [] { return 1.0; });

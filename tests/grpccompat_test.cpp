@@ -112,10 +112,40 @@ TEST_F(OffloadFixture, RegisterUnknownMethodFails) {
   EXPECT_EQ(host_->register_unary("kv.KvStore/Nope", nullptr).code(), Code::kNotFound);
   EXPECT_EQ(host_->register_stream("kv.KvStore/Nope", nullptr).code(),
             Code::kNotFound);
-  EXPECT_EQ(host_->register_unary_inplace("kv.KvStore/Nope", nullptr).code(),
-            Code::kNotFound);
   EXPECT_EQ(host_->register_unary_object("kv.KvStore/Nope", nullptr).code(),
             Code::kNotFound);
+}
+
+TEST_F(OffloadFixture, OneRegistrySeesEveryLayer) {
+  // One offloaded call with default connections, then the monitoring
+  // scrape on the proxy's port: transport and codec families all land in
+  // the one process registry.
+  ASSERT_TRUE(host_
+                  ->register_unary_object(
+                      "kv.KvStore/Get",
+                      [](const ServerContext&, const adt::LayoutView&,
+                         adt::LayoutBuilder& resp) { return resp.set_bool(2, true); })
+                  .is_ok());
+  start_host_loop();
+  proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
+  auto port = proxy_->start();
+  ASSERT_TRUE(port.is_ok()) << port.status().to_string();
+  auto chan = xrpc::Channel::connect(*port);
+  ASSERT_TRUE(chan.is_ok());
+
+  proto::DynamicMessage get(pool_.find_message("kv.GetRequest"));
+  get.set_string(get.descriptor()->field_by_name("key"), "alpha");
+  Bytes wire = proto::WireCodec::serialize(get);
+  ASSERT_TRUE((*chan)->call("kv.KvStore/Get", ByteSpan(wire)).is_ok());
+
+  auto scrape = (*chan)->call(xrpc::kMetricsMethod, {});
+  ASSERT_TRUE(scrape.is_ok()) << scrape.status().to_string();
+  std::string text(as_string_view(ByteSpan(*scrape)));
+  for (const char* family :
+       {"rdmarpc_blocks_sent_total", "rdmarpc_request_latency_seconds_count",
+        "dpurpc_deser_plan_parses_total", "dpurpc_ser_plan_serializes_total"}) {
+    EXPECT_NE(text.find(family), std::string::npos) << family;
+  }
 }
 
 TEST_F(OffloadFixture, FullOffloadPathEndToEnd) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -138,6 +140,36 @@ TEST(Registry, HistogramExposition) {
   std::string text = reg.expose_text();
   EXPECT_NE(text.find("lat_bucket{le=\"+Inf\"} 1"), std::string::npos);
   EXPECT_NE(text.find("lat_count 1"), std::string::npos);
+}
+
+TEST(Registry, SubMicrosecondBucketBoundsStayDistinct) {
+  // Each `le` label must parse back to exactly its bound, in both the
+  // scrape and the text, or sub-µs buckets collapse onto one label.
+  const std::vector<double> bounds = {100e-9, 250e-9, 2.5e-6};
+  Registry reg;
+  reg.histogram_family("stage_seconds", "stage", bounds).histogram().observe(1e-7);
+
+  std::vector<std::string> scraped;
+  for (const Sample& s : reg.scrape().samples) {
+    auto le = s.labels.find("le");
+    if (le != s.labels.end() && le->second != "+Inf") scraped.push_back(le->second);
+  }
+  std::vector<std::string> exposed;
+  std::string text = reg.expose_text();
+  const std::string key = "le=\"";
+  for (size_t pos = text.find(key); pos != std::string::npos;
+       pos = text.find(key, pos)) {
+    pos += key.size();
+    std::string le = text.substr(pos, text.find('"', pos) - pos);
+    if (le != "+Inf") exposed.push_back(le);
+  }
+
+  for (const auto* les : {&scraped, &exposed}) {
+    ASSERT_EQ(les->size(), bounds.size());
+    for (size_t i = 0; i < bounds.size(); ++i) {
+      EXPECT_EQ(std::strtod((*les)[i].c_str(), nullptr), bounds[i]) << (*les)[i];
+    }
+  }
 }
 
 // ------------------------------------------------------- quantiles

@@ -60,7 +60,7 @@ TEST(MultiLane, ProxyLanesAndHostPoolServeConcurrently) {
   }
 
   HostEnginePool host(host_ptrs, &*manifest, &pool);
-  ASSERT_TRUE(host.register_unary_inplace(
+  ASSERT_TRUE(host.register_unary_object(
                       "ml.Worker/Work",
                       [](const ServerContext&, const adt::LayoutView& req,
                          adt::LayoutBuilder& resp) {
@@ -167,7 +167,7 @@ TEST(MultiLane, CodecPoolShardsAcrossFewerWorkersThanLanes) {
   }
 
   HostEnginePool host(host_ptrs, &*manifest, &pool);
-  ASSERT_TRUE(host.register_unary_inplace(
+  ASSERT_TRUE(host.register_unary_object(
                       "ml.Worker/Work",
                       [](const ServerContext&, const adt::LayoutView& req,
                          adt::LayoutBuilder& resp) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <random>
 #include <set>
 #include <thread>
@@ -758,25 +759,49 @@ TEST(Integration, IdSyncSurvivesAutoFlushedBlocks) {
   EXPECT_GT(f.client_conn.tx_counters().ops.load(), 100u);
 }
 
-TEST(Integration, LatencyHistogramPopulatedWhenInstrumented) {
-  metrics::Registry registry;
-  ConnectionConfig cfg;
-  cfg.registry = &registry;
-  Fabric f(cfg, cfg);
+TEST(Integration, LatencyHistogramPopulated) {
+  Fabric f;
   register_echo(f.server);
+  // Looked up after the client registered it: same name -> same family.
+  const metrics::Histogram& latency =
+      metrics::default_registry()
+          .histogram_family("rdmarpc_request_latency_seconds", "", {})
+          .histogram({{"role", "client"}});
+  metrics::HistogramSnapshot before = latency.snapshot();
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(f.client.call(kEcho, as_bytes_view("x"), nullptr).is_ok());
   }
   ASSERT_TRUE(f.pump_until(20).is_ok());
-  auto snap = registry.scrape();
-  const auto* count =
-      snap.find("rdmarpc_request_latency_seconds_count", {{"role", "client"}});
-  ASSERT_NE(count, nullptr);
-  EXPECT_EQ(count->value, 20);
-  const auto* sum =
-      snap.find("rdmarpc_request_latency_seconds_sum", {{"role", "client"}});
-  ASSERT_NE(sum, nullptr);
-  EXPECT_GT(sum->value, 0.0);
+  metrics::HistogramSnapshot delta = latency.snapshot().delta(before);
+  EXPECT_EQ(delta.count, 20u);
+  EXPECT_GT(delta.sum, 0.0);
+}
+
+double client_credits_gauge() {
+  metrics::Snapshot snap = metrics::default_registry().scrape();
+  const auto* s = snap.find("rdmarpc_credits_available", {{"role", "client"}});
+  return s == nullptr ? 0.0 : s->value;
+}
+
+TEST(Integration, CreditsGaugeSumsLiveConnections) {
+  // Every client connection writes the same {role="client"} child: the
+  // gauge is the sum over live connections, not the last writer's count.
+  const double base = client_credits_gauge();
+  auto a = std::make_unique<Fabric>();
+  ConnectionConfig small;
+  small.credits = 8;
+  Fabric b(small, small);
+  register_echo(b.server);
+  // Spend two of b's credits; the unpumped server never acks them.
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(b.client.call(kEcho, as_bytes_view("x"), nullptr).is_ok());
+    ASSERT_TRUE(b.client.event_loop_once().is_ok());
+  }
+  ASSERT_EQ(b.client_conn.credits_available(), 6u);
+  EXPECT_EQ(client_credits_gauge() - base,
+            a->client_conn.credits_available() + b.client_conn.credits_available());
+  a.reset();
+  EXPECT_EQ(client_credits_gauge() - base, b.client_conn.credits_available());
 }
 
 // ---------------------------------------------------------- fragmentation

@@ -86,7 +86,7 @@ class ResponseOffloadFixture : public ::testing::Test {
   /// request, so echo_oracle() can rebuild the exact message client-side.
   void register_echo_find() {
     ASSERT_TRUE(host_
-                    ->register_unary_inplace(
+                    ->register_unary_object(
                         "ro.Search/Find",
                         [](const ServerContext&, const adt::LayoutView& req,
                            adt::LayoutBuilder& resp) {
@@ -155,7 +155,7 @@ TEST_F(ResponseOffloadFixture, FullyOffloadedRoundTrip) {
   // Host handler: reads the in-place request, BUILDS the in-place response
   // — zero host-side (de)serialization in either direction.
   ASSERT_TRUE(host_
-                  ->register_unary_inplace(
+                  ->register_unary_object(
                       "ro.Search/Find",
                       [](const ServerContext&, const adt::LayoutView& req,
                          adt::LayoutBuilder& resp) {
@@ -313,7 +313,7 @@ TEST_F(ResponseOffloadFixture, ConcurrentBurstRunsEveryCodecJobOnTheLane) {
 
 TEST_F(ResponseOffloadFixture, ManyCallsStayConsistent) {
   ASSERT_TRUE(host_
-                  ->register_unary_inplace(
+                  ->register_unary_object(
                       "ro.Search/Find",
                       [](const ServerContext&, const adt::LayoutView& req,
                          adt::LayoutBuilder& resp) {
@@ -346,7 +346,7 @@ TEST_F(ResponseOffloadFixture, ManyCallsStayConsistent) {
 
 TEST_F(ResponseOffloadFixture, HandlerErrorFallsBackToErrorResponse) {
   ASSERT_TRUE(host_
-                  ->register_unary_inplace(
+                  ->register_unary_object(
                       "ro.Search/Find",
                       [](const ServerContext&, const adt::LayoutView&,
                          adt::LayoutBuilder&) {

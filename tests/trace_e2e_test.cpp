@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <iterator>
 #include <map>
@@ -81,10 +82,13 @@ class TraceE2eFixture : public ::testing::Test {
     config.mode = trace::Mode::kFull;
     trace::Tracer::instance().configure(config);
     trace::TraceCollector::Options copts;
-    copts.registry = &reg_;
     copts.tail_keep_every = 1;     // retain every tree: we inspect them all
     copts.orphan_max_age = 10000;  // never age out mid-test
     collector_ = std::make_unique<trace::TraceCollector>(copts);
+    for (size_t i = 0; i < stage_before_.size(); ++i) {
+      stage_before_[i] =
+          collector_->stage_histogram(static_cast<trace::Stage>(i))->snapshot();
+    }
     return *collector_;
   }
 
@@ -202,18 +206,18 @@ class TraceE2eFixture : public ::testing::Test {
   /// Per-stage histograms: every base stage observed once per call, and
   /// no codec-pool stage at all.
   void expect_stage_counts(const std::vector<trace::Stage>& base) {
-    metrics::Snapshot snap = reg_.scrape();
-    auto count_of = [&snap](trace::Stage st) {
-      const metrics::Sample* c = snap.find("dpurpc_trace_stage_seconds_count",
-                                           {{"stage", trace::stage_name(st)}});
-      return c == nullptr ? 0.0 : c->value;
+    auto count_of = [this](trace::Stage st) {
+      return collector_->stage_histogram(st)
+          ->snapshot()
+          .delta(stage_before_[static_cast<size_t>(st)])
+          .count;
     };
     for (trace::Stage st : base) {
-      EXPECT_EQ(count_of(st), static_cast<double>(kTotal)) << trace::stage_name(st);
+      EXPECT_EQ(count_of(st), static_cast<uint64_t>(kTotal)) << trace::stage_name(st);
     }
     for (trace::Stage st : {trace::Stage::kDecodeRingWait, trace::Stage::kWorkerDecode,
                             trace::Stage::kEncodeRingWait, trace::Stage::kWorkerEncode}) {
-      EXPECT_EQ(count_of(st), 0.0) << trace::stage_name(st);
+      EXPECT_EQ(count_of(st), 0u) << trace::stage_name(st);
     }
   }
 
@@ -233,8 +237,11 @@ class TraceE2eFixture : public ::testing::Test {
   std::vector<std::unique_ptr<xrpc::Channel>> chans_;
   std::thread host_thread_;
   std::atomic<bool> stop_{false};
-  metrics::Registry reg_;
   std::unique_ptr<trace::TraceCollector> collector_;
+  /// Stage histograms when the collector started: the process registry's
+  /// counts are read as deltas from here.
+  std::array<metrics::HistogramSnapshot, static_cast<size_t>(trace::Stage::kStageCount)>
+      stage_before_;
 };
 
 TEST_F(TraceE2eFixture, EveryStageRecordsExactlyOnce) {

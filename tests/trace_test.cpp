@@ -145,10 +145,11 @@ TEST(Tracer, RecordRoundTripsThroughTheRing) {
 TEST(Collector, ReassemblesATreeAndFeedsStageHistograms) {
   drain_leftovers();
   Tracer::instance().configure(full_config());
-  metrics::Registry reg;
-  TraceCollector::Options opts;
-  opts.registry = &reg;
-  TraceCollector collector(opts);
+  TraceCollector collector;
+  metrics::HistogramSnapshot decode_before =
+      collector.stage_histogram(Stage::kWorkerDecode)->snapshot();
+  metrics::HistogramSnapshot request_before =
+      collector.stage_histogram(Stage::kRequest)->snapshot();
 
   TraceContext ctx = Tracer::instance().begin_trace();
   ASSERT_TRUE(ctx.active());
@@ -167,25 +168,32 @@ TEST(Collector, ReassemblesATreeAndFeedsStageHistograms) {
   EXPECT_EQ(tree.duration_ns(), 500u);
   EXPECT_EQ(tree.stage_sum_ns(), 200u + 150u);
 
-  // Every span fed its stage histogram in the collector's registry.
-  metrics::Snapshot snap = reg.scrape();
-  const metrics::Sample* decode = snap.find("dpurpc_trace_stage_seconds_count",
-                                            {{"stage", "worker_decode"}});
-  ASSERT_NE(decode, nullptr);
-  EXPECT_EQ(decode->value, 1.0);
-  const metrics::Sample* req = snap.find("dpurpc_trace_stage_seconds_count",
-                                         {{"stage", "request"}});
-  ASSERT_NE(req, nullptr);
-  EXPECT_EQ(req->value, 1.0);
+  // Every span fed its stage histogram in the process registry.
+  EXPECT_EQ(collector.stage_histogram(Stage::kWorkerDecode)
+                ->snapshot()
+                .delta(decode_before)
+                .count,
+            1u);
+  EXPECT_EQ(
+      collector.stage_histogram(Stage::kRequest)->snapshot().delta(request_before).count,
+      1u);
   Tracer::instance().configure(TraceConfig{});
 }
 
 TEST(Collector, TailSamplingKeepsSlowTraces) {
   drain_leftovers();
   Tracer::instance().configure(full_config());
-  metrics::Registry reg;
+  // An earlier collector's 10 ms history shares the registry's request
+  // histogram; it must not raise this collector's tail-keep bar.
+  {
+    TraceCollector earlier;
+    for (int i = 0; i < 50; ++i) {
+      TraceContext ctx = Tracer::instance().begin_trace();
+      Tracer::instance().record_root(ctx, 1000, 10'001'000);
+      earlier.collect();
+    }
+  }
   TraceCollector::Options opts;
-  opts.registry = &reg;
   opts.tail_keep_every = 0;  // isolate the latency criterion
   TraceCollector collector(opts);
 
@@ -211,9 +219,7 @@ TEST(Collector, TailSamplingKeepsSlowTraces) {
 TEST(Collector, RootlessTracesAgeOutAsOrphans) {
   drain_leftovers();
   Tracer::instance().configure(full_config());
-  metrics::Registry reg;
   TraceCollector::Options opts;
-  opts.registry = &reg;
   opts.orphan_max_age = 2;
   TraceCollector collector(opts);
 
@@ -236,10 +242,7 @@ TEST(Collector, RootlessTracesAgeOutAsOrphans) {
 TEST(Collector, GlobalEventsLandOnTheSideTrack) {
   drain_leftovers();
   Tracer::instance().configure(full_config());
-  metrics::Registry reg;
-  TraceCollector::Options opts;
-  opts.registry = &reg;
-  TraceCollector collector(opts);
+  TraceCollector collector;
   Tracer::instance().record_global(Stage::kSimverbsWrite, 100, 900, 4096);
   collector.collect();
   ASSERT_EQ(collector.global_events().size(), 1u);
@@ -265,15 +268,14 @@ TEST(Collector, MirrorsRingDropsIntoTheRegistry) {
   t.join();
   EXPECT_GE(Tracer::instance().dropped_total() - drops_before, 16u);
 
-  metrics::Registry reg;
-  TraceCollector::Options opts;
-  opts.registry = &reg;
-  TraceCollector collector(opts);
+  // The process counter mirrors the Tracer's cumulative drop total, however
+  // many collectors have come and gone.
+  TraceCollector collector;
   collector.collect();
-  metrics::Snapshot snap = reg.scrape();
+  metrics::Snapshot snap = metrics::default_registry().scrape();
   const metrics::Sample* dropped = snap.find("dpurpc_trace_ring_dropped_total");
   ASSERT_NE(dropped, nullptr);
-  EXPECT_GE(dropped->value, 16.0);
+  EXPECT_EQ(dropped->value, static_cast<double>(Tracer::instance().dropped_total()));
   Tracer::instance().configure(TraceConfig{});
   drain_leftovers();
 }

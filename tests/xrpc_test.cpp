@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "metrics/metrics.hpp"
 #include "xrpc/channel.hpp"
 #include "xrpc/server.hpp"
 
@@ -247,28 +248,34 @@ TEST(Xrpc, AsyncCallbackRunsOffCallerThread) {
   EXPECT_TRUE(checked.load());
 }
 
-// The paper's monitoring pull, over the real transport: a server started
-// with a registry answers kMetricsMethod itself with the text exposition.
+// The paper's monitoring pull, over the real transport: every server
+// answers kMetricsMethod itself with the process registry's exposition.
 TEST(Xrpc, MetricsScrapeEndpoint) {
-  metrics::Registry reg;
-  reg.counter_family("xrpc_scrape_demo_total", "scrape test counter")
-      .counter()
-      .inc(3);
-  reg.histogram_family("xrpc_scrape_demo_seconds", "scrape test histogram",
-                       {0.001, 0.01, 0.1})
-      .histogram()
-      .observe(0.005);
+  metrics::Counter& counter =
+      metrics::default_registry()
+          .counter_family("xrpc_scrape_demo_total", "scrape test counter")
+          .counter();
+  counter.inc(3);
+  metrics::Histogram& hist =
+      metrics::default_registry()
+          .histogram_family("xrpc_scrape_demo_seconds", "scrape test histogram",
+                            {0.001, 0.01, 0.1})
+          .histogram();
+  hist.observe(0.005);
   auto server = Server::start(
-      CallHandler([](CallContext ctx) { ctx.respond(Code::kNotFound, {}); }),
-      &reg);
+      CallHandler([](CallContext ctx) { ctx.respond(Code::kNotFound, {}); }));
   ASSERT_TRUE(server.is_ok()) << server.status().to_string();
   auto chan = Channel::connect((*server)->port());
   ASSERT_TRUE(chan.is_ok()) << chan.status().to_string();
   auto resp = (*chan)->call(std::string(kMetricsMethod), {});
   ASSERT_TRUE(resp.is_ok()) << resp.status().to_string();
   std::string text(as_string_view(ByteSpan(*resp)));
-  EXPECT_NE(text.find("xrpc_scrape_demo_total 3"), std::string::npos) << text;
-  EXPECT_NE(text.find("xrpc_scrape_demo_seconds_count 1"), std::string::npos);
+  EXPECT_NE(text.find("xrpc_scrape_demo_total " + std::to_string(counter.value())),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("xrpc_scrape_demo_seconds_count " +
+                      std::to_string(hist.total_count())),
+            std::string::npos);
   EXPECT_NE(text.find("xrpc_scrape_demo_seconds_p95"), std::string::npos);
   // The built-in endpoint never reaches the dispatch (which would have
   // answered kNotFound).
@@ -385,15 +392,6 @@ TEST(XrpcStream, AbortReachesServer) {
   // finish() after abort reports the abort, not a hang.
   auto resp = (*stream)->finish(2000);
   EXPECT_FALSE(resp.is_ok());
-}
-
-// Without a registry, the scrape method is just another dispatched call.
-TEST(Xrpc, MetricsScrapeAbsentWithoutRegistry) {
-  auto server = echo_server();
-  auto chan = Channel::connect(server->port());
-  ASSERT_TRUE(chan.is_ok());
-  auto resp = (*chan)->call(std::string(kMetricsMethod), {});
-  EXPECT_FALSE(resp.is_ok());  // echo_server dispatch answers kNotFound
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 # Tier-1 verify, three times over the same test suite:
 #
 #   1. plain        — RelWithDebInfo, the perf-shaped build the benches use.
+#                     ctest runs each TEST in its own process, so the
+#                     binaries that share the process metrics registry
+#                     also run once unfiltered, every TEST in one process:
+#                     a test that reads an absolute count instead of a
+#                     delta fails there.
 #   2. asan         — address+undefined sanitizers, plus DPURPC_LOCKDEP=ON:
 #                     the deserializer works on raw arena bytes and does
 #                     unaligned word probes, so this pass catches the
@@ -59,7 +64,7 @@ while [ $# -gt 0 ]; do
     --pass) pass="$2"; shift 2 ;;
     --pass=*) pass="${1#--pass=}"; shift ;;
     -h|--help)
-      sed -n '2,51p' "$0"; exit 0 ;;
+      sed -n '2,56p' "$0"; exit 0 ;;
     -*)
       echo "ci: unknown flag $1 (see --help)" >&2; exit 64 ;;
     *)
@@ -98,7 +103,17 @@ run_pass() {
   ctest --test-dir "$dir" --output-on-failure -j "$jobs"
 }
 
-pass_plain() { run_pass "$prefix-plain"; }
+# Test binaries whose TESTs share the process metrics registry.
+registry_binaries="metrics_test trace_test flight_recorder_test xrpc_test rdmarpc_test"
+
+pass_plain() {
+  run_pass "$prefix-plain"
+  local name
+  for name in $registry_binaries; do
+    echo "=== $name (one process)" >&2
+    "$prefix-plain/tests/$name" --gtest_brief=1
+  done
+}
 pass_asan()  { run_pass "$prefix-asan" -DDPURPC_SANITIZE=address,undefined -DDPURPC_LOCKDEP=ON; }
 pass_tsan()  { run_pass "$prefix-tsan" -DDPURPC_SANITIZE=thread -DDPURPC_BUILD_BENCH=OFF; }
 pass_lint() {

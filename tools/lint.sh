@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
-# Static lint wall, two layers:
+# Static lint wall: one grep, then two layers:
 #
+#   0. One metrics registry: every layer registers in
+#      metrics::default_registry(), so no header under src/ other than
+#      src/metrics/metrics.hpp may name metrics::Registry — a Registry*
+#      parameter, field or option coming back fails here.
 #   1. dpulint (tools/dpulint) — the project-specific checker that proves
 #      the datapath invariants: hot-path allocation/lock freedom,
 #      DESIGN.md lock-order sync, the relaxed-atomics whitelist, and
@@ -34,6 +38,14 @@ if [ ! -f "$build_dir/compile_commands.json" ]; then
 fi
 
 jobs="$(nproc 2>/dev/null || echo 4)"
+
+# ------------------------------------------------- 0. one metrics registry
+
+if grep -rn --include='*.hpp' 'metrics::Registry' src | grep -v '^src/metrics/metrics\.hpp:'; then
+  echo "lint: a header above names metrics::Registry; components register in" >&2
+  echo "lint: metrics::default_registry() instead of taking a registry" >&2
+  exit 1
+fi
 
 # ----------------------------------------------------------- 1. dpulint
 
