@@ -3,18 +3,22 @@
 //
 // Fig. 8 measures the request direction (deserialize offload); this
 // harness closes the loop for the repo's §III.A response extension
-// (DESIGN.md §3.16). The server echoes the request object back, and the
-// response codec moves with the offload switch:
+// (DESIGN.md §3.16). The server echoes the request object back, and each
+// codec leg sits on the host or the DPU by mode:
 //
-//   host mode   — the host deserializes the request AND serializes the
-//                 echoed response (classic CPU datapath).
+//   host mode    — the host deserializes the request AND serializes the
+//                  echoed response (classic CPU datapath).
+//   request mode — the paper's implemented scope (§III.A): the DPU
+//                  decodes the request, the host serializes the reply
+//                  from the in-place request object.
 //   offload mode — the DPU decodes the request, the host handler is a
-//                 memcpy + relocation walk into the response block, and
-//                 the DPU-side completion serializes the returned object
-//                 (the CodecPool encode descriptor in the proxy datapath).
+//                  memcpy + relocation walk into the response block, and
+//                  the DPU-side completion serializes the returned object
+//                  (the CodecPool encode descriptor in the proxy datapath).
 //
 // Headline metric: host thread-CPU ns per request, and its reduction
-// host(host mode) / host(offload mode). Acceptance: >= 1.5x on the Ints
+// host(host mode) / host(offload mode); host(host mode) / host(request
+// mode) is what request offload alone saves. Acceptance: >= 1.5x on the Ints
 // shapes (x512, x4096), where varint-heavy serialize dominates the
 // handler cost. The gate is skipped under DPURPC_BENCH_SMOKE because
 // smoke iteration counts make the ratio noisy.
@@ -55,6 +59,9 @@ struct Shape {
   uint64_t requests;
 };
 
+enum class Mode { kHost, kRequest, kOffload };
+constexpr const char* kModeNames[] = {"host", "request", "offload"};
+
 struct Result {
   uint64_t requests = 0;
   double host_ns = 0;       ///< host-side thread-CPU total
@@ -63,31 +70,50 @@ struct Result {
   double dpu_codec_ns = 0;  ///< of which decode + serialize on the DPU
 };
 
-// Offline unit cost of request deserialize + response serialize for one
-// message, bulk-measured so clock overhead amortizes (same method as
-// fig8_datapath). Both sides of the comparison run the same compiled
-// codec; only its *placement* differs.
-double measure_codec_unit_ns(BenchEnv& env, const Shape& s) {
+/// Offline unit costs of one message's request deserialize and response
+/// serialize.
+struct CodecUnit {
+  double decode_ns = 0;
+  double encode_ns = 0;
+};
+
+// Bulk-measured so clock overhead amortizes (same method as
+// fig8_datapath). Every mode runs the same compiled codec; only its
+// *placement* differs.
+CodecUnit measure_codec_unit_ns(BenchEnv& env, const Shape& s) {
   arena::OwningArena arena(1 << 21);
   adt::ObjectSerializer ser(&env.adt);
   Bytes out;
   constexpr int kIters = 3000;
+  CodecUnit unit;
+  {
+    ThreadCpuTimer t;
+    for (int i = 0; i < kIters; ++i) {
+      arena.reset();
+      auto obj = env.deserializer->deserialize(s.class_index, ByteSpan(s.wire),
+                                               arena, {});
+      if (!obj.is_ok()) std::abort();
+      benchmark_keep(*obj);
+    }
+    unit.decode_ns = static_cast<double>(t.elapsed_ns()) / kIters;
+  }
+  arena.reset();
+  auto obj = env.deserializer->deserialize(s.class_index, ByteSpan(s.wire), arena, {});
+  if (!obj.is_ok()) std::abort();
   ThreadCpuTimer t;
   for (int i = 0; i < kIters; ++i) {
-    arena.reset();
-    auto obj = env.deserializer->deserialize(s.class_index, ByteSpan(s.wire),
-                                             arena, {});
-    if (!obj.is_ok()) std::abort();
     out.clear();
     if (!ser.serialize(adt::ObjectRef(s.class_index, *obj), out).is_ok()) {
       std::abort();
     }
     benchmark_keep(out.data());
   }
-  return static_cast<double>(t.elapsed_ns()) / kIters;
+  unit.encode_ns = static_cast<double>(t.elapsed_ns()) / kIters;
+  return unit;
 }
 
-Result run_shape(BenchEnv& env, const Shape& s, bool offload) {
+Result run_shape(BenchEnv& env, const Shape& s, Mode mode) {
+  const bool dpu_decode = mode != Mode::kHost;
   simverbs::ProtectionDomain dpu_pd("dpu"), host_pd("host");
   // The echoed x4096 object needs a single-message response block larger
   // than the 8 KiB default; size the response buffers so a full burst of
@@ -106,7 +132,7 @@ Result run_shape(BenchEnv& env, const Shape& s, bool offload) {
   arena::OwningArena host_scratch(1 << 21);
   Bytes host_wire, dpu_wire;
 
-  if (offload) {
+  if (mode == Mode::kOffload) {
     // Host business logic: echo the request object into the response
     // block — memcpy plus the relocation walk, zero codec work.
     server.register_inplace_handler(
@@ -130,6 +156,14 @@ Result run_shape(BenchEnv& env, const Shape& s, bool offload) {
           *class_index = static_cast<uint16_t>(s.class_index);
           return Status::ok();
         });
+  } else if (mode == Mode::kRequest) {
+    // The DPU decoded the request in place; the host serializes the echo
+    // straight from that object.
+    server.register_handler(
+        kMethod, [&](const rdmarpc::RequestView& req, Bytes& out) {
+          out.clear();
+          return ser.serialize(adt::ObjectRef(s.class_index, req.object), out);
+        });
   } else {
     // Classic datapath: the host runs both codec legs.
     server.register_handler(
@@ -147,8 +181,8 @@ Result run_shape(BenchEnv& env, const Shape& s, bool offload) {
   auto on_response = [&](const Status& st, const rdmarpc::InMessage& resp) {
     ++completed;
     if (!st.is_ok()) {
-      std::fprintf(stderr, "fig10: response error (%s, offload=%d): code=%d %s\n",
-                   s.name, offload ? 1 : 0, static_cast<int>(st.code()),
+      std::fprintf(stderr, "fig10: response error (%s, %s mode): code=%d %s\n",
+                   s.name, kModeNames[static_cast<int>(mode)], static_cast<int>(st.code()),
                    st.message().c_str());
       std::abort();
     }
@@ -170,7 +204,7 @@ Result run_shape(BenchEnv& env, const Shape& s, bool offload) {
   };
   auto enqueue_one = [&]() -> bool {
     Status st;
-    if (offload) {
+    if (dpu_decode) {
       st = client.call_inplace(
           kMethod, static_cast<uint16_t>(s.class_index),
           static_cast<uint32_t>(s.wire.size() * 4 + 256),
@@ -216,14 +250,13 @@ Result run_shape(BenchEnv& env, const Shape& s, bool offload) {
   }
   res.requests = completed;
 
-  const double unit = measure_codec_unit_ns(env, s);
-  if (offload) {
-    res.dpu_codec_ns = unit * static_cast<double>(completed);
-    res.host_codec_ns = 0;  // the host never touches wire bytes
-  } else {
-    res.host_codec_ns = unit * static_cast<double>(completed);
-    res.dpu_codec_ns = 0;
-  }
+  // Charge each codec leg to the side that ran it. In offload mode the
+  // host never touches wire bytes.
+  const CodecUnit unit = measure_codec_unit_ns(env, s);
+  const double n = static_cast<double>(completed);
+  const double decode = unit.decode_ns * n, encode = unit.encode_ns * n;
+  res.dpu_codec_ns = (dpu_decode ? decode : 0) + (mode == Mode::kOffload ? encode : 0);
+  res.host_codec_ns = decode + encode - res.dpu_codec_ns;
   return res;
 }
 
@@ -257,44 +290,55 @@ int main(int argc, char** argv) {
   std::printf("Fig. 10 — response-path serialize offload (round trip, echoed "
               "responses)\n");
   std::printf("host mode: host runs request deserialize + response serialize.\n");
+  std::printf("request mode: DPU decodes; host serializes the reply.\n");
   std::printf("offload mode: DPU decodes and serializes; the host handler is a\n");
   std::printf("memcpy + relocation walk (DESIGN.md §3.16).\n\n");
 
   std::printf("%-12s %-8s %13s %15s %14s %16s\n", "message", "side",
               "host ns/req", "hostCodec ns/r", "dpuCodec ns/r",
               "dpuCodec scaled");
-  Result rt_off[kShapes], rt_host[kShapes];
-  double reduction[kShapes];
+  constexpr Mode kModes[] = {Mode::kOffload, Mode::kRequest, Mode::kHost};
+  // Per shape, per mode (indexed by Mode): per-request costs.
+  struct PerReq {
+    uint64_t requests = 0;
+    double host = 0, host_codec = 0, dpu_codec = 0;
+  };
+  PerReq rt[kShapes][3];
+  double reduction[kShapes], request_reduction[kShapes];
   dpu::CostModel cost;
   for (int i = 0; i < kShapes; ++i) {
     const Shape& s = shapes[i];
     // Warmup pass (small) to stabilize caches/branch predictors.
     Shape warm = s;
     warm.requests = std::max<uint64_t>(200, s.requests / 20);
-    (void)run_shape(env, warm, true);
-    (void)run_shape(env, warm, false);
+    for (Mode m : kModes) (void)run_shape(env, warm, m);
 
-    rt_off[i] = run_shape(env, s, /*offload=*/true);
-    rt_host[i] = run_shape(env, s, /*offload=*/false);
-    const double no = static_cast<double>(rt_off[i].requests);
-    const double nh = static_cast<double>(rt_host[i].requests);
-    // What the codec leg costs once it lands on the (slower) DPU cores —
-    // the price paid for freeing the host, per the calibrated model.
-    const double scaled =
-        cost.scale_ns(dpu::Processor::kDpu, s.dpu_class,
-                      rt_off[i].dpu_codec_ns / no);
-    std::printf("%-12s %-8s %13.0f %15.1f %14.1f %16.1f\n", s.name, "offload",
-                rt_off[i].host_ns / no, rt_off[i].host_codec_ns / no,
-                rt_off[i].dpu_codec_ns / no, scaled);
-    std::printf("%-12s %-8s %13.0f %15.1f %14.1f %16s\n", s.name, "host",
-                rt_host[i].host_ns / nh, rt_host[i].host_codec_ns / nh,
-                rt_host[i].dpu_codec_ns / nh, "-");
-    reduction[i] = (rt_host[i].host_ns / nh) / (rt_off[i].host_ns / no);
+    for (Mode m : kModes) {
+      Result r = run_shape(env, s, m);
+      const double n = static_cast<double>(r.requests);
+      PerReq& p = rt[i][static_cast<int>(m)];
+      p = {r.requests, r.host_ns / n, r.host_codec_ns / n, r.dpu_codec_ns / n};
+      // What the codec leg costs once it lands on the (slower) DPU cores —
+      // the price paid for freeing the host, per the calibrated model.
+      char scaled[32] = "-";
+      if (m != Mode::kHost) {
+        std::snprintf(scaled, sizeof scaled, "%.1f",
+                      cost.scale_ns(dpu::Processor::kDpu, s.dpu_class, p.dpu_codec));
+      }
+      std::printf("%-12s %-8s %13.0f %15.1f %14.1f %16s\n", s.name,
+                  kModeNames[static_cast<int>(m)], p.host, p.host_codec, p.dpu_codec,
+                  scaled);
+    }
+    const double host = rt[i][static_cast<int>(Mode::kHost)].host;
+    reduction[i] = host / rt[i][static_cast<int>(Mode::kOffload)].host;
+    request_reduction[i] = host / rt[i][static_cast<int>(Mode::kRequest)].host;
   }
 
-  std::printf("\nHost-cycles-per-request reduction (host mode / offload mode):\n");
+  std::printf("\nHost-cycles-per-request reduction vs host mode "
+              "(request mode / offload mode):\n");
   for (int i = 0; i < kShapes; ++i) {
-    std::printf("  %-12s %.2fx\n", shapes[i].name, reduction[i]);
+    std::printf("  %-12s %.2fx / %.2fx\n", shapes[i].name, request_reduction[i],
+                reduction[i]);
   }
 
   // Acceptance: the varint-heavy Ints shapes must shed at least 1.5x of
@@ -322,18 +366,21 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "{\n  \"benchmark\": \"fig10_roundtrip\",\n  \"shapes\": [\n");
     for (int i = 0; i < kShapes; ++i) {
-      const double no = static_cast<double>(rt_off[i].requests);
-      const double nh = static_cast<double>(rt_host[i].requests);
+      const PerReq& off = rt[i][static_cast<int>(Mode::kOffload)];
+      const PerReq& req = rt[i][static_cast<int>(Mode::kRequest)];
+      const PerReq& host = rt[i][static_cast<int>(Mode::kHost)];
       std::fprintf(f,
                    "    {\"message\": \"%s\", \"requests\": %" PRIu64
                    ", \"offload\": {\"host_ns_req\": %.1f, "
                    "\"host_codec_ns_req\": %.1f, \"dpu_codec_ns_req\": %.1f}, "
+                   "\"request\": {\"host_ns_req\": %.1f, "
+                   "\"host_codec_ns_req\": %.1f, \"dpu_codec_ns_req\": %.1f}, "
                    "\"host\": {\"host_ns_req\": %.1f, \"host_codec_ns_req\": "
-                   "%.1f}, \"host_reduction\": %.3f}%s\n",
-                   shapes[i].name, rt_off[i].requests,
-                   rt_off[i].host_ns / no, rt_off[i].host_codec_ns / no,
-                   rt_off[i].dpu_codec_ns / no, rt_host[i].host_ns / nh,
-                   rt_host[i].host_codec_ns / nh, reduction[i],
+                   "%.1f}, \"host_reduction\": %.3f, "
+                   "\"request_host_reduction\": %.3f}%s\n",
+                   shapes[i].name, off.requests, off.host, off.host_codec,
+                   off.dpu_codec, req.host, req.host_codec, req.dpu_codec, host.host,
+                   host.host_codec, reduction[i], request_reduction[i],
                    i < kShapes - 1 ? "," : "");
     }
     std::fprintf(f,

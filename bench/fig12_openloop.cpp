@@ -4,45 +4,52 @@
 //
 // A closed-loop bench self-paces — a slow system makes the bench issue
 // fewer requests — so it can never show the latency-vs-offered-load
-// knee. This harness drives src/loadgen's open-loop generator instead:
-// arrivals fire on a Poisson (or bursty on-off MMPP) schedule independent
-// of completions, latency is charged from the *scheduled* arrival (no
-// coordinated omission), and arrivals the datapath cannot absorb count as
-// drops. The sweep calibrates the saturation rate closed-loop, then walks
-// offered load from 10% to 150% of it, printing p50/p95/p99 per point and
-// the detected knee — the first point whose p99 blows past a multiple of
-// the unloaded p99 or which sheds a meaningful share of its arrivals.
+// knee. This harness drives perfbench's deployment and open-loop traffic
+// (perfbench/src/deployment.* and traffic.*, compiled in as they are):
+// Poisson arrivals fire independent of completions, latency is charged
+// from the *scheduled* arrival (no coordinated omission), percentiles
+// come from raw per-call samples (median over 0.5 s slices), every reply
+// is compared byte for byte with the reply its request must get, and
+// arrivals the datapath cannot absorb count as drops. The ladder is a
+// pinned list of absolute rates; each rung runs one open-loop phase on a
+// fresh client connection, and the knee is the first rung whose p99 blows
+// past a multiple of the lightest rung's p99 or which sheds a meaningful
+// share of its arrivals.
 //
-// Workload: the paper's three synthetic messages mixed per request
-// (Small 60%, x512 Ints 30%, x8000 Chars 10%), each a real unary call
-// through the proxy's offloaded decode and DPU-side response serialize.
-// --background-stream additionally runs a continuous streaming bulk
-// transfer through the same proxy during every point, so the unary tail
-// is measured while the chunked-decode pipeline competes for the pool.
+// Workload: perfbench mix_stream's shape, extended into a ladder. The
+// paper's three synthetic messages are mixed per request (Small 60%,
+// x512 Ints 30%, x8000 Chars 10%), each a real unary call through the
+// proxy's offloaded decode and DPU-side response serialize, while
+// perfbench's continuous bulk stream runs through the same proxy during
+// every rung, so the unary tail is measured while the chunked-decode
+// pipeline competes for the pool. --unary-only drops the stream; that
+// curve is flatter, and on a 4-vCPU host it may not reach its knee below
+// the top rung (a full run then fails the knee gate).
 //
 // --knee-forensics explains the knee instead of just locating it. The
 // sweep runs under sampled tracing with a live collector, and per-stage
-// share-of-e2e is attributed at every ladder point from the stage
-// histogram deltas — which stage's share *grows* toward the knee is the
-// bottleneck. Then the knee point is re-run with the flight recorder
-// armed (latency / drop / timeout / credit-stall triggers), the resource
-// sampler snapshotting lane rings, worker busy fractions, rdma credits
-// and stream holds, and full tracing on: --trace-out gets a Perfetto
+// share-of-e2e is attributed at every rung from the stage histogram
+// deltas — which stage's share *grows* toward the knee is the
+// bottleneck. Then the knee rung is re-run with the flight recorder
+// armed (latency and credit-stall triggers), the resource sampler
+// snapshotting lane rings, worker busy fractions, rdma credits and
+// stream holds, and full tracing on: --trace-out gets a Perfetto
 // timeline with span tracks tiled over the resource counter tracks, and
 // --exemplars-out gets the captured tail-exemplar dump.
 //
-// In-bench acceptance gates (exit 3 on violation, full runs only):
+// Exit 3 when any unary call or bulk stream got an error or a wrong
+// reply (every run, smoke included), or when a gate fails. Gates (full
+// runs only):
 //   - the curve has >= 5 points and the unloaded (lightest) p99 is finite;
-//   - the knee is detected strictly below the heaviest point — the sweep
+//   - the knee is detected strictly below the heaviest rung — the sweep
 //     must actually reach saturation, or the curve is meaningless;
 //   - with --knee-forensics: the timeline carries >= 4 counter tracks
 //     (>= 2 samples each), at least one captured exemplar's stage spans
 //     tile its end-to-end time (sum/e2e in [0.5, 1.05]), the dominant
-//     stage's share strictly grows from the unloaded point to the knee,
+//     stage's share strictly grows from the unloaded rung to the knee,
 //     and the re-run loses nothing (no orphaned traces, no ring drops).
 //
-// Usage: fig12_openloop [--quick] [--json <path>] [--bursty]
-//                       [--background-stream] [--points N]
+// Usage: fig12_openloop [--quick] [--json <path>] [--unary-only]
 //                       [--knee-forensics] [--forensics-json <path>]
 //                       [--trace-out <path>] [--exemplars-out <path>]
 #include <algorithm>
@@ -53,265 +60,98 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "common/cpu_timer.hpp"
-#include "grpccompat/dpu_proxy.hpp"
-#include "grpccompat/host_service.hpp"
-#include "grpccompat/manifest.hpp"
-#include "loadgen/sweep.hpp"
+#include "deployment.hpp"
 #include "metrics/metrics.hpp"
-#include "proto/schema_parser.hpp"
 #include "trace/collector.hpp"
 #include "trace/flight_recorder.hpp"
 #include "trace/resource_sampler.hpp"
 #include "trace/trace.hpp"
-#include "xrpc/channel.hpp"
+#include "traffic.hpp"
 
 namespace {
 
 using namespace dpurpc;
+using perfbench::Outcomes;
+using perfbench::PhaseResult;
+using perfbench::PhaseSpec;
 
-// The paper's three synthetic unary shapes plus a bulk-stream method for
-// the optional background flow. `Ack` keeps responses small so the tail
-// under load is queueing, not response serialization.
-constexpr std::string_view kSchema = R"(
-syntax = "proto3";
-package ol;
-message Small { int32 id = 1; bool flag = 2; float score = 3; uint64 stamp = 4; }
-message IntArray { repeated uint32 values = 1; }
-message CharArray { string data = 1; }
-message Row { uint64 row_id = 1; bytes cells = 2; }
-message Ack { uint64 stamp = 1; }
-service OpenLoop {
-  rpc Tiny (Small) returns (Ack);
-  rpc Ints (IntArray) returns (Ack);
-  rpc Chars (CharArray) returns (Ack);
-  rpc Bulk (Row) returns (Ack);
-}
-)";
+/// Offered load per rung, rps. 3000 and 6000 are perfbench mix_stream's
+/// pinned light and load rates. On a 4-vCPU host the generator keeps its
+/// schedule (lateness p99 in the tens of µs) up to the top rung.
+constexpr double kLadder[] = {1500, 3000, 6000, 12000, 24000, 36000, 48000, 72000, 96000};
+/// Smoke: every other rung, still five points from 1.5k rps to the top rung.
+constexpr double kQuickLadder[] = {1500, 6000, 24000, 48000, 96000};
+/// Knee: the first rung whose p99 exceeds this multiple of the lightest
+/// rung's p99 …
+constexpr double kKneeFactor = 3.0;
+/// … or which loses more than this share of attempted calls to drops and
+/// timeouts.
+constexpr double kShedFraction = 0.01;
+constexpr perfbench::Mix kMix = {0.6, 0.3, 0.1};
+constexpr uint64_t kSeed = kDefaultSeed;
 
-struct MixEntry {
-  const char* name;
-  const char* method;
-  double weight;
-  Bytes wire;
-};
+double us(double ns) { return ns / 1000.0; }
 
-struct Deployment {
-  proto::DescriptorPool pool;
-  std::unique_ptr<grpccompat::OffloadManifest> manifest;
-  std::unique_ptr<simverbs::ProtectionDomain> dpu_pd, host_pd;
-  std::unique_ptr<rdmarpc::Connection> dpu_conn, host_conn;
-  std::unique_ptr<grpccompat::HostEngine> host;
-  std::unique_ptr<grpccompat::DpuProxy> proxy;
-  std::thread host_thread;
-  std::atomic<bool> stop{false};
-  uint16_t port = 0;
+struct Rung {
+  std::string label;  ///< "3000rps": bench JSON row identity
+  double rate_rps = 0;
+  PhaseResult run;
+  double p50_us = 0, p95_us = 0, p99_us = 0, lateness_p99_us = 0;
 
-  ~Deployment() {
-    if (proxy) proxy->stop();
-    stop.store(true);
-    if (host_conn) host_conn->interrupt();
-    if (host_thread.joinable()) host_thread.join();
+  double shed() const {
+    const Outcomes& o = run.outcomes;
+    return o.attempted == 0 ? 0.0
+                            : static_cast<double>(o.drops + o.timeouts) /
+                                  static_cast<double>(o.attempted);
+  }
+  double achieved_rps() const {
+    return run.measure_s > 0 ? static_cast<double>(run.ok_calls) / run.measure_s : 0.0;
   }
 };
 
-bool setup(Deployment& d) {
-  proto::SchemaParser parser(d.pool);
-  if (!parser.parse_and_link(kSchema).is_ok()) return false;
-  auto built = grpccompat::OffloadManifest::build(d.pool,
-                                                  arena::StdLibFlavor::kLibstdcpp);
-  if (!built.is_ok()) return false;
-  d.manifest = std::make_unique<grpccompat::OffloadManifest>(std::move(*built));
-
-  d.dpu_pd = std::make_unique<simverbs::ProtectionDomain>("dpu");
-  d.host_pd = std::make_unique<simverbs::ProtectionDomain>("host");
-  d.dpu_conn = std::make_unique<rdmarpc::Connection>(rdmarpc::Role::kClient,
-                                                     d.dpu_pd.get(),
-                                                     rdmarpc::ConnectionConfig{});
-  d.host_conn = std::make_unique<rdmarpc::Connection>(rdmarpc::Role::kServer,
-                                                      d.host_pd.get(),
-                                                      rdmarpc::ConnectionConfig{});
-  if (!rdmarpc::Connection::connect(*d.dpu_conn, *d.host_conn).is_ok()) {
-    return false;
-  }
-  d.host = std::make_unique<grpccompat::HostEngine>(d.host_conn.get(),
-                                                    d.manifest.get(), &d.pool);
-
-  // Handlers: object-response flavor, so the DPU serializes the Ack and
-  // the host performs zero codec work in either direction — the offload
-  // configuration whose tail the figure characterizes. Business logic is a
-  // single field read, per the paper's empty-logic scenarios.
-  auto ack_stamp = [](const grpccompat::ServerContext&,
-                      const adt::LayoutView& req,
-                      adt::LayoutBuilder& resp) {
-    return resp.set_uint64(1, req.get_uint64(4));
-  };
-  if (!d.host->register_unary_object("ol.OpenLoop/Tiny", ack_stamp).is_ok()) {
-    return false;
-  }
-  if (!d.host
-           ->register_unary_object(
-               "ol.OpenLoop/Ints",
-               [](const grpccompat::ServerContext&, const adt::LayoutView& req,
-                  adt::LayoutBuilder& resp) {
-                 return resp.set_uint64(1, req.repeated_size(1));
-               })
-           .is_ok()) {
-    return false;
-  }
-  if (!d.host
-           ->register_unary_object(
-               "ol.OpenLoop/Chars",
-               [](const grpccompat::ServerContext&, const adt::LayoutView& req,
-                  adt::LayoutBuilder& resp) {
-                 return resp.set_uint64(1, req.get_string(1).size());
-               })
-           .is_ok()) {
-    return false;
-  }
-  // Background bulk-transfer sink: count bytes, ack with the total.
-  if (!d.host
-           ->register_stream(
-               "ol.OpenLoop/Bulk",
-               [&d](const grpccompat::ServerContext&, uint32_t, ByteSpan chunk,
-                    bool end, Bytes& final_response) -> Status {
-                 static thread_local uint64_t bytes = 0;
-                 if (end) {
-                   const auto* ack = d.pool.find_message("ol.Ack");
-                   proto::DynamicMessage m(ack);
-                   m.set_uint64(ack->field_by_name("stamp"), bytes);
-                   final_response = proto::WireCodec::serialize(m);
-                   bytes = 0;
-                   return Status::ok();
-                 }
-                 bytes += chunk.size();
-                 return Status::ok();
-               })
-           .is_ok()) {
-    return false;
-  }
-
-  d.host_thread = std::thread([&d] {
-    while (!d.stop.load(std::memory_order_relaxed)) {
-      auto n = d.host->event_loop_once();
-      if (!n.is_ok()) return;
-      if (*n == 0) d.host->wait(1);
-    }
-  });
-
-  d.proxy = std::make_unique<grpccompat::DpuProxy>(d.dpu_conn.get(),
-                                                   d.manifest.get());
-  auto port = d.proxy->start();
-  if (!port.is_ok()) return false;
-  d.port = *port;
-  return true;
+Rung make_rung(double rate_rps, PhaseResult run) {
+  Rung r;
+  r.label = std::to_string(static_cast<uint64_t>(rate_rps)) + "rps";
+  r.rate_rps = rate_rps;
+  r.run = std::move(run);
+  r.p50_us = us(perfbench::slice_median_latency(r.run, 0.50));
+  r.p95_us = us(perfbench::slice_median_latency(r.run, 0.95));
+  r.p99_us = us(perfbench::slice_median_latency(r.run, 0.99));
+  r.lateness_p99_us = us(perfbench::slice_median_lateness(r.run, 0.99));
+  return r;
 }
 
-// The paper's synthetic request wires, built against the ol.* schema.
-std::vector<MixEntry> make_mix(const proto::DescriptorPool& pool) {
-  std::mt19937_64 rng(kDefaultSeed);
-  std::vector<MixEntry> mix;
-
-  const auto* small = pool.find_message("ol.Small");
-  proto::DynamicMessage s(small);
-  s.set_int64(small->field_by_name("id"), 4711);
-  s.set_uint64(small->field_by_name("flag"), 1);
-  s.set_float(small->field_by_name("score"), 1.5f);
-  s.set_uint64(small->field_by_name("stamp"), 99);
-  mix.push_back({"Small", "ol.OpenLoop/Tiny", 0.6,
-                 proto::WireCodec::serialize(s)});
-
-  const auto* ints = pool.find_message("ol.IntArray");
-  proto::DynamicMessage iv(ints);
-  SkewedVarintDistribution dist;
-  for (int i = 0; i < 512; ++i) {
-    iv.add_uint64(ints->field_by_name("values"), dist(rng));
+/// Index of the knee rung, -1 when no rung qualifies.
+int find_knee(const std::vector<Rung>& rungs) {
+  if (rungs.empty()) return -1;
+  const double unloaded = rungs.front().p99_us;
+  for (size_t i = 0; i < rungs.size(); ++i) {
+    bool tail_blown = i > 0 && unloaded > 0 && rungs[i].p99_us > kKneeFactor * unloaded;
+    // A rung that completed almost nothing has a meaningless p99; the
+    // shed share catches it.
+    if (tail_blown || rungs[i].shed() > kShedFraction) return static_cast<int>(i);
   }
-  mix.push_back({"x512 Ints", "ol.OpenLoop/Ints", 0.3,
-                 proto::WireCodec::serialize(iv)});
-
-  const auto* chars = pool.find_message("ol.CharArray");
-  proto::DynamicMessage cv(chars);
-  cv.set_string(chars->field_by_name("data"), random_ascii(rng, 8000));
-  mix.push_back({"x8000 Chars", "ol.OpenLoop/Chars", 0.1,
-                 proto::WireCodec::serialize(cv)});
-  return mix;
+  return -1;
 }
-
-// Continuous streaming bulk transfer through the same proxy: competes
-// with the unary datapath for pool workers and the host link for the
-// duration of the sweep.
-class BackgroundStream {
- public:
-  BackgroundStream(uint16_t port, const proto::DescriptorPool& pool) {
-    std::mt19937_64 rng(kDefaultSeed ^ 0xb16b00b5ull);
-    const auto* row = pool.find_message("ol.Row");
-    while (payload_.size() < 512 * 1024) {
-      proto::DynamicMessage m(row);
-      m.set_uint64(row->field_by_name("row_id"), payload_.size());
-      m.set_string(row->field_by_name("cells"),
-                   random_ascii(rng, 256 + rng() % 1024));
-      Bytes wire = proto::WireCodec::serialize(m);
-      payload_.insert(payload_.end(), wire.begin(), wire.end());
-    }
-    thread_ = std::thread([this, port] { loop(port); });
-  }
-
-  ~BackgroundStream() {
-    stop_.store(true);
-    if (thread_.joinable()) thread_.join();
-  }
-
-  uint64_t streams_completed() const { return streams_.load(); }
-
- private:
-  void loop(uint16_t port) {
-    auto chan = xrpc::Channel::connect(port);
-    if (!chan.is_ok()) return;
-    while (!stop_.load()) {
-      auto stream = (*chan)->open_stream("ol.OpenLoop/Bulk");
-      if (!stream.is_ok()) return;
-      constexpr size_t kWrite = 32 * 1024;
-      for (size_t off = 0; off < payload_.size() && !stop_.load();
-           off += kWrite) {
-        size_t n = std::min(kWrite, payload_.size() - off);
-        if (!(*stream)->write(ByteSpan(payload_.data() + off, n), 30000)
-                 .is_ok()) {
-          return;
-        }
-      }
-      if (stop_.load()) {
-        (*stream)->abort(Code::kAborted);
-        return;
-      }
-      if (!(*stream)->finish(30000).is_ok()) return;
-      streams_.fetch_add(1);
-    }
-  }
-
-  Bytes payload_;
-  std::atomic<bool> stop_{false};
-  std::atomic<uint64_t> streams_{0};
-  std::thread thread_;
-};
 
 // ------------------------------------------------------ knee forensics
 
 constexpr size_t kNumStages = static_cast<size_t>(trace::Stage::kStageCount);
 
-// Per-point attribution row: each stage's share of the end-to-end time
-// observed during that ladder point, from stage-histogram deltas.
+// Per-rung attribution row: each stage's share of the end-to-end time
+// observed during that rung, from stage-histogram deltas.
 struct StageShares {
   std::string label;
-  uint64_t e2e_count = 0;   ///< traced requests the deltas cover
-  double e2e_sum_s = 0;
+  uint64_t e2e_count = 0;  ///< traced requests the deltas cover
   std::array<double, kNumStages> share{};
 };
 
@@ -332,8 +172,7 @@ StageShares shares_between(const StageSnaps& before, const StageSnaps& after,
   constexpr size_t kRoot = static_cast<size_t>(trace::Stage::kRequest);
   metrics::HistogramSnapshot e2e = after[kRoot].delta(before[kRoot]);
   out.e2e_count = e2e.count;
-  out.e2e_sum_s = e2e.sum;
-  if (!(e2e.sum > 0)) return out;  // nothing traced at this point
+  if (!(e2e.sum > 0)) return out;  // nothing traced at this rung
   for (size_t s = 0; s < kNumStages; ++s) {
     if (s == kRoot) continue;
     out.share[s] = after[s].delta(before[s]).sum / e2e.sum;
@@ -395,35 +234,33 @@ bool write_text_file(const std::string& path, const std::string& text,
   return true;
 }
 
-void json_escape_free_run(FILE* f, const loadgen::RunResult& r) {
+void json_rung(FILE* f, const Rung& r) {
+  const Outcomes& o = r.run.outcomes;
   std::fprintf(f,
-               "\"scheduled\": %" PRIu64 ", \"launched\": %" PRIu64
-               ", \"dropped\": %" PRIu64 ", \"completed\": %" PRIu64
-               ", \"errors\": %" PRIu64 ", \"timeouts\": %" PRIu64
+               "\"attempted\": %" PRIu64 ", \"completed\": %" PRIu64
+               ", \"dropped\": %" PRIu64 ", \"timeouts\": %" PRIu64
+               ", \"errors\": %" PRIu64 ", \"wrong\": %" PRIu64
                ", \"offered_rps\": %.1f, \"achieved_rps\": %.1f, "
                "\"p50_us\": %.2f, \"p95_us\": %.2f, \"p99_us\": %.2f, "
-               "\"mean_us\": %.2f",
-               r.scheduled, r.launched, r.dropped, r.completed, r.errors,
-               r.timeouts, r.offered_rps, r.achieved_rps, r.p50_us, r.p95_us,
-               r.p99_us, r.mean_us);
+               "\"lateness_p99_us\": %.2f",
+               o.attempted, r.run.ok_calls, o.drops, o.timeouts, o.errors, o.wrong,
+               r.rate_rps, r.achieved_rps(), r.p50_us, r.p95_us, r.p99_us,
+               r.lateness_p99_us);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = bench::smoke_mode();
-  bool bursty = false;
-  bool background_stream = false;
+  bool background_stream = true;
   bool forensics = false;
   std::string json_path, forensics_json_path, trace_out_path, exemplars_path;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--quick") {
       quick = true;
-    } else if (arg == "--bursty") {
-      bursty = true;
-    } else if (arg == "--background-stream") {
-      background_stream = true;
+    } else if (arg == "--unary-only") {
+      background_stream = false;
     } else if (arg == "--knee-forensics") {
       forensics = true;
     } else if (arg == "--json" && i + 1 < argc) {
@@ -437,82 +274,66 @@ int main(int argc, char** argv) {
     }
   }
 
-  Deployment d;
-  if (!setup(d)) {
-    std::fprintf(stderr, "fig12: deployment setup failed\n");
+  perfbench::Deployment d;
+  if (Status st = d.start(); !st.is_ok()) {
+    std::fprintf(stderr, "fig12: deployment setup failed: %s\n", st.to_string().c_str());
     return 1;
   }
+  proto::DescriptorPool pool;
+  perfbench::parse_schema(pool);
+  const perfbench::Inputs in = perfbench::Inputs::make(pool, kSeed);
 
-  std::vector<MixEntry> mix = make_mix(d.pool);
-
-  loadgen::SweepConfig sc;
-  sc.process = bursty ? loadgen::ArrivalProcess::kBursty
-                      : loadgen::ArrivalProcess::kPoisson;
-  sc.mix_weights.clear();
-  for (const MixEntry& m : mix) sc.mix_weights.push_back(m.weight);
+  std::vector<double> ladder(std::begin(kLadder), std::end(kLadder));
+  PhaseSpec spec;  // full runs: 0.5 s warm-up, 2 s measured
   if (quick) {
-    // Smoke: prove the sweep calibrates, walks >= 5 points, and reports —
-    // the numbers are meaningless at these durations.
-    sc.fractions = {0.20, 0.50, 0.80, 1.00, 1.40};
-    sc.point_seconds = 0.12;
-    sc.min_requests = 40;
-    sc.max_requests = 20'000;
-    sc.calibrate_seconds = 0.15;
-    sc.timeout_ns = 500'000'000;
+    // Smoke: prove the sweep walks >= 5 rungs and reports — the numbers
+    // are meaningless at these durations.
+    ladder.assign(std::begin(kQuickLadder), std::end(kQuickLadder));
+    spec.warm_s = 0.05;
+    spec.measure_s = 0.2;
   }
 
   std::printf("Fig. 12 — open-loop tail latency vs. offered load "
-              "(%s arrivals%s)\n",
-              loadgen::arrival_process_name(sc.process),
+              "(Poisson arrivals%s)\n",
               background_stream ? ", background bulk stream" : "");
   std::printf("Mix: Small %.0f%% / x512 Ints %.0f%% / x8000 Chars %.0f%%; "
               "full xRPC->DPU->host datapath\n\n",
-              mix[0].weight * 100, mix[1].weight * 100, mix[2].weight * 100);
+              kMix[0] * 100, kMix[1] * 100, kMix[2] * 100);
 
-  // Channels are rebuilt per sweep phase so a saturated point's overload
-  // queue cannot bleed into the next; completed phases' channels stay
-  // alive until exit so straggler completions land on live sockets.
-  std::vector<std::shared_ptr<xrpc::Channel>> channels;
-  std::unique_ptr<BackgroundStream> bg;
+  std::unique_ptr<perfbench::BulkStream> bg;
   if (background_stream) {
-    bg = std::make_unique<BackgroundStream>(d.port, d.pool);
+    bg = std::make_unique<perfbench::BulkStream>(
+        d.port(), in, perfbench::Inputs::ack_wire(pool, in.stream_payload.size()));
   }
-
-  auto factory = [&](int point) -> loadgen::SubmitFn {
-    auto chan = xrpc::Channel::connect(d.port);
-    if (!chan.is_ok()) {
-      std::fprintf(stderr, "fig12: connect (point %d): %s\n", point,
-                   chan.status().to_string().c_str());
-      return [](size_t, loadgen::CompletionFn) { return false; };
+  // One client connection per phase, so a saturated rung's overload
+  // queue cannot bleed into the next; all stay alive until exit so
+  // straggler completions land on live sockets.
+  std::vector<std::unique_ptr<perfbench::Traffic>> clients;
+  auto fresh_client = [&]() -> perfbench::Traffic* {
+    clients.push_back(std::make_unique<perfbench::Traffic>(d.port(), in, kMix));
+    if (Status st = clients.back()->connect(); !st.is_ok()) {
+      std::fprintf(stderr, "fig12: connect: %s\n", st.to_string().c_str());
+      return nullptr;
     }
-    std::shared_ptr<xrpc::Channel> shared = std::move(*chan);
-    channels.push_back(shared);
-    return [shared, &mix](size_t mix_index, loadgen::CompletionFn done) {
-      const MixEntry& m = mix[std::min(mix_index, mix.size() - 1)];
-      auto cb = std::make_shared<loadgen::CompletionFn>(std::move(done));
-      Status st = shared->call_async(
-          m.method, ByteSpan(m.wire),
-          [cb](Code c, Bytes) { (*cb)(c == Code::kOk); });
-      return st.is_ok();
-    };
+    return clients.back().get();
   };
 
   // Knee-forensics phase A: sampled tracing across the whole sweep, a
   // live collector feeding the per-stage histograms, and histogram
-  // snapshots bracketing every ladder point — the deltas attribute each
-  // point's e2e time to stages, so the curve comes with a breakdown.
+  // snapshots bracketing every rung's measured window — the deltas
+  // attribute each rung's e2e time to stages, so the curve comes with a
+  // breakdown.
   std::unique_ptr<trace::TraceCollector> sweep_collector;
   std::unique_ptr<CollectPump> sweep_pump;
   std::vector<StageShares> shares;
-  StageSnaps point_begin_snaps;
   const int settle_ms = quick ? 40 : 150;
   const double drain_deadline_s = quick ? 1.0 : 3.0;
   if (forensics) {
     trace::TraceConfig tc;
     tc.mode = trace::Mode::kSampled;
-    // 1-in-4: the attribution needs enough traced requests per ladder
-    // point for stable share estimates; the recorder exists precisely
-    // because outliers would not survive a sparser head sample.
+    // 1-in-4: the attribution needs enough traced requests per rung for
+    // stable share estimates; the recorder exists precisely because
+    // outliers would not survive a sparser head sample.
     tc.head_sample_every = 4;
     // Sized before any traced thread exists — configure() only applies
     // the capacity to rings created afterwards.
@@ -521,40 +342,47 @@ int main(int argc, char** argv) {
 
     trace::TraceCollector::Options co;
     co.tail_keep_quantile = 0.99;
-    // Stragglers finish well after their point; never age them out as
+    // Stragglers finish well after their rung; never age them out as
     // orphans mid-sweep.
     co.orphan_max_age = 1u << 30;
     sweep_collector = std::make_unique<trace::TraceCollector>(co);
     sweep_pump = std::make_unique<CollectPump>(*sweep_collector);
-
-    sc.on_point_begin = [&](int) {
-      // Let the previous point's stragglers land before the baseline
-      // snapshot, so their spans charge to the point that issued them.
-      std::this_thread::sleep_for(std::chrono::milliseconds(settle_ms));
-      point_begin_snaps = snapshot_stages(*sweep_collector);
-    };
-    sc.on_point_end = [&](int point, const loadgen::RunResult&) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(settle_ms));
-      char label[32];
-      std::snprintf(label, sizeof label, "%.2fx",
-                    sc.fractions[static_cast<size_t>(point)]);
-      shares.push_back(shares_between(
-          point_begin_snaps, snapshot_stages(*sweep_collector), label));
-    };
   }
 
-  loadgen::SweepResult res = loadgen::run_sweep(sc, factory);
-  if (res.calibrated_max_rps <= 0) {
-    std::fprintf(stderr, "fig12: calibration completed zero requests\n");
-    return 1;
+  std::vector<Rung> rungs;
+  for (size_t i = 0; i < ladder.size(); ++i) {
+    perfbench::Traffic* client = fresh_client();
+    if (client == nullptr) return 1;
+    spec.rate_rps = ladder[i];
+    // Decorrelate rungs, deterministically: the same seed at every rung
+    // would replay one arrival pattern across the whole ladder.
+    spec.seed = kSeed + i;
+    StageSnaps window_begin;
+    perfbench::WindowHook hook;
+    if (forensics) {
+      hook = [&](bool begin) {
+        if (begin) window_begin = snapshot_stages(*sweep_collector);
+      };
+    }
+    Rung rung = make_rung(ladder[i], client->open_loop(spec, hook));
+    if (forensics) {
+      // Let the rung's last spans reach the collector before the closing
+      // snapshot, so they charge to the rung that issued them.
+      std::this_thread::sleep_for(std::chrono::milliseconds(settle_ms));
+      shares.push_back(
+          shares_between(window_begin, snapshot_stages(*sweep_collector), rung.label));
+    }
+    rungs.push_back(std::move(rung));
   }
+  const int knee_index = find_knee(rungs);
+  const double unloaded_p99_us = rungs.front().p99_us;
 
-  // Knee-forensics phase B: re-run the knee point (fallback: the heaviest
-  // point) with the full forensic kit armed — every request traced, the
-  // flight recorder watching loadgen drops/timeouts and xRPC credit
-  // stalls, and the resource sampler snapshotting the proxy's queues.
+  // Knee-forensics phase B: re-run the knee rung (fallback: the heaviest
+  // rung) with the full forensic kit armed — every request traced, the
+  // flight recorder watching tail latency and xRPC credit stalls, and the
+  // resource sampler snapshotting the proxy's queues.
   int target_index = -1;
-  loadgen::RunResult rerun;
+  Rung rerun;
   std::unique_ptr<trace::TraceCollector> knee_collector;
   std::unique_ptr<trace::FlightRecorder> recorder;
   std::unique_ptr<trace::ResourceSampler> sampler;
@@ -564,16 +392,13 @@ int main(int argc, char** argv) {
   uint64_t rerun_ring_drops = 0;
   uint64_t rerun_orphans = 0;
   size_t rerun_pending = 0;
-  if (forensics && !res.points.empty()) {
+  if (forensics) {
     // Finish phase A before phase B drains: one collector at a time.
     sweep_pump->stop_and_drain(drain_deadline_s);
     sweep_pump.reset();
 
-    target_index = res.knee_index >= 0
-                       ? res.knee_index
-                       : static_cast<int>(res.points.size()) - 1;
-    const loadgen::SweepPoint& target =
-        res.points[static_cast<size_t>(target_index)];
+    target_index = knee_index >= 0 ? knee_index : static_cast<int>(rungs.size()) - 1;
+    const Rung& target = rungs[static_cast<size_t>(target_index)];
 
     trace::TraceCollector::Options co;
     co.tail_keep_every = 8;  // thin the timeline; tail + captures still kept
@@ -589,16 +414,6 @@ int main(int argc, char** argv) {
     ro.min_history = 32;
     recorder = std::make_unique<trace::FlightRecorder>(ro);
     recorder->watch_counter(
-        trace::TriggerKind::kDrop, "dpurpc_loadgen_dropped_total", [] {
-          return metrics::default_counter("dpurpc_loadgen_dropped_total", "")
-              .value();
-        });
-    recorder->watch_counter(
-        trace::TriggerKind::kTimeout, "dpurpc_loadgen_timeouts_total", [] {
-          return metrics::default_counter("dpurpc_loadgen_timeouts_total", "")
-              .value();
-        });
-    recorder->watch_counter(
         trace::TriggerKind::kCreditStall, "dpurpc_xrpc_credit_stalls_total",
         [] {
           return metrics::default_counter(
@@ -610,7 +425,7 @@ int main(int argc, char** argv) {
     knee_collector->set_flight_recorder(recorder.get());
 
     sampler = std::make_unique<trace::ResourceSampler>();
-    d.proxy->register_resource_probes(*sampler);
+    d.proxy().register_resource_probes(*sampler);
 
     trace::TraceConfig tc;
     tc.mode = trace::Mode::kFull;
@@ -618,35 +433,17 @@ int main(int argc, char** argv) {
     trace::Tracer::instance().configure(tc);
     uint64_t ring_drops_before = trace::Tracer::instance().dropped_total();
 
-    // The knee point's RunConfig, rebuilt exactly as the sweep built it
-    // (fresh seed: same arrival law, decorrelated pattern).
-    loadgen::RunConfig rc;
-    rc.schedule.process = sc.process;
-    rc.schedule.rate_rps =
-        std::max(1.0, res.calibrated_max_rps * target.fraction);
-    rc.schedule.seed = sc.seed + 10'000;
-    rc.schedule.on_mean_s = sc.on_mean_s;
-    rc.schedule.off_mean_s = sc.off_mean_s;
-    // Floor of 400 (full runs): the rolling-quantile trigger needs history
-    // (min_history) plus enough post-warmup tail samples to fire at least
-    // once; a low-rate knee point alone would offer too few trees.
-    rc.requests = std::clamp(
-        static_cast<uint64_t>(rc.schedule.rate_rps * sc.point_seconds),
-        quick ? sc.min_requests : std::max<uint64_t>(sc.min_requests, 400),
-        sc.max_requests);
-    rc.timeout_ns = sc.timeout_ns;
-    rc.max_outstanding = sc.max_outstanding;
-    rc.mix_weights = sc.mix_weights;
+    std::printf("knee forensics: re-running %s with the recorder armed\n",
+                target.label.c_str());
 
-    std::printf("\nknee forensics: re-running %s (%.0f rps offered) with the "
-                "recorder armed\n",
-                target.label.c_str(), rc.schedule.rate_rps);
-
+    perfbench::Traffic* client = fresh_client();
+    if (client == nullptr) return 1;
+    spec.rate_rps = target.rate_rps;
+    spec.seed = kSeed + 10'000;  // same arrival law, decorrelated pattern
     sampler->start();
     {
       CollectPump pump(*knee_collector);
-      loadgen::SubmitFn submit = factory(1000 + target_index);
-      rerun = loadgen::run_open_loop(rc, submit);
+      rerun = make_rung(target.rate_rps, client->open_loop(spec));
       sampler->stop();
       pump.stop_and_drain(drain_deadline_s);
     }
@@ -668,28 +465,26 @@ int main(int argc, char** argv) {
       if (ratio >= 0.5 && ratio <= 1.05) ++tiling_exemplars;
     }
   }
-  bg.reset();  // stop the background flow before reporting
-
-  std::printf("calibrated saturation: %.0f rps (closed loop, %zu in flight)\n\n",
-              res.calibrated_max_rps, sc.calibrate_concurrency);
-  std::printf("%-7s %11s %11s %9s %9s %9s %8s %8s\n", "load", "offered",
-              "achieved", "p50_us", "p95_us", "p99_us", "drops", "timeouts");
-  for (size_t i = 0; i < res.points.size(); ++i) {
-    const loadgen::SweepPoint& p = res.points[i];
-    std::printf("%-7s %11.0f %11.0f %9.1f %9.1f %9.1f %8" PRIu64 " %8" PRIu64
-                "%s\n",
-                p.label.c_str(), p.run.offered_rps, p.run.achieved_rps,
-                p.run.p50_us, p.run.p95_us, p.run.p99_us, p.run.dropped,
-                p.run.timeouts,
-                static_cast<int>(i) == res.knee_index ? "   <-- knee" : "");
+  Outcomes stream_outcomes;
+  if (bg) {
+    bg->stop();  // stop the background flow before reporting
+    stream_outcomes = bg->outcomes();
   }
-  if (res.knee_index >= 0) {
-    std::printf("\nknee: %s offered (%.0f rps) — p99 %.1f us vs unloaded "
-                "%.1f us\n",
-                res.points[static_cast<size_t>(res.knee_index)].label.c_str(),
-                res.knee_offered_rps(),
-                res.points[static_cast<size_t>(res.knee_index)].run.p99_us,
-                res.unloaded_p99_us);
+
+  std::printf("\n%-9s %9s %9s %9s %9s %9s %8s %8s %9s\n", "load", "offered", "achieved",
+              "p50_us", "p95_us", "p99_us", "drops", "timeouts", "late_p99");
+  for (size_t i = 0; i < rungs.size(); ++i) {
+    const Rung& r = rungs[i];
+    std::printf("%-9s %9.0f %9.0f %9.1f %9.1f %9.1f %8" PRIu64 " %8" PRIu64 " %9.1f%s\n",
+                r.label.c_str(), r.rate_rps, r.achieved_rps(), r.p50_us, r.p95_us,
+                r.p99_us, r.run.outcomes.drops, r.run.outcomes.timeouts,
+                r.lateness_p99_us,
+                static_cast<int>(i) == knee_index ? "   <-- knee" : "");
+  }
+  if (knee_index >= 0) {
+    const Rung& k = rungs[static_cast<size_t>(knee_index)];
+    std::printf("\nknee: %s offered — p99 %.1f us vs unloaded %.1f us, %.2f%% shed\n",
+                k.label.c_str(), k.p99_us, unloaded_p99_us, k.shed() * 100);
   } else {
     std::printf("\nknee: not detected — the ladder never saturated the "
                 "datapath\n");
@@ -699,14 +494,13 @@ int main(int argc, char** argv) {
   size_t dominant_stage = 0;  // kRequest (share always 0) until found
   double dominant_unloaded = 0, dominant_target = 0;
   // The knee driver: the stage whose e2e share *grew* the most from the
-  // unloaded point — under saturation that's the queueing stage that
+  // unloaded rung — under saturation that's the queueing stage that
   // explains the knee, regardless of which stage is largest in absolute
   // terms at light load.
   size_t driver_stage = 0;
   double driver_unloaded = 0, driver_target = 0;
-  if (forensics && !shares.empty() && target_index >= 0) {
-    const StageShares& tgt = shares[std::min(
-        static_cast<size_t>(target_index), shares.size() - 1)];
+  if (forensics) {
+    const StageShares& tgt = shares[static_cast<size_t>(target_index)];
     std::array<size_t, kNumStages> order{};
     for (size_t s = 0; s < kNumStages; ++s) order[s] = s;
     std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -718,14 +512,14 @@ int main(int argc, char** argv) {
     std::printf("\nper-stage share of e2e (sampled traces; top stages at "
                 "%s):\n",
                 tgt.label.c_str());
-    std::printf("%-7s %7s", "load", "traces");
+    std::printf("%-9s %7s", "load", "traces");
     for (size_t c = 0; c < ncols; ++c) {
       std::printf(" %16s",
                   trace::stage_name(static_cast<trace::Stage>(order[c])));
     }
     std::printf("\n");
     for (const StageShares& row : shares) {
-      std::printf("%-7s %7" PRIu64, row.label.c_str(), row.e2e_count);
+      std::printf("%-9s %7" PRIu64, row.label.c_str(), row.e2e_count);
       for (size_t c = 0; c < ncols; ++c) {
         std::printf(" %15.1f%%", row.share[order[c]] * 100);
       }
@@ -759,33 +553,42 @@ int main(int argc, char** argv) {
                 "captured %" PRIu64 " of %" PRIu64 " trees (%zu tiling), "
                 "%zu counter tracks, %" PRIu64 " orphans, %" PRIu64
                 " ring drops, %zu pending at drain\n",
-                rerun.completed, rerun.p99_us, recorder->captured_total(),
+                rerun.run.ok_calls, rerun.p99_us, recorder->captured_total(),
                 recorder->offered_total(), tiling_exemplars, counter_tracks,
                 rerun_orphans, rerun_ring_drops, rerun_pending);
   }
 
-  // ---- acceptance gates (full runs only: smoke points are too short
-  // for the knee detector to be meaningful) ------------------------------
+  // ---- verification: every run, smoke included --------------------------
   bool failed = false;
+  Outcomes unary = rerun.run.outcomes;
+  for (const Rung& r : rungs) unary.add(r.run.outcomes);
+  if (unary.errors + unary.wrong + stream_outcomes.errors + stream_outcomes.wrong != 0) {
+    std::fprintf(stderr,
+                 "FAIL: unary calls: %" PRIu64 " errors, %" PRIu64
+                 " wrong replies; bulk streams: %" PRIu64 " errors, %" PRIu64
+                 " wrong acks\n",
+                 unary.errors, unary.wrong, stream_outcomes.errors, stream_outcomes.wrong);
+    failed = true;
+  }
+
+  // ---- acceptance gates (full runs only: smoke rungs are too short
+  // for the knee detector to be meaningful) ------------------------------
   if (!quick) {
-    if (res.points.size() < 5) {
-      std::fprintf(stderr, "FAIL: curve has %zu points, need >= 5\n",
-                   res.points.size());
+    if (rungs.size() < 5) {
+      std::fprintf(stderr, "FAIL: curve has %zu points, need >= 5\n", rungs.size());
       failed = true;
     }
-    if (!(res.unloaded_p99_us > 0) || !std::isfinite(res.unloaded_p99_us)) {
+    if (!(unloaded_p99_us > 0) || !std::isfinite(unloaded_p99_us)) {
       std::fprintf(stderr,
                    "FAIL: unloaded p99 is not finite/positive (%.2f us)\n",
-                   res.unloaded_p99_us);
+                   unloaded_p99_us);
       failed = true;
     }
-    if (res.knee_index < 0 ||
-        res.knee_index >= static_cast<int>(res.points.size()) - 1) {
+    if (knee_index < 0 || knee_index >= static_cast<int>(rungs.size()) - 1) {
       std::fprintf(stderr,
                    "FAIL: knee %s — the sweep must saturate strictly below "
                    "its heaviest point\n",
-                   res.knee_index < 0 ? "not detected"
-                                      : "only at the heaviest point");
+                   knee_index < 0 ? "not detected" : "only at the heaviest point");
       failed = true;
     }
     if (forensics) {
@@ -796,8 +599,7 @@ int main(int argc, char** argv) {
                      counter_tracks);
         failed = true;
       }
-      if (recorder == nullptr || recorder->captured_total() == 0 ||
-          tiling_exemplars == 0) {
+      if (recorder->captured_total() == 0 || tiling_exemplars == 0) {
         std::fprintf(stderr,
                      "FAIL: no captured tail exemplar whose stage spans tile "
                      "its e2e time (sum/e2e in [0.5, 1.05])\n");
@@ -820,8 +622,7 @@ int main(int argc, char** argv) {
       // Growth gate only when a real knee exists: without saturation there
       // is no queueing stage to grow, and the knee-detection gate above
       // already failed the run.
-      if (res.knee_index > 0 &&
-          (shares.empty() || !(driver_target > driver_unloaded))) {
+      if (knee_index > 0 && !(driver_target > driver_unloaded)) {
         std::fprintf(stderr,
                      "FAIL: attribution did not identify a dominant stage "
                      "whose e2e share grows from the unloaded point to the "
@@ -833,7 +634,7 @@ int main(int argc, char** argv) {
 
   // Forensics artifacts are written even when a gate failed — a failing
   // run is exactly when the timeline and exemplars are wanted.
-  if (forensics && knee_collector != nullptr) {
+  if (forensics) {
     if (!trace_out_path.empty() &&
         !write_text_file(trace_out_path,
                          trace::TraceCollector::to_chrome_json(
@@ -874,10 +675,7 @@ int main(int argc, char** argv) {
                    "  \"pending_at_drain\": %zu,\n"
                    "  \"points\": [\n",
                    quick ? "true" : "false",
-                   target_index >= 0
-                       ? res.points[static_cast<size_t>(target_index)]
-                             .label.c_str()
-                       : "",
+                   rungs[static_cast<size_t>(target_index)].label.c_str(),
                    trace::stage_name(static_cast<trace::Stage>(dominant_stage)),
                    dominant_unloaded, dominant_target,
                    trace::stage_name(static_cast<trace::Stage>(driver_stage)),
@@ -909,34 +707,26 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f,
                  "{\n  \"benchmark\": \"fig12_openloop\",\n"
-                 "  \"process\": \"%s\",\n  \"smoke\": %s,\n"
+                 "  \"smoke\": %s,\n"
                  "  \"background_stream\": %s,\n"
-                 "  \"calibrated_max_rps\": %.1f,\n"
+                 "  \"stream_errors\": %" PRIu64 ",\n"
                  "  \"unloaded_p99_us\": %.2f,\n"
                  "  \"knee_detected\": %s,\n"
-                 "  \"knee_fraction\": %.2f,\n"
                  "  \"knee_offered_rps\": %.1f,\n"
                  "  \"points\": [\n",
-                 loadgen::arrival_process_name(sc.process),
-                 quick ? "true" : "false",
-                 background_stream ? "true" : "false", res.calibrated_max_rps,
-                 res.unloaded_p99_us, res.knee_index >= 0 ? "true" : "false",
-                 res.knee_index >= 0
-                     ? res.points[static_cast<size_t>(res.knee_index)].fraction
-                     : 0.0,
-                 res.knee_offered_rps());
-    for (size_t i = 0; i < res.points.size(); ++i) {
-      const loadgen::SweepPoint& p = res.points[i];
-      std::fprintf(f, "    {\"label\": \"%s\", \"fraction\": %.2f, ",
-                   p.label.c_str(), p.fraction);
-      json_escape_free_run(f, p.run);
-      std::fprintf(f, "}%s\n", i + 1 < res.points.size() ? "," : "");
+                 quick ? "true" : "false", background_stream ? "true" : "false",
+                 stream_outcomes.errors + stream_outcomes.wrong, unloaded_p99_us,
+                 knee_index >= 0 ? "true" : "false",
+                 knee_index >= 0 ? rungs[static_cast<size_t>(knee_index)].rate_rps : 0.0);
+    for (size_t i = 0; i < rungs.size(); ++i) {
+      std::fprintf(f, "    {\"label\": \"%s\", ", rungs[i].label.c_str());
+      json_rung(f, rungs[i]);
+      std::fprintf(f, "}%s\n", i + 1 < rungs.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());
   }
 
-  if (failed) return 3;
-  return 0;
+  return failed ? 3 : 0;
 }

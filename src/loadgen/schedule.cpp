@@ -1,52 +1,21 @@
 #include "loadgen/schedule.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace dpurpc::loadgen {
 
 ArrivalSchedule::ArrivalSchedule(const ScheduleConfig& config)
-    : config_(config), rng_(config.seed) {
-  if (config_.rate_rps <= 0) config_.rate_rps = 1.0;
-  if (config_.process == ArrivalProcess::kBursty) {
-    if (config_.on_mean_s <= 0) config_.on_mean_s = 0.001;
-    if (config_.off_mean_s < 0) config_.off_mean_s = 0;
-    on_until_s_ = exp_s(config_.on_mean_s);  // start inside an ON state
-  }
-}
-
-double ArrivalSchedule::exp_s(double mean_s) {
-  // Inverse-CDF sampling rather than std::exponential_distribution: the
-  // stdlib's algorithm is implementation-defined, and the schedule tests
-  // pin deterministic sequences per seed.
-  double u = std::generate_canonical<double, 53>(rng_);
-  // generate_canonical is in [0,1); flip so log never sees 0.
-  return -mean_s * std::log1p(-u);
-}
+    : mean_gap_s_(1.0 / (config.rate_rps > 0 ? config.rate_rps : 1.0)),
+      rng_(config.seed) {}
 
 uint64_t ArrivalSchedule::next_arrival_ns() {
-  if (config_.process == ArrivalProcess::kPoisson) {
-    now_s_ += exp_s(1.0 / config_.rate_rps);
-    return static_cast<uint64_t>(now_s_ * 1e9);
-  }
-  // Bursty: Poisson at on_rate inside ON states, skipping OFF states. The
-  // duty cycle on/(on+off) rescales the ON rate so the long-run mean
-  // stays at rate_rps.
-  const double duty =
-      config_.on_mean_s / (config_.on_mean_s + config_.off_mean_s);
-  const double on_rate = config_.rate_rps / std::max(duty, 1e-9);
-  for (;;) {
-    double dt = exp_s(1.0 / on_rate);
-    if (now_s_ + dt <= on_until_s_) {
-      now_s_ += dt;
-      return static_cast<uint64_t>(now_s_ * 1e9);
-    }
-    // The draw lands past the ON state: consume the remainder, hold
-    // through an OFF period, and redraw inside the next ON state (the
-    // exponential's memorylessness makes the redraw exact).
-    now_s_ = on_until_s_ + exp_s(config_.off_mean_s);
-    on_until_s_ = now_s_ + exp_s(config_.on_mean_s);
-  }
+  // Inverse-CDF sampling rather than std::exponential_distribution: the
+  // stdlib's algorithm is implementation-defined, and the schedule tests
+  // pin deterministic sequences per seed. generate_canonical is in [0,1);
+  // flip so log never sees 0.
+  double u = std::generate_canonical<double, 53>(rng_);
+  now_s_ += -mean_gap_s_ * std::log1p(-u);
+  return static_cast<uint64_t>(now_s_ * 1e9);
 }
 
 }  // namespace dpurpc::loadgen

@@ -1,11 +1,11 @@
-// Arrival schedules for the open-loop load generator.
+// Arrival schedule for open-loop load generation.
 //
 // An open-loop generator launches requests at times drawn *in advance*
 // from an arrival process, independent of when earlier requests complete
 // (nanoPU's framing: tail latency under open-loop arrivals is the metric
 // that matters for RPC systems — a closed-loop bench self-paces and can
-// never show the latency-vs-offered-load knee). This header provides the
-// arrival processes; loadgen.hpp provides the driver that fires them.
+// never show the latency-vs-offered-load knee). perfbench's Traffic fires
+// these arrivals; fig12_openloop drives the same Traffic.
 #pragma once
 
 #include <cstdint>
@@ -15,32 +15,15 @@
 
 namespace dpurpc::loadgen {
 
-enum class ArrivalProcess {
-  /// Memoryless arrivals: exponential inter-arrival times at `rate_rps`.
-  kPoisson,
-  /// Two-state on-off MMPP: exponentially-distributed ON and OFF holding
-  /// times; during ON, Poisson arrivals at the rate that keeps the
-  /// *long-run* mean equal to `rate_rps` (rate_rps / duty-cycle); during
-  /// OFF, silence. Models bursty front-end traffic.
-  kBursty,
-};
-
-inline const char* arrival_process_name(ArrivalProcess p) noexcept {
-  return p == ArrivalProcess::kPoisson ? "poisson" : "bursty";
-}
-
 struct ScheduleConfig {
-  ArrivalProcess process = ArrivalProcess::kPoisson;
-  /// Long-run mean offered rate, requests per second. Must be > 0.
+  /// Mean offered rate, requests per second. Must be > 0.
   double rate_rps = 1000.0;
   uint64_t seed = kDefaultSeed;
-  /// Bursty only: mean ON / OFF state holding times, seconds.
-  double on_mean_s = 0.020;
-  double off_mean_s = 0.020;
 };
 
-/// Deterministic arrival-time generator: same config → same sequence.
-/// Not thread-safe; one instance per driver thread.
+/// Deterministic Poisson arrival times (exponential inter-arrival gaps at
+/// `rate_rps`): same config → same sequence. Not thread-safe; one
+/// instance per driver thread.
 class ArrivalSchedule {
  public:
   explicit ArrivalSchedule(const ScheduleConfig& config);
@@ -50,11 +33,9 @@ class ArrivalSchedule {
   uint64_t next_arrival_ns();
 
  private:
-  ScheduleConfig config_;
+  double mean_gap_s_;
   std::mt19937_64 rng_;
-  double now_s_ = 0;       ///< virtual clock, seconds since epoch
-  double on_until_s_ = 0;  ///< bursty: end of the current ON state
-  double exp_s(double mean_s);
+  double now_s_ = 0;  ///< virtual clock, seconds since epoch
 };
 
 }  // namespace dpurpc::loadgen

@@ -50,9 +50,9 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Point-in-time copy of one histogram's state. Sweep harnesses (the
-/// open-loop load generator, src/loadgen) snapshot the cumulative
-/// histogram at each load point and read quantiles from the *delta*
+/// Point-in-time copy of one histogram's state. Sweep harnesses (fig12's
+/// per-stage attribution) snapshot the cumulative histogram at each load
+/// point and read sums and quantiles from the *delta*
 /// between two snapshots — the Prometheus-rate analogue of per-interval
 /// latency quantiles, without resetting the live histogram.
 struct HistogramSnapshot {

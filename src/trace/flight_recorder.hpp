@@ -8,8 +8,8 @@
 //
 //   - latency trigger: end-to-end time above k× a rolling quantile of its
 //     own history (the "> 3× rolling p99" rule);
-//   - counter watches: externally registered cumulative counters (loadgen
-//     drops/timeouts, xRPC credit stalls) polled between collector passes;
+//   - counter watches: externally registered cumulative counters (e.g.
+//     xRPC credit stalls) polled between collector passes;
 //     any increase arms a capture window so the next few completed trees
 //     are retained regardless of latency — the trees that overlapped the
 //     anomaly are the evidence.

@@ -12,8 +12,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/status.hpp"
@@ -33,10 +31,6 @@ struct CallContext {
   /// Unary request payload; empty for streaming calls (their bytes arrive
   /// through `stream`).
   Bytes payload;
-  /// Tenant-ready key/value metadata (the gRPC-metadata analogue). Empty
-  /// today — the wire does not carry it yet — but handlers written against
-  /// CallContext keep working when it does.
-  std::vector<std::pair<std::string, std::string>> metadata;
   /// Propagated trace context (inactive when the client did not trace).
   trace::TraceContext trace;
   Responder respond;

@@ -96,6 +96,13 @@ void Server::connection_loop(std::shared_ptr<ConnState> conn) {
   // call_id -> live inbound stream. Reader-thread-only: every stream
   // frame for this connection flows through this loop, in TCP order.
   std::map<uint32_t, std::shared_ptr<ServerStream>> streams;
+  // The connection is done, however the loop below ends: shut the socket
+  // so the peer reads EOF, and tell the owners of streams still in flight
+  // so every downstream resource (pool jobs, budgets) drains.
+  auto close_connection = [&] {
+    conn->fd.shutdown();
+    for (auto& [id, stream] : streams) stream->deliver_abort(Code::kUnavailable);
+  };
   while (!relaxed::load(stopping_)) {
     auto frame = read_frame(conn->fd);
     if (!frame.is_ok()) break;  // closed or broken: drop the connection
@@ -164,12 +171,12 @@ void Server::connection_loop(std::shared_ptr<ConnState> conn) {
         break;
       }
       default:
-        return;  // kResponse / kStreamCredit at the server: protocol error
+        // kResponse / kStreamCredit at the server: protocol error
+        close_connection();
+        return;
     }
   }
-  // Connection died with streams still in flight: tell their owners so
-  // every downstream resource (pool jobs, budgets) drains.
-  for (auto& [id, stream] : streams) stream->deliver_abort(Code::kUnavailable);
+  close_connection();
 }
 
 }  // namespace dpurpc::xrpc

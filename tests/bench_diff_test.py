@@ -105,31 +105,33 @@ class Marks(unittest.TestCase):
         # _us latency quantiles read lower-is-better.
         lines = self.diff_lines(fixture("base.json"), fixture("regressed.json"))
         self.assertIn("REGRESSED", self.line_for(
-            lines, "points[0.25x].p99_us"))
+            lines, "points[1500rps].p99_us"))
         self.assertIn("REGRESSED", self.line_for(
-            lines, "points[1.00x].timeouts"))
+            lines, "points[6000rps].timeouts"))
+        self.assertIn("REGRESSED", self.line_for(
+            lines, "points[24000rps].wrong"))
         # The knee sliding toward lighter load is a regression too.
-        self.assertIn("REGRESSED", self.line_for(lines, "knee_fraction"))
+        self.assertIn("REGRESSED", self.line_for(lines, "knee_offered_rps"))
 
     def test_per_load_point_latency_drop_is_improvement(self):
         lines = self.diff_lines(fixture("base.json"), fixture("improved.json"))
         self.assertIn("IMPROVED", self.line_for(
-            lines, "points[1.00x].p99_us"))
+            lines, "points[6000rps].p99_us"))
         self.assertIn("IMPROVED", self.line_for(lines, "unloaded_p99_us"))
-        self.assertIn("IMPROVED", self.line_for(lines, "calibrated_max_rps"))
+        self.assertIn("IMPROVED", self.line_for(lines, "knee_offered_rps"))
 
     def test_added_and_removed_points_are_reported(self):
         with tempfile.TemporaryDirectory() as td:
             new = read_json(fixture("base.json"))
             pts = new["fig12_openloop"]["points"]
-            pts[0]["label"] = "0.10x"  # renamed point: one REMOVED, one ADDED
+            pts[0]["label"] = "1000rps"  # renamed rung: one REMOVED, one ADDED
             path = os.path.join(td, "new.json")
             write_json(new, path)
             lines = self.diff_lines(fixture("base.json"), path)
             self.assertIn("REMOVED", self.line_for(
-                lines, "points[0.25x].p99_us"))
+                lines, "points[1500rps].p99_us"))
             self.assertIn("ADDED", self.line_for(
-                lines, "points[0.10x].p99_us"))
+                lines, "points[1000rps].p99_us"))
 
     def test_unknown_direction_is_changed_not_gated(self):
         with tempfile.TemporaryDirectory() as td:
@@ -172,15 +174,20 @@ class DirectionHeuristics(unittest.TestCase):
         d = self.mod.direction
         for leaf in ("p50_us", "p95_us", "p99_us", "mean_us", "latency_us",
                      "unloaded_p99_us", "timeouts", "decode_busy_ns",
-                     "credit_stalls", "errors", "dropped", "wall_s"):
-            self.assertEqual(d("points[1.00x].%s" % leaf), -1, leaf)
+                     "credit_stalls", "errors", "wrong", "dropped",
+                     "lateness_p99_us", "stream_errors", "wall_s"):
+            self.assertEqual(d("points[6000rps].%s" % leaf), -1, leaf)
 
     def test_throughput_leaves_are_higher_better(self):
         d = self.mod.direction
-        for leaf in ("offered_rps", "achieved_rps", "calibrated_max_rps",
-                     "stream_mib_s", "gbps", "knee_fraction",
-                     "knee_offered_rps"):
+        for leaf in ("offered_rps", "achieved_rps", "stream_mib_s", "gbps",
+                     "knee_offered_rps", "points[6000rps].completed"):
             self.assertEqual(d(leaf), 1, leaf)
+
+    def test_attempted_calls_are_unknown_direction(self):
+        # A rung's attempted count follows from its pinned offered rate:
+        # a move means the schedule changed, which is neither good nor bad.
+        self.assertEqual(self.mod.direction("points[6000rps].attempted"), 0)
 
     def test_suffix_matching_is_not_substring_matching(self):
         # "status"/"bonus" contain "us" but are not microsecond leaves.
@@ -197,7 +204,7 @@ class DirectionHeuristics(unittest.TestCase):
         for leaf in ("worker_decode_share", "xrpc_inbound_share",
                      "dominant_share_knee", "driver_share_unloaded",
                      "ring_occupancy", "credit_occupancy"):
-            self.assertIsNone(d("points[0.25x].%s" % leaf), leaf)
+            self.assertIsNone(d("points[1500rps].%s" % leaf), leaf)
         # "flush_wait_share" must be INFO even though "wait"-ish stage
         # names would otherwise smell like latency leaves.
         self.assertIsNone(d("flush_wait_share"))
@@ -218,8 +225,8 @@ class InformationalMarks(unittest.TestCase):
                     "benchmark": "fig12_forensics",
                     "dominant_stage": "xrpc_inbound",
                     "points": [
-                        {"label": "0.10x", "worker_decode_share": 0.05},
-                        {"label": "1.00x", "worker_decode_share": share},
+                        {"label": "1500rps", "worker_decode_share": 0.05},
+                        {"label": "24000rps", "worker_decode_share": share},
                     ]}}
             old_p = os.path.join(td, "old.json")
             new_p = os.path.join(td, "new.json")
@@ -229,7 +236,7 @@ class InformationalMarks(unittest.TestCase):
             self.assertEqual(code, 0, out)
             lines = out.splitlines()
             hits = [l for l in lines
-                    if "points[1.00x].worker_decode_share" in l]
+                    if "points[24000rps].worker_decode_share" in l]
             self.assertEqual(len(hits), 1, out)
             self.assertIn("INFO", hits[0])
             self.assertNotIn("REGRESSED", out)

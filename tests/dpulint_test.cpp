@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -142,6 +146,39 @@ TEST(DpulintFixtures, MalformedWaiverFlagged) {
   ASSERT_EQ(findings.size(), 1u) << dump(findings);
   EXPECT_EQ(findings[0].rule, "waiver-syntax");
   EXPECT_EQ(findings[0].file, "violations/waiver/bad.cpp");
+}
+
+// ------------------------------------------------ compile_commands scope
+
+// The cross-check pulls in compiled TUs by their path below the repo root:
+// a bench target compiling perfbench/src/*.cpp must not have those files
+// linted as if they were src/.
+TEST(DpulintCompileCommands, TuMatchesRootsByPathBelowTheRepoRoot) {
+  const std::vector<std::string> roots = {"src"};
+  EXPECT_EQ(dpulint::tu_under_roots("/r/src/xrpc/a.cpp", "/r", roots), "src/xrpc/a.cpp");
+  EXPECT_EQ(dpulint::tu_under_roots("src/b.cpp", "/r", roots), "src/b.cpp");
+  EXPECT_EQ(dpulint::tu_under_roots("/r/perfbench/src/traffic.cpp", "/r", roots), "");
+  EXPECT_EQ(dpulint::tu_under_roots("/r/bench/fig12.cpp", "/r", roots), "");
+  EXPECT_EQ(dpulint::tu_under_roots("/elsewhere/src/c.cpp", "/r", roots), "");
+  EXPECT_EQ(dpulint::tu_under_roots("/rx/src/c.cpp", "/r", roots), "");
+
+  // A build configured through a symlink to the root names its TUs by the
+  // link; they still map below the resolved root.
+  namespace fs = std::filesystem;
+  const fs::path tmp = fs::temp_directory_path() /
+                       ("dpulint_tu_" + std::to_string(::getpid()));
+  fs::remove_all(tmp);
+  fs::create_directories(tmp / "real" / "src");
+  { std::ofstream(tmp / "real" / "src" / "d.cpp") << "\n"; }
+  fs::create_directory_symlink(tmp / "real", tmp / "link");
+  const std::string root_abs = fs::canonical(tmp / "real").string();
+  EXPECT_EQ(dpulint::tu_under_roots((tmp / "link" / "src" / "d.cpp").string(), root_abs,
+                                    roots),
+            "src/d.cpp");
+  EXPECT_EQ(dpulint::tu_under_roots((tmp / "link" / "bench" / "e.cpp").string(), root_abs,
+                                    roots),
+            "");
+  fs::remove_all(tmp);
 }
 
 // --------------------------------------------------------- the real tree

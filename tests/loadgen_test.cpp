@@ -1,18 +1,13 @@
-// Tests for the open-loop load generator (DESIGN.md §3.19): the arrival
-// processes' statistics and determinism, and the driver's open-loop
-// invariant — a stalled system changes what completes, never what
-// arrives or how much is offered.
-#include "loadgen/loadgen.hpp"
+// Tests for the open-loop arrival schedule (DESIGN.md §3.19): the Poisson
+// process's statistics and its determinism per seed, down to the exact
+// arrival instants perfbench and fig12 replay.
+#include "loadgen/schedule.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <mutex>
 #include <vector>
-
-#include "loadgen/schedule.hpp"
 
 namespace dpurpc::loadgen {
 namespace {
@@ -50,8 +45,7 @@ GapStats gap_stats(const std::vector<uint64_t>& arrivals) {
 }
 
 /// Index of dispersion of counts: variance/mean of per-window arrival
-/// counts. ~1 for Poisson; >> 1 for bursty processes at window sizes
-/// comparable to the burst holding times.
+/// counts. ~1 for Poisson.
 double dispersion(const std::vector<uint64_t>& arrivals, uint64_t window_ns) {
   std::vector<uint64_t> counts((arrivals.back() / window_ns) + 1, 0);
   for (uint64_t a : arrivals) ++counts[a / window_ns];
@@ -71,9 +65,20 @@ TEST(ArrivalSchedule, SameSeedSameSequence) {
   config.rate_rps = 50'000;
   config.seed = 1234;
   EXPECT_EQ(draw_arrivals(config, 5000), draw_arrivals(config, 5000));
+}
 
-  config.process = ArrivalProcess::kBursty;
-  EXPECT_EQ(draw_arrivals(config, 5000), draw_arrivals(config, 5000));
+// The exact draw for one seed: benchmark runs are only comparable across
+// builds while the same seed replays the same arrival instants.
+TEST(ArrivalSchedule, PoissonDrawIsPinned) {
+  ScheduleConfig config;
+  config.rate_rps = 10'000;
+  config.seed = 42;
+  const std::vector<uint64_t> expected = {
+      140713u,  242609u,  382100u,  396750u,  630332u,  640211u,
+      725677u,  772340u,  804343u,  853817u,  855063u,  929235u,
+      1044840u, 1146268u, 1321454u, 1612775u,
+  };
+  EXPECT_EQ(draw_arrivals(config, expected.size()), expected);
 }
 
 TEST(ArrivalSchedule, DifferentSeedDifferentSequence) {
@@ -84,14 +89,10 @@ TEST(ArrivalSchedule, DifferentSeedDifferentSequence) {
 }
 
 TEST(ArrivalSchedule, ArrivalsAreNonDecreasing) {
-  for (ArrivalProcess p : {ArrivalProcess::kPoisson, ArrivalProcess::kBursty}) {
-    ScheduleConfig config;
-    config.process = p;
-    config.rate_rps = 200'000;
-    auto arrivals = draw_arrivals(config, 20'000);
-    EXPECT_TRUE(std::is_sorted(arrivals.begin(), arrivals.end()))
-        << arrival_process_name(p);
-  }
+  ScheduleConfig config;
+  config.rate_rps = 200'000;
+  auto arrivals = draw_arrivals(config, 20'000);
+  EXPECT_TRUE(std::is_sorted(arrivals.begin(), arrivals.end()));
 }
 
 TEST(ArrivalSchedule, PoissonMatchesRateAndIsMemoryless) {
@@ -106,134 +107,6 @@ TEST(ArrivalSchedule, PoissonMatchesRateAndIsMemoryless) {
   EXPECT_NEAR(g.cv, 1.0, 0.05);
   // Counts in fixed windows are Poisson: dispersion index ~1.
   EXPECT_LT(dispersion(arrivals, 1'000'000), 1.5);
-}
-
-TEST(ArrivalSchedule, BurstyKeepsLongRunRateButOverdisperses) {
-  ScheduleConfig config;
-  config.process = ArrivalProcess::kBursty;
-  config.rate_rps = 100'000;
-  config.on_mean_s = 0.002;
-  config.off_mean_s = 0.002;
-  config.seed = 42;
-  auto arrivals = draw_arrivals(config, 50'000);
-  // Long-run offered rate stays the configured one (the ON-state rate is
-  // scaled up by the duty cycle to compensate for the silences).
-  double span_s = static_cast<double>(arrivals.back()) * 1e-9;
-  double rate = static_cast<double>(arrivals.size()) / span_s;
-  EXPECT_NEAR(rate, 100'000.0, 15'000.0);
-  // At windows comparable to the holding times, on-off traffic is far
-  // burstier than Poisson at the same mean rate.
-  EXPECT_GT(dispersion(arrivals, 1'000'000), 3.0);
-}
-
-TEST(LoadgenRun, CompletionsAreCountedAndQuantilesFinite) {
-  RunConfig config;
-  config.schedule.rate_rps = 100'000;
-  config.requests = 2000;
-  RunResult r = run_open_loop(config, [](size_t, CompletionFn done) {
-    done(true);
-    return true;
-  });
-  EXPECT_EQ(r.scheduled, 2000u);
-  EXPECT_EQ(r.launched, 2000u);
-  EXPECT_EQ(r.completed, 2000u);
-  EXPECT_EQ(r.dropped, 0u);
-  EXPECT_EQ(r.errors, 0u);
-  EXPECT_EQ(r.timeouts, 0u);
-  EXPECT_GT(r.offered_rps, 0.0);
-  EXPECT_GT(r.achieved_rps, 0.0);
-  EXPECT_TRUE(std::isfinite(r.p99_us));
-  EXPECT_LE(r.p50_us, r.p95_us);
-  EXPECT_LE(r.p95_us, r.p99_us);
-}
-
-TEST(LoadgenRun, ErrorsAreNotLatencySamples) {
-  RunConfig config;
-  config.schedule.rate_rps = 200'000;
-  config.requests = 500;
-  RunResult r = run_open_loop(config, [](size_t, CompletionFn done) {
-    done(false);
-    return true;
-  });
-  EXPECT_EQ(r.errors, 500u);
-  EXPECT_EQ(r.completed, 0u);
-  EXPECT_EQ(r.timeouts, 0u);
-}
-
-TEST(LoadgenRun, RefusedSubmitIsADropAndNeverCompletes) {
-  RunConfig config;
-  config.schedule.rate_rps = 200'000;
-  config.requests = 300;
-  RunResult r = run_open_loop(config, [](size_t, CompletionFn) {
-    return false;  // client-edge backpressure on every arrival
-  });
-  EXPECT_EQ(r.scheduled, 300u);
-  EXPECT_EQ(r.launched, 0u);
-  EXPECT_EQ(r.dropped, 300u);
-  EXPECT_EQ(r.completed, 0u);
-  EXPECT_EQ(r.timeouts, 0u);
-}
-
-// The open-loop invariant: a system that never completes anything still
-// sees every scheduled arrival — the schedule does not self-pace. The
-// outstanding cap converts the unabsorbable arrivals into drops, and the
-// in-flight requests into timeouts at drain.
-TEST(LoadgenRun, StalledSystemGetsFullOfferedLoad) {
-  RunConfig config;
-  config.schedule.rate_rps = 200'000;
-  config.requests = 100;
-  config.max_outstanding = 8;
-  config.timeout_ns = 20'000'000;  // keep the drain wait short
-  std::vector<CompletionFn> parked;
-  std::mutex mu;
-  RunResult r = run_open_loop(config, [&](size_t, CompletionFn done) {
-    std::lock_guard<std::mutex> lock(mu);
-    parked.push_back(std::move(done));
-    return true;
-  });
-  EXPECT_EQ(r.scheduled, 100u);
-  EXPECT_EQ(r.launched, 8u);
-  EXPECT_EQ(r.dropped, 92u);
-  EXPECT_EQ(r.completed, 0u);
-  EXPECT_EQ(r.timeouts, 8u);
-  // Stragglers completing after the run ended must be safe no-ops (the
-  // callbacks hold the run state alive) and not disturb the accounting.
-  for (auto& done : parked) done(true);
-}
-
-TEST(LoadgenRun, MixDrawHonorsZeroWeights) {
-  RunConfig config;
-  config.schedule.rate_rps = 200'000;
-  config.requests = 400;
-  config.mix_weights = {0.0, 1.0, 0.0};
-  std::atomic<uint64_t> wrong{0};
-  RunResult r = run_open_loop(config, [&](size_t mix_index, CompletionFn done) {
-    if (mix_index != 1) wrong.fetch_add(1);
-    done(true);
-    return true;
-  });
-  EXPECT_EQ(r.completed, 400u);
-  EXPECT_EQ(wrong.load(), 0u);
-}
-
-TEST(LoadgenCalibrate, InstantCompletionsYieldPositiveRate) {
-  double rate = calibrate_max_rps(
-      [](size_t, CompletionFn done) {
-        done(true);
-        return true;
-      },
-      /*seconds=*/0.05, /*concurrency=*/16);
-  EXPECT_GT(rate, 0.0);
-}
-
-TEST(LoadgenBounds, LatencyBucketsAreStrictlyIncreasing) {
-  auto bounds = latency_bounds_seconds();
-  ASSERT_GE(bounds.size(), 2u);
-  EXPECT_NEAR(bounds.front(), 1e-6, 1e-9);
-  EXPECT_GE(bounds.back(), 10.0);
-  for (size_t i = 1; i < bounds.size(); ++i) {
-    EXPECT_GT(bounds[i], bounds[i - 1]);
-  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for the xRPC transport: framing, server/channel behaviour,
 // concurrent outstanding calls, and failure handling.
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <atomic>
 #include <thread>
@@ -392,6 +393,56 @@ TEST(XrpcStream, AbortReachesServer) {
   // finish() after abort reports the abort, not a hang.
   auto resp = (*stream)->finish(2000);
   EXPECT_FALSE(resp.is_ok());
+}
+
+// A kStreamCredit frame is client-bound; the server treats one as a
+// protocol error. It must still run the connection's exit path: abort the
+// live streams (so the proxy releases their budget hold) and shut the
+// socket (so the client is not left waiting on a dead connection).
+TEST(XrpcStream, ProtocolErrorAbortsStreamsAndClosesSocket) {
+  std::atomic<bool> aborted{false};
+  std::atomic<Code> abort_code{Code::kOk};
+  // Held like the proxy holds a live stream's responder: it keeps the
+  // connection state, and so the socket, alive past the reader's exit.
+  Responder held;
+  auto server = Server::start(CallHandler([&](CallContext ctx) {
+    held = std::move(ctx.respond);
+    ServerStream* stream = ctx.stream.get();
+    stream->on_chunk([](Bytes) {});
+    stream->on_end([] {});
+    stream->on_abort([&](Code code) {
+      abort_code = code;
+      aborted = true;
+    });
+    (void)stream->grant(1u << 16);
+  }));
+  ASSERT_TRUE(server.is_ok());
+  auto fd = dial((*server)->port());
+  ASSERT_TRUE(fd.is_ok()) << fd.status().to_string();
+  constexpr uint32_t kCall = 7;
+  ASSERT_TRUE(write_stream_open(*fd, kCall, "test.Raw/Stream").is_ok());
+  ASSERT_TRUE(write_stream_chunk(*fd, kCall, as_bytes_view("partial")).is_ok());
+  ASSERT_TRUE(write_stream_credit(*fd, kCall, 4096).is_ok());
+
+  for (int i = 0; i < 500 && !aborted.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(aborted.load());
+  EXPECT_EQ(abort_code.load(), Code::kUnavailable);
+
+  // The server's credit grant may arrive first; after it, a clean EOF.
+  Status last = Status::ok();
+  for (int frames = 0; frames < 4 && last.is_ok(); ++frames) {
+    pollfd p{fd->get(), POLLIN, 0};
+    ASSERT_EQ(::poll(&p, 1, 5000), 1) << "server left the socket open";
+    auto frame = read_frame(*fd);
+    if (frame.is_ok()) {
+      EXPECT_EQ(frame->type, FrameType::kStreamCredit);
+    } else {
+      last = frame.status();
+    }
+  }
+  EXPECT_EQ(last.code(), Code::kUnavailable) << last.to_string();
 }
 
 }  // namespace

@@ -29,15 +29,18 @@ import sys
 # "..._share"/"..._occupancy" wins over any fragment inside the stage
 # name ("flush_wait_share" is INFO, not a "stall"-style latency).
 INFORMATIONAL = ("share", "occupancy")
-# "knee" covers fig12's knee_fraction / knee_offered_rps (a knee that
-# moves toward heavier load means the datapath saturates later); "mib_s"
-# is checked on the higher side BEFORE the "_s" duration suffix below so
-# throughput rates (stream_mib_s) never read as latencies.
+# "knee" covers fig12's knee_offered_rps (a knee that moves toward
+# heavier load means the datapath saturates later); "completed" is a
+# fig12 rung's successful calls at a pinned offered rate; "mib_s" is
+# checked on the higher side BEFORE the "_s" duration suffix below so
+# throughput rates (stream_mib_s) never read as latencies. A rung's
+# "attempted" count follows from its pinned rate alone, so it keeps the
+# unknown direction: a move there means the schedule changed.
 HIGHER_IS_BETTER = ("rps", "gbps", "mib_s", "hits", "reduction", "requests",
-                    "knee")
+                    "knee", "completed")
 LOWER_IS_BETTER = ("ns", "ms", "cores", "steals", "dropped", "overflow",
                    "mutex", "rebuilds", "bytes", "p50", "p95", "p99",
-                   "latency", "timeout", "stall", "errors")
+                   "latency", "timeout", "stall", "errors", "wrong")
 # Unit suffixes: a leaf measured in (micro/nano/milli)seconds is a
 # latency/duration — lower is better. Suffix-only so "status" or
 # "bonus" can never match a bare "us"/"s" fragment.

@@ -43,6 +43,10 @@
 #                     harnesses (fig8/fig9/fig10/fig11/fig12) additionally
 #                     run with --json; their outputs are combined into
 #                     <prefix>-plain/BENCH_6.json for the workflow artifact.
+#                     It also builds the gated datapath benchmark
+#                     (perfbench/) standalone into <prefix>-perfbench, as
+#                     perfbench/run.py builds it, and runs its own tests
+#                     (python3 perfbench/test_run.py).
 #   perf            — the scheduled perf-trajectory lane: runs the figure
 #                     harnesses at FULL iteration counts (no smoke env) and
 #                     assembles the same BENCH_6.json document with real
@@ -64,7 +68,7 @@ while [ $# -gt 0 ]; do
     --pass) pass="$2"; shift 2 ;;
     --pass=*) pass="${1#--pass=}"; shift ;;
     -h|--help)
-      sed -n '2,56p' "$0"; exit 0 ;;
+      sed -n '2,60p' "$0"; exit 0 ;;
     -*)
       echo "ci: unknown flag $1 (see --help)" >&2; exit 64 ;;
     *)
@@ -203,6 +207,20 @@ pass_bench_smoke() {
   fi
   # Smoke-mode numbers: shape checks only, never diffed strictly.
   assemble_bench_json "$json_dir" "$prefix-plain/BENCH_6.json" || failed=1
+  # The gated benchmark builds on its own CMake project (perfbench/), so
+  # nothing above compiles its ledger program.
+  echo "=== build perfbench (standalone)" >&2
+  if ! { cmake -S perfbench -B "$prefix-perfbench" "${launcher_args[@]}" \
+           -DCMAKE_BUILD_TYPE=Release >/dev/null &&
+         cmake --build "$prefix-perfbench" -j "$jobs"; }; then
+    echo "ci: bench smoke FAILED: perfbench build" >&2
+    failed=1
+  fi
+  echo "=== perfbench/test_run.py" >&2
+  if ! python3 perfbench/test_run.py; then
+    echo "ci: bench smoke FAILED: perfbench/test_run.py" >&2
+    failed=1
+  fi
   return "$failed"
 }
 

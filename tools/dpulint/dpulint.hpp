@@ -239,6 +239,16 @@ std::vector<SourceFile> load_tree(const std::string& base,
 /// scan, no JSON dependency). Used to cross-check the walked tree.
 std::vector<std::string> compile_commands_files(const std::string& text);
 
+/// Path of compiled TU `tu` relative to `root_abs` (an absolute repo
+/// root, symlinks resolved) when it lies under one of `roots`, else empty.
+/// An absolute `tu` is resolved first, so a build configured through a
+/// symlinked path still maps; a relative `tu` is taken as already
+/// root-relative. Only the path below the root counts, so
+/// a directory elsewhere that merely shares a root's name (bench code
+/// under perfbench/src) is not mistaken for that root.
+std::string tu_under_roots(const std::string& tu, const std::string& root_abs,
+                           const std::vector<std::string>& roots);
+
 /// Read a whole file; empty optional-style: returns false on failure.
 bool read_file(const std::string& path, std::string* out);
 

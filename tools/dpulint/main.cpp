@@ -10,6 +10,7 @@
 #include "dpulint.hpp"
 
 #include <cstring>
+#include <filesystem>
 #include <iostream>
 
 namespace {
@@ -125,25 +126,20 @@ int main(int argc, char** argv) {
     }
     std::set<std::string> walked;
     for (const auto& f : files) walked.insert(f.path);
+    std::error_code ec;
+    const std::string root_abs = std::filesystem::canonical(root, ec).string();
+    if (ec) {
+      std::cerr << "dpulint: cannot resolve --root " << root << "\n";
+      return 2;
+    }
+    size_t mapped = 0;
     for (const std::string& tu : dpulint::compile_commands_files(cc_text)) {
       if (tu.size() > 6 && tu.compare(tu.size() - 6, 6, ".pb.cc") == 0)
         continue;
-      bool under_root = false;
-      std::string rel;
-      for (const auto& s : sources) {
-        size_t at = tu.find("/" + s + "/");
-        if (at != std::string::npos) {
-          rel = tu.substr(at + 1);
-          under_root = true;
-          break;
-        }
-        if (tu.rfind(s + "/", 0) == 0) {
-          rel = tu;
-          under_root = true;
-          break;
-        }
-      }
-      if (!under_root || walked.count(rel)) continue;
+      std::string rel = dpulint::tu_under_roots(tu, root_abs, sources);
+      if (rel.empty()) continue;
+      ++mapped;
+      if (walked.count(rel)) continue;
       if (rel.find("/gen/") != std::string::npos) continue;
       std::string text;
       if (dpulint::read_file(root + "/" + rel, &text) ||
@@ -153,6 +149,13 @@ int main(int argc, char** argv) {
         std::cerr << "dpulint: warning: compiled TU not found on disk: "
                   << tu << "\n";
       }
+    }
+    if (mapped == 0) {
+      // Nothing to cross-check means the check proved nothing: most
+      // likely compile_commands.json belongs to another tree.
+      std::cerr << "dpulint: " << compile_commands
+                << " has no TU under the source roots of " << root_abs << "\n";
+      return 2;
     }
   }
 

@@ -408,6 +408,25 @@ std::vector<SourceFile> load_tree(const std::string& base,
   return out;
 }
 
+std::string tu_under_roots(const std::string& tu, const std::string& root_abs,
+                           const std::vector<std::string>& roots) {
+  std::string rel = tu;
+  if (!tu.empty() && tu[0] == '/') {
+    // The build may have been configured through a symlink to the root:
+    // compare resolved paths, as `root_abs` is.
+    std::error_code ec;
+    std::string resolved = std::filesystem::weakly_canonical(tu, ec).string();
+    if (ec) resolved = tu;
+    const std::string prefix = root_abs + "/";
+    if (resolved.rfind(prefix, 0) != 0) return {};
+    rel = resolved.substr(prefix.size());
+  }
+  for (const auto& r : roots) {
+    if (rel.rfind(r + "/", 0) == 0) return rel;
+  }
+  return {};
+}
+
 std::vector<std::string> compile_commands_files(const std::string& text) {
   std::vector<std::string> out;
   size_t i = 0;
