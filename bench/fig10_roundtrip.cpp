@@ -224,7 +224,7 @@ Result run_shape(BenchEnv& env, const Shape& s, Mode mode) {
   };
 
   // One thread pumps both sides alternately; thread-CPU time splits per
-  // side (same methodology as fig8_datapath's run_roundtrip).
+  // side (same methodology as fig8_datapath's run_scenario).
   while (completed < s.requests) {
     {
       ThreadCpuTimer t;

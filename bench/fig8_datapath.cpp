@@ -12,10 +12,10 @@
 // come from the simulated link, including all block overheads.
 //
 // Scenarios, per the paper §VI.C: business logic empty, responses empty,
-// and BOTH scenarios use the custom stack-based deserializer. A second,
-// round-trip mode (this repo's §III.A response extension) echoes the
-// request back so the response codec is exercised too: with offload on
-// the host must perform zero (de)serialization in either direction.
+// and BOTH scenarios use the custom stack-based deserializer. The
+// response codec's round trip (echoed replies, host codec per offload
+// direction) is fig10_roundtrip's; this bench only prints the serialize
+// plan's unit cost per workload.
 //
 // Usage: fig8_datapath [--quick] [--json <path>] [--trace-out=PATH]
 #include <cinttypes>
@@ -198,144 +198,6 @@ ScenarioResult run_scenario(BenchEnv& env, const Workload& w, bool offload) {
   res.c2s_bytes = dpu_conn.tx_counters().bytes.load();
   res.s2c_bytes = host_conn.tx_counters().bytes.load();
   res.deserialized_bytes /= static_cast<double>(deser_count ? deser_count : 1);
-  return res;
-}
-
-// Round-trip mode (response-offload extension, DESIGN.md §3.16): the
-// server echoes the request back, and the *response* codec moves with the
-// offload switch. Offload on: the request decodes on the DPU, the host
-// handler is a memcpy + pointer rebase into the response block (zero host
-// codec), and the DPU serializes the returned object for the xRPC client.
-// Offload off: the host runs both the request deserialize and the
-// response serialize. Host codec cost must measure ≈ 0 with offload on.
-struct RoundTripResult {
-  uint64_t requests = 0;
-  double host_ns = 0;       ///< host-side thread-CPU total
-  double host_codec_ns = 0; ///< of which (de)serialization on the host
-  double dpu_ns = 0;        ///< DPU-side thread-CPU total
-  double dpu_codec_ns = 0;  ///< of which decode + serialize on the DPU
-};
-
-RoundTripResult run_roundtrip(BenchEnv& env, const Workload& w, bool offload) {
-  simverbs::ProtectionDomain dpu_pd("dpu"), host_pd("host");
-  rdmarpc::Connection dpu_conn(rdmarpc::Role::kClient, &dpu_pd, {});
-  rdmarpc::Connection host_conn(rdmarpc::Role::kServer, &host_pd, {});
-  if (!rdmarpc::Connection::connect(dpu_conn, host_conn).is_ok()) std::abort();
-  rdmarpc::RpcClient client(&dpu_conn);
-  rdmarpc::RpcServer server(&host_conn);
-
-  adt::ObjectSerializer ser(&env.adt, {});
-  RoundTripResult res;
-  arena::OwningArena host_scratch(1 << 21);
-  Bytes host_wire, dpu_wire;
-
-  if (offload) {
-    // Host business logic: echo the request object into the response
-    // block — memcpy plus the relocation walk, no codec at all.
-    server.register_inplace_handler(
-        kMethod,
-        [&](const rdmarpc::RequestView& req, arena::Arena& arena,
-            const arena::AddressTranslator& xlate, uint32_t* payload_size,
-            uint16_t* class_index) -> Status {
-          void* dst = arena.allocate(req.payload.size(), kPayloadAlign);
-          if (dst == nullptr) {
-            return Status(Code::kResourceExhausted, "response block full");
-          }
-          std::memcpy(dst, req.payload.data(), req.payload.size());
-          adt::ArenaDeserializer::SliceRelocation rel;
-          rel.old_begin = req.payload.data();
-          rel.old_end = req.payload.data() + req.payload.size();
-          rel.move_delta = static_cast<std::byte*>(dst) - req.payload.data();
-          rel.publish_delta = rel.move_delta + xlate.delta;
-          env.deserializer->relocate(w.class_index, static_cast<std::byte*>(dst),
-                                     rel);
-          *payload_size = static_cast<uint32_t>(arena.used());
-          *class_index = static_cast<uint16_t>(w.class_index);
-          return Status::ok();
-        });
-  } else {
-    // Host runs the full codec: deserialize the request, serialize the
-    // echoed response.
-    server.register_handler(
-        kMethod, [&](const rdmarpc::RequestView& req, Bytes& out) {
-          host_scratch.reset();
-          auto obj = env.deserializer->deserialize(w.class_index, req.payload,
-                                                   host_scratch, {});
-          if (!obj.is_ok()) return obj.status();
-          out.clear();
-          return ser.serialize(adt::ObjectRef(w.class_index, *obj), out);
-        });
-  }
-
-  const uint64_t requests = std::max<uint64_t>(w.requests / 2, 500);
-  uint64_t completed = 0, enqueued = 0;
-  auto on_response = [&](const Status& st, const rdmarpc::InMessage& resp) {
-    ++completed;
-    if (!st.is_ok()) std::abort();
-    if ((resp.header.flags & rdmarpc::kFlagInPlaceObject) != 0) {
-      // The DPU serializes the in-place response object for the xRPC
-      // client — the step the codec pool runs in the proxy datapath.
-      dpu_wire.clear();
-      if (!ser.serialize(adt::ObjectRef(resp.header.aux, resp.payload_addr),
-                         dpu_wire)
-               .is_ok()) {
-        std::abort();
-      }
-      benchmark_keep(!dpu_wire.empty());
-    } else {
-      benchmark_keep(!resp.payload.empty());
-    }
-  };
-  auto enqueue_one = [&]() -> bool {
-    Status st;
-    if (offload) {
-      st = client.call_inplace(
-          kMethod, static_cast<uint16_t>(w.class_index),
-          static_cast<uint32_t>(w.wire.size() * 4 + 256),
-          [&](arena::Arena& arena, const arena::AddressTranslator& xlate)
-              -> StatusOr<uint32_t> {
-            auto obj = env.deserializer->deserialize(w.class_index,
-                                                     ByteSpan(w.wire), arena, xlate);
-            if (!obj.is_ok()) return obj.status();
-            return static_cast<uint32_t>(arena.used());
-          },
-          on_response);
-    } else {
-      st = client.call(kMethod, ByteSpan(w.wire), on_response);
-    }
-    if (st.is_ok()) ++enqueued;
-    return st.is_ok();
-  };
-
-  while (completed < requests) {
-    {
-      ThreadCpuTimer t;
-      while (enqueued - completed < kConcurrency && enqueued < requests) {
-        if (!enqueue_one()) break;
-      }
-      if (!client.event_loop_once().is_ok()) std::abort();
-      res.dpu_ns += static_cast<double>(t.elapsed_ns());
-    }
-    {
-      ThreadCpuTimer t;
-      if (!server.event_loop_once().is_ok()) std::abort();
-      res.host_ns += static_cast<double>(t.elapsed_ns());
-    }
-  }
-  res.requests = completed;
-
-  // Codec splits from bulk-measured unit costs (same method as
-  // run_scenario): decode + serialize land on whichever side ran them.
-  const double unit_codec_ns =
-      measure_deser_unit_ns(env, w.class_index, w.wire) +
-      measure_ser_unit_ns(env, w.class_index, w.wire);
-  if (offload) {
-    res.dpu_codec_ns = unit_codec_ns * static_cast<double>(completed);
-    res.host_codec_ns = 0;  // the host never touches wire bytes
-  } else {
-    res.host_codec_ns = unit_codec_ns * static_cast<double>(completed);
-    res.dpu_codec_ns = 0;
-  }
   return res;
 }
 
@@ -588,36 +450,6 @@ int main(int argc, char** argv) {
                 measure_ser_unit_ns(env, w.class_index, w.wire));
   }
 
-  // Round-trip mode: echoed responses, with the response codec riding the
-  // same offload switch (DESIGN.md §3.16). Acceptance: with offload on the
-  // host performs zero codec work in either direction.
-  std::printf("\nRound trip (server echoes the request; host codec = request\n"
-              "deserialize + response serialize when not offloaded):\n");
-  std::printf("%-12s %-5s %13s %15s %14s\n", "message", "side", "host ns/req",
-              "hostCodec ns/r", "dpuCodec ns/r");
-  RoundTripResult rt_dpu[3], rt_cpu[3];
-  bool host_codec_zero = true;
-  for (int i = 0; i < 3; ++i) {
-    const auto& w = workloads[i];
-    rt_dpu[i] = run_roundtrip(env, w, /*offload=*/true);
-    rt_cpu[i] = run_roundtrip(env, w, /*offload=*/false);
-    const double nd = static_cast<double>(rt_dpu[i].requests);
-    const double nc = static_cast<double>(rt_cpu[i].requests);
-    std::printf("%-12s %-5s %13.0f %15.1f %14.1f\n", w.name, "DPU",
-                rt_dpu[i].host_ns / nd, rt_dpu[i].host_codec_ns / nd,
-                rt_dpu[i].dpu_codec_ns / nd);
-    std::printf("%-12s %-5s %13.0f %15.1f %14.1f\n", w.name, "CPU",
-                rt_cpu[i].host_ns / nc, rt_cpu[i].host_codec_ns / nc,
-                rt_cpu[i].dpu_codec_ns / nc);
-    if (rt_dpu[i].host_codec_ns != 0) host_codec_zero = false;
-  }
-  if (!host_codec_zero) {
-    std::fprintf(stderr,
-                 "FAIL: round trip with offload on performed host codec work\n");
-    return 4;
-  }
-  std::printf("round trip: host codec with offload on = 0 for every shape\n");
-
   std::printf("\nPaper reference (Fig. 8): DPU matches CPU rps when given 2x threads;\n");
   std::printf("bandwidth penalty largest for Small/Ints (deserialized > serialized),\n");
   std::printf("~1.0x for Chars; host CPU reduced 1.8x (Small), 8.0x (Ints), 1.53x "
@@ -643,22 +475,7 @@ int main(int argc, char** argv) {
                    fcs[i].bandwidth_gbps, fcs[i].host_cores, fcs[i].dpu_cores,
                    cpu_bytes[i], cpu_ratio[i], i < 2 ? "," : "");
     }
-    std::fprintf(f, "  ],\n  \"roundtrip\": [\n");
-    for (int i = 0; i < 3; ++i) {
-      const double nd = static_cast<double>(rt_dpu[i].requests);
-      const double nc = static_cast<double>(rt_cpu[i].requests);
-      std::fprintf(f,
-                   "    {\"message\": \"%s\", \"offload\": {\"host_ns_req\": %.1f, "
-                   "\"host_codec_ns_req\": %.1f, \"dpu_codec_ns_req\": %.1f}, "
-                   "\"host\": {\"host_ns_req\": %.1f, \"host_codec_ns_req\": %.1f, "
-                   "\"dpu_codec_ns_req\": %.1f}}%s\n",
-                   names[i], rt_dpu[i].host_ns / nd, rt_dpu[i].host_codec_ns / nd,
-                   rt_dpu[i].dpu_codec_ns / nd, rt_cpu[i].host_ns / nc,
-                   rt_cpu[i].host_codec_ns / nc, rt_cpu[i].dpu_codec_ns / nc,
-                   i < 2 ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"roundtrip_host_codec_zero_with_offload\": %s\n}\n",
-                 host_codec_zero ? "true" : "false");
+    std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
   }
 

@@ -12,6 +12,15 @@
 
 namespace dpurpc::dpu {
 
+namespace {
+/// Modeled DPU time for `ns` of host-measured codec work (WorkerStats::
+/// scaled_busy_ns).
+uint64_t modeled_dpu_ns(uint64_t ns) {
+  return static_cast<uint64_t>(CostModel{}.scale_ns(
+      Processor::kDpu, WorkloadClass::kMixedSmall, static_cast<double>(ns)));
+}
+}  // namespace
+
 DeviceInfo DeviceInfo::current() noexcept {
   // A pool wider than the machine only timeshares: size from the real core
   // count, capped at the modeled device's (fig9's 16-worker sweep passes
@@ -99,9 +108,14 @@ DPURPC_HOT_PATH bool CodecPool::submit(size_t lane, CodecJob& job) {
   if (job.kind == JobKind::kEncode && serializer_ == nullptr) return false;
   const JobKind kind = job.kind;
   if (!lanes_[lane]->submit.try_push(std::move(job))) return false;
+  // Orders the ring push before the sleepers_ load below. It pairs with
+  // the fence in worker_loop's park: either that worker's re-check sees
+  // this job, or this load sees its sleepers_ increment (no lost wakeup).
+  // A release store followed by a load is not ordered without it.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   (kind == JobKind::kEncode ? encode_handoffs_ : handoffs_)->inc();
   // Only pay for the wakeup when someone is (or is about to be) parked;
-  // the steady-state submit path is the ring push plus one seq_cst load.
+  // the steady-state submit path is the ring push, the fence and one load.
   if (sleepers_.load(std::memory_order_seq_cst) > 0) {
     // dpulint: allow(hot-path): cold spill — wakeup lock taken only when a
     // worker is parked; the steady-state branch is the seq_cst load above.
@@ -141,15 +155,10 @@ size_t CodecPool::lane_queue_depth(size_t lane) const noexcept {
   return lane < lanes_.size() ? lanes_[lane]->submit.approx_size() : 0;
 }
 
-bool CodecPool::any_pending(size_t w) const noexcept {
-  if (options_.steal) {
-    for (const auto& lane : lanes_) {
-      if (lane->submit.approx_size() > 0) return true;
-    }
-    return false;
-  }
-  for (size_t lane = w; lane < lanes_.size(); lane += workers_.size()) {
-    if (lanes_[lane]->submit.approx_size() > 0) return true;
+bool CodecPool::any_pending() const noexcept {
+  // Idle workers steal, so a job on any lane is this worker's business.
+  for (const auto& lane : lanes_) {
+    if (lane->submit.approx_size() > 0) return true;
   }
   return false;
 }
@@ -170,7 +179,7 @@ DPURPC_HOT_PATH void CodecPool::worker_loop(size_t w) {
     if (me.depth_gauge != nullptr) me.depth_gauge->set(static_cast<double>(depth));
     // Nothing at home: steal from a sibling's backlog (gated pop; a miss
     // on the gate just means the home worker got there first).
-    if (!did && options_.steal) {
+    if (!did) {
       for (size_t lane = 0; lane < lanes_.size() && !did; ++lane) {
         if (lane % nworkers == w) continue;
         did = run_one(w, lane, /*stolen=*/true);
@@ -184,21 +193,25 @@ DPURPC_HOT_PATH void CodecPool::worker_loop(size_t w) {
       std::this_thread::yield();
       continue;
     }
-    // Park. sleepers_ is raised before the under-lock re-check, so a
-    // submitter that pushed after our scan either makes the re-check see
-    // its job or observes sleepers_ > 0 and lands its notify after our
-    // wait began; the 1ms timeout is a belt-and-suspenders backstop. A
-    // backstop wakeup that finds nothing stays in the park loop rather
-    // than spin another 64 idle rounds.
+    // Park. sleepers_ is raised, then a fence, then the under-lock
+    // re-check; submit() fences between its push and its sleepers_ load.
+    // So a submitter that pushed after our scan either makes the re-check
+    // see its job or observes sleepers_ > 0 and lands its notify after
+    // our wait began. The wait stays timed at 1 ms for the same measured
+    // reason as the proxy lane's (DESIGN.md §3.14): on a 4-vCPU VM an
+    // untimed sleep costs wake latency. A timed wakeup that finds
+    // nothing stays in the park loop rather than spin another 64 idle
+    // rounds.
     idle_rounds = 0;
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     {
       // dpulint: allow(hot-path): cold spill — condvar parking after 64
       // idle rounds, off the submit path (DESIGN.md §3.14).
       lockdep::UniqueLock lk(wake_mu_);
-      while (!any_pending(w) && !stopping_.load(std::memory_order_acquire)) {
+      while (!any_pending() && !stopping_.load(std::memory_order_acquire)) {
         // dpulint: allow(hot-path): parked-worker wait; bounded by the 1ms
-        // backstop timeout.
+        // timeout.
         wake_cv_.wait_for(lk, std::chrono::milliseconds(1));
       }
     }
@@ -312,9 +325,7 @@ CodecResult CodecPool::decode(size_t w, CodecJob&& job) {
   relaxed::add(me.jobs, 1);
   relaxed::add(me.bytes_decoded, wire_bytes);
   relaxed::add(me.busy_ns, ns);
-  relaxed::add(me.scaled_busy_ns,
-               static_cast<uint64_t>(options_.cost_model.scale_ns(
-                   Processor::kDpu, options_.workload, static_cast<double>(ns))));
+  relaxed::add(me.scaled_busy_ns, modeled_dpu_ns(ns));
   return result;
 }
 
@@ -374,9 +385,7 @@ CodecResult CodecPool::encode(size_t w, CodecJob&& job) {
   relaxed::add(me.encodes, 1);
   relaxed::add(me.bytes_encoded, result.wire.size());
   relaxed::add(me.busy_ns, ns);
-  relaxed::add(me.scaled_busy_ns,
-               static_cast<uint64_t>(options_.cost_model.scale_ns(
-                   Processor::kDpu, options_.encode_workload, static_cast<double>(ns))));
+  relaxed::add(me.scaled_busy_ns, modeled_dpu_ns(ns));
   return result;
 }
 

@@ -161,15 +161,6 @@ class CodecPool {
     /// wire-size-derived slice and retries once at this cap on arena
     /// exhaustion. Matches rdmarpc::kMaxPayloadSize by default.
     size_t max_slice_bytes = 64 * 1024;
-    /// Let idle workers pop from foreign lanes' submit rings.
-    bool steal = true;
-    /// Calibrated slowdown applied to modeled (scaled) busy time, per
-    /// direction: decode jobs scale by `workload`, encode jobs by
-    /// `encode_workload` (serialize leans on the same varint/byte-copy
-    /// kernels, so the classes are shared).
-    WorkloadClass workload = WorkloadClass::kMixedSmall;
-    WorkloadClass encode_workload = WorkloadClass::kMixedSmall;
-    CostModel cost_model{};
   };
 
   /// Monotonic per-worker tallies; readable concurrently at any time.
@@ -181,7 +172,10 @@ class CodecPool {
     uint64_t bytes_decoded = 0;   ///< wire bytes consumed by decode jobs
     uint64_t bytes_encoded = 0;   ///< wire bytes produced by encode jobs
     uint64_t busy_ns = 0;         ///< host thread-CPU time spent in the codec
-    uint64_t scaled_busy_ns = 0;  ///< busy_ns × CostModel factor (DPU-modeled)
+    /// busy_ns × the default CostModel's kMixedSmall factor (DPU-modeled;
+    /// both directions share the class: serialize leans on the same
+    /// varint/byte-copy kernels as decode).
+    uint64_t scaled_busy_ns = 0;
   };
 
   /// `deserializer` and `serializer` must outlive the pool (`serializer`
@@ -252,7 +246,7 @@ class CodecPool {
   bool run_one(size_t w, size_t lane, bool stolen);
   CodecResult decode(size_t w, CodecJob&& job);
   CodecResult encode(size_t w, CodecJob&& job);
-  bool any_pending(size_t w) const noexcept;
+  bool any_pending() const noexcept;
 
   const adt::ArenaDeserializer* deserializer_;
   const adt::ObjectSerializer* serializer_;

@@ -12,6 +12,9 @@
 // Threading (§III.C + lane sharding, DESIGN.md §3.14/§3.16): one poller
 // thread (lane) per RDMA connection owns that connection's RpcClient and
 // event loop; xRPC reader threads enqueue work round-robin across lanes.
+// A lane has one way in (Lane::post), one sleep (its connection's
+// completion channel, in the poller loop and in the one backpressure
+// routine) and one way out (stop() or a datapath failure).
 // A unary call's codec runs on its own lane, both ways: the request
 // decodes straight into the RDMA send block (§V), and an in-place object
 // reply serializes straight from the receive block before it is acked.
@@ -209,6 +212,12 @@ class DpuProxy {
   /// One connection + its dedicated poller (§III.C).
   struct Lane {
     Lane(rdmarpc::Connection* c, size_t i) : conn(c), client(c), index(i) {}
+    /// The one way onto the lane: enqueue, then kick the poller out of its
+    /// channel wait. Blocks while the queue is full; once the queue is
+    /// closed (stop(), or the lane died) the event is dropped.
+    void post(PendingCall event) {
+      if (queue.push(std::move(event))) conn->interrupt();
+    }
     rdmarpc::Connection* conn;
     rdmarpc::RpcClient client;
     size_t index;
@@ -265,16 +274,25 @@ class DpuProxy {
   void retire_stream_hold(ProxyStream& ps) noexcept;
   /// Decode a unary request straight into the send block on the lane
   /// thread (§V) and fire the RPC. A request that cannot fit a block fails
-  /// only its own call. Returns non-ok only on unrecoverable datapath
-  /// failure.
+  /// only its own call. Returns non-ok when the proxy stops or on
+  /// unrecoverable datapath failure (the call is answered either way).
   Status forward(Lane& lane, PendingCall call);
+  /// The lane's one backpressure path. Runs `send` until it goes through
+  /// or fails with something other than backpressure (kUnavailable or
+  /// kResourceExhausted: no credit, no request ID, send buffer full), and
+  /// returns that result. Between tries it pumps the event loop once and,
+  /// when nothing moved, sleeps the way the poller loop does. Returns
+  /// kUnavailable once the proxy stops, or the event loop's failure.
+  template <typename Send>
+  Status send_with_backpressure(Lane& lane, Send&& send);
   /// Shared RPC continuation tail: error → error reply; in-place object →
   /// serialize it on the lane, straight from the receive block; bytes →
   /// pass through.
   void complete_response(const std::shared_ptr<xrpc::Server::Responder>& respond,
                          const trace::TraceContext& tctx, const Status& result,
                          const rdmarpc::InMessage& resp);
-  /// Fail every stream still open on the lane (shutdown/teardown).
+  /// The lane's way out: close its queue, answer every queued call and
+  /// stream open with kUnavailable, and fail every stream still open.
   void fail_pending(Lane& lane);
 
   const OffloadManifest* manifest_;

@@ -22,11 +22,10 @@ class HostEnginePool {
   /// on all of them; use several ServerPollers to shard across threads.
   HostEnginePool(const std::vector<rdmarpc::Connection*>& connections,
                  const OffloadManifest* manifest, const proto::DescriptorPool* pool,
-                 adt::CodecOptions options = {},
-                 bool offload_object_responses = true) {
+                 adt::CodecOptions options = {}) {
     for (auto* conn : connections) {
-      engines_.push_back(std::make_unique<HostEngine>(
-          conn, manifest, pool, options, offload_object_responses));
+      engines_.push_back(
+          std::make_unique<HostEngine>(conn, manifest, pool, options));
       poller_.add(&engines_.back()->rpc_server());
     }
   }

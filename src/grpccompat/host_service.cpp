@@ -22,14 +22,11 @@ arena::OwningArena& object_scratch() {
 }  // namespace
 
 HostEngine::HostEngine(rdmarpc::Connection* conn, const OffloadManifest* manifest,
-                       const proto::DescriptorPool* pool, adt::CodecOptions options,
-                       bool offload_object_responses)
+                       const proto::DescriptorPool* pool, adt::CodecOptions options)
     : server_(conn),
       manifest_(manifest),
       pool_(pool),
-      serializer_(&manifest->adt(), options),
-      deserializer_(&manifest->adt(), options),
-      offload_object_responses_(offload_object_responses) {}
+      deserializer_(&manifest->adt(), options) {}
 
 Status HostEngine::register_unary(std::string_view full_name, Method method) {
   const MethodEntry* entry = manifest_->find_by_name(full_name);
@@ -77,34 +74,10 @@ Status HostEngine::register_unary_object(std::string_view full_name,
   uint32_t input_class = entry->input_class;
   uint32_t output_class = entry->output_class;
 
-  if (!offload_object_responses_) {
-    // Host-serialize baseline: build in per-thread scratch, run the
-    // compiled serialize plan here, reply with bytes.
-    server_.register_handler(
-        entry->method_id,
-        [this, method = std::move(method), input_class, output_class](
-            const rdmarpc::RequestView& req, Bytes& response_bytes) -> Status {
-          if (req.object == nullptr || req.class_index != input_class) {
-            return Status(Code::kInvalidArgument, "bad in-place request");
-          }
-          adt::LayoutView request(&manifest_->adt(), input_class, req.object);
-          arena::OwningArena& scratch = object_scratch();
-          scratch.reset();
-          auto response = adt::LayoutBuilder::create(&manifest_->adt(),
-                                                     output_class, &scratch);
-          if (!response.is_ok()) return response.status();
-          ServerContext ctx;
-          DPURPC_RETURN_IF_ERROR(method(ctx, request, *response));
-          // Host-side planned serialization: the builder *is* the object.
-          return serializer_.serialize(adt::ObjectRef(*response), response_bytes);
-        });
-    return Status::ok();
-  }
-
-  // Offloaded (default): the handler builds into per-thread scratch with
-  // local pointers; the engine then copies the finished tree into the
-  // send block, rebasing every pointer into the peer's address space, and
-  // the DPU's codec pool serializes it. The host touches no wire bytes.
+  // The handler builds into per-thread scratch with local pointers; the
+  // engine then copies the finished tree into the send block, rebasing
+  // every pointer into the peer's address space, and the DPU serializes
+  // it. The host touches no wire bytes.
   server_.register_inplace_handler(
       entry->method_id,
       [this, method = std::move(method), input_class, output_class](
@@ -172,7 +145,7 @@ Status HostEngine::register_stream(std::string_view full_name,
             return Status(Code::kDataLoss, "stream opened mid-sequence");
           }
           it = stream_progress_
-                   .emplace(prefix.stream_id, StreamProgress{method_id, 0, 0})
+                   .emplace(prefix.stream_id, StreamProgress{method_id, 0})
                    .first;
         }
         if (it->second.method_id != method_id) {
@@ -197,7 +170,6 @@ Status HostEngine::register_stream(std::string_view full_name,
           return method(ctx, prefix.stream_id, ByteSpan(), /*end=*/true,
                         response_bytes);
         }
-        it->second.bytes += chunk.size();
         Status st = method(ctx, prefix.stream_id, chunk, /*end=*/false,
                            response_bytes);
         if (!st.is_ok()) stream_progress_.erase(prefix.stream_id);

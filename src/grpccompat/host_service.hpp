@@ -11,11 +11,10 @@
 //     serializes it with the reference WireCodec (the paper's baseline:
 //     response serialization not offloaded, §III.A).
 //   * register_unary_object    — handler builds the response *object* with
-//     a LayoutBuilder in per-thread scratch; by default the object is
-//     copied into the RDMA send block and the *DPU* serializes it (host
-//     codec cost ≈ 0 in both directions). With offloading disabled the
-//     host serializes through the compiled plan instead — the middle rung
-//     fig10_roundtrip measures against.
+//     a LayoutBuilder in per-thread scratch; the object is copied into the
+//     RDMA send block and the *DPU* serializes it (host codec cost ≈ 0 in
+//     both directions). fig10_roundtrip's request-offload mode measures
+//     the host-serialize alternative on rdmarpc::RpcServer directly.
 //   * register_stream          — bulk-transfer requests: the proxy ships
 //     the stream as prefixed chunks (stream_wire.hpp), each decoded on
 //     the DPU pool first; the handler sees raw chunk bytes in order and
@@ -52,14 +51,9 @@ class HostEngine {
 
   /// `pool` must contain the response message types (same pool the
   /// manifest was built from). `options` governs the engine's own codec
-  /// work (the plan serializer and the relocation walk behind
-  /// register_unary_object). `offload_object_responses` picks that
-  /// method's response path: true (default) ships the object to the DPU
-  /// for serialization; false serializes on the host — the comparison
-  /// baseline for fig10_roundtrip and the codec-parity tests.
+  /// work (the relocation walk behind register_unary_object).
   HostEngine(rdmarpc::Connection* conn, const OffloadManifest* manifest,
-             const proto::DescriptorPool* pool, adt::CodecOptions options = {},
-             bool offload_object_responses = true);
+             const proto::DescriptorPool* pool, adt::CodecOptions options = {});
 
   /// Bind business logic to "pkg.Service/Method". NOT_FOUND if the
   /// manifest does not know the method.
@@ -69,10 +63,8 @@ class HostEngine {
   /// response *object* through a LayoutBuilder into per-thread scratch —
   /// handlers never see block-arena backpressure, and the engine is safe
   /// to drive from multiple threads or engines. The finished object is
-  /// then either copied+relocated into the send block for DPU-side
-  /// serialization with the ADT-driven ObjectSerializer (default) or
-  /// serialized on the host through the compiled plan
-  /// (offload_object_responses = false).
+  /// then copied+relocated into the send block for DPU-side serialization
+  /// with the ADT-driven ObjectSerializer.
   using InPlaceMethod = std::function<Status(const ServerContext&,
                                              const adt::LayoutView& request,
                                              adt::LayoutBuilder& response)>;
@@ -102,10 +94,8 @@ class HostEngine {
   rdmarpc::RpcServer server_;
   const OffloadManifest* manifest_;
   const proto::DescriptorPool* pool_;
-  adt::ObjectSerializer serializer_;
   /// Relocation walks for register_unary_object's copy-into-block path.
   adt::ArenaDeserializer deserializer_;
-  bool offload_object_responses_;
   /// Per-stream sequencing state for register_stream, keyed by the
   /// proxy-assigned stream id. Touched only from handler context (the
   /// thread pumping this engine's event loop). Entries leave on the end
@@ -114,7 +104,6 @@ class HostEngine {
   struct StreamProgress {
     uint16_t method_id = 0;
     uint32_t next_seq = 0;
-    uint64_t bytes = 0;
   };
   std::map<uint32_t, StreamProgress> stream_progress_;
 };

@@ -3,7 +3,9 @@
 // This is Fig. 1 of the paper as a running system.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <future>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -460,6 +462,60 @@ TEST_F(OffloadFixture, ConcurrentXrpcClientsThroughOneProxy) {
   for (auto& t : clients) t.join();
   EXPECT_EQ(ok.load(), kClients * kCallsEach);
   EXPECT_EQ(host_->requests_served(), static_cast<uint64_t>(kClients * kCallsEach));
+}
+
+TEST_F(OffloadFixture, StopReturnsWhileALaneIsBackpressured) {
+  // The host engine is never pumped: the lane runs out of request IDs and
+  // credits and sits in its backpressure routine, its queue fills, and the
+  // xRPC reader blocks posting to it. stop() must still return promptly.
+  proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
+  auto port = proxy_->start();
+  ASSERT_TRUE(port.is_ok());
+  auto chan = xrpc::Channel::connect(*port);
+  ASSERT_TRUE(chan.is_ok());
+
+  const auto* desc = pool_.find_message("kv.GetRequest");
+  proto::DynamicMessage m(desc);
+  m.set_string(desc->field_by_name("key"), std::string(4000, 'k'));
+  const Bytes wire = proto::WireCodec::serialize(m);
+  constexpr int kCalls = 4000;
+  std::atomic<int> sent{0};
+  std::thread sender([&] {
+    for (int i = 0; i < kCalls; ++i) {
+      // Blocks once the socket buffers fill; close() below releases it.
+      if (!(*chan)->call_async("kv.KvStore/Get", ByteSpan(wire), [](Code, Bytes) {})
+               .is_ok()) {
+        return;
+      }
+      sent.fetch_add(1);
+    }
+  });
+  // Back-pressured: neither the sender nor the lane has moved for 200 ms.
+  auto progress = [&] {
+    return std::make_pair(sent.load(), proxy_->stats().offloaded_requests.load());
+  };
+  auto last = progress();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    auto now = progress();
+    if (now == last && now.second > 0) break;
+    last = now;
+  }
+
+  auto t0 = std::chrono::steady_clock::now();
+  auto stopped = std::async(std::launch::async, [&] { proxy_->stop(); });
+  const bool returned =
+      stopped.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  EXPECT_TRUE(returned) << "stop() hung with " << last.first << " calls sent and "
+                        << last.second << " forwarded";
+  if (returned) {
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  } else {
+    start_host_loop();  // drain the backlog so the hung stop() can finish
+  }
+  stopped.wait();
+  (*chan)->close();
+  sender.join();
 }
 
 // ------------------------------------------------------------- streaming

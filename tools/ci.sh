@@ -19,7 +19,10 @@
 #                     interleave in the tests, and data races between them
 #                     are invisible to passes 1–2. Benches are excluded
 #                     here (the BMI2 micro-bench kernels measure nothing
-#                     under TSan's 5-15x slowdown).
+#                     under TSan's 5-15x slowdown). The proxy, lane and
+#                     codec-pool tests then run again, ten times each
+#                     with a 60 s timeout: a wrong lane loop or a lost
+#                     wakeup shows up as a rare hang, not a failure.
 #
 # Extra named passes:
 #
@@ -68,7 +71,7 @@ while [ $# -gt 0 ]; do
     --pass) pass="$2"; shift 2 ;;
     --pass=*) pass="${1#--pass=}"; shift ;;
     -h|--help)
-      sed -n '2,60p' "$0"; exit 0 ;;
+      sed -n '2,63p' "$0"; exit 0 ;;
     -*)
       echo "ci: unknown flag $1 (see --help)" >&2; exit 64 ;;
     *)
@@ -119,7 +122,15 @@ pass_plain() {
   done
 }
 pass_asan()  { run_pass "$prefix-asan" -DDPURPC_SANITIZE=address,undefined -DDPURPC_LOCKDEP=ON; }
-pass_tsan()  { run_pass "$prefix-tsan" -DDPURPC_SANITIZE=thread -DDPURPC_BUILD_BENCH=OFF; }
+# Tests whose failure mode is a rare hang in a lane or worker loop.
+repeat_tests='OffloadFixture|MultiLane|ResponseOffload|EndToEndStress|TraceE2e|Forensics|CodecPool'
+
+pass_tsan() {
+  run_pass "$prefix-tsan" -DDPURPC_SANITIZE=thread -DDPURPC_BUILD_BENCH=OFF
+  echo "=== repeat: $repeat_tests" >&2
+  ctest --test-dir "$prefix-tsan" --output-on-failure -j "$jobs" \
+    --repeat until-fail:10 --timeout 60 -R "$repeat_tests"
+}
 pass_lint() {
   # lint.sh needs a configured tree (compile_commands.json) and builds
   # the dpulint target itself; configure here so `--pass lint` works
