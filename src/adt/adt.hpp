@@ -53,6 +53,34 @@ struct FieldEntry {
   uint32_t child_class = kNoChild; ///< ClassEntry index for message fields
 };
 
+/// In-memory shape of a repeated field, RepeatedField<T> and
+/// RepeatedPtrField<T> alike (repeated_field.hpp asserts the same 16
+/// bytes): the codecs read and write these three words directly.
+struct RepHeader {
+  void* data;
+  uint32_t size;
+  uint32_t capacity;
+};
+static_assert(sizeof(RepHeader) == 16);
+
+/// Bytes one scalar element of type `t` occupies in the object (the
+/// element stride of a RepeatedField<T>).
+constexpr uint32_t scalar_elem_size(proto::FieldType t) noexcept {
+  switch (t) {
+    case proto::FieldType::kBool: return 1;
+    case proto::FieldType::kInt32:
+    case proto::FieldType::kUint32:
+    case proto::FieldType::kSint32:
+    case proto::FieldType::kFixed32:
+    case proto::FieldType::kSfixed32:
+    case proto::FieldType::kFloat:
+    case proto::FieldType::kEnum:
+      return 4;
+    default:
+      return 8;
+  }
+}
+
 /// One message class: identity, layout, default bytes, fields.
 struct ClassEntry {
   std::string name;                 ///< fully-qualified proto name

@@ -19,31 +19,6 @@ namespace {
 using proto::FieldType;
 using wire::Reader;
 
-/// In-memory shape of RepeatedField<T> / RepeatedPtrField<T>. Kept in sync
-/// by the static_asserts in repeated_field.hpp.
-struct RepHeader {
-  void* data;
-  uint32_t size;
-  uint32_t capacity;
-};
-static_assert(sizeof(RepHeader) == 16);
-
-uint32_t scalar_elem_size(FieldType t) noexcept {
-  switch (t) {
-    case FieldType::kBool: return 1;
-    case FieldType::kInt32:
-    case FieldType::kUint32:
-    case FieldType::kSint32:
-    case FieldType::kFixed32:
-    case FieldType::kSfixed32:
-    case FieldType::kFloat:
-    case FieldType::kEnum:
-      return 4;
-    default:
-      return 8;
-  }
-}
-
 /// Grow a repeated header's buffer to hold `needed` elements of
 /// `elem_size` bytes. Data pointer stays *local* during parsing.
 Status ensure_capacity(RepHeader& h, uint32_t needed, uint32_t elem_size,

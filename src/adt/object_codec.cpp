@@ -21,28 +21,6 @@ metrics::Counter& plan_serializes() {
   return c;
 }
 
-struct RepHeader {
-  void* data;
-  uint32_t size;
-  uint32_t capacity;
-};
-
-uint32_t scalar_elem_size(FieldType t) noexcept {
-  switch (t) {
-    case FieldType::kBool: return 1;
-    case FieldType::kInt32:
-    case FieldType::kUint32:
-    case FieldType::kSint32:
-    case FieldType::kFixed32:
-    case FieldType::kSfixed32:
-    case FieldType::kFloat:
-    case FieldType::kEnum:
-      return 4;
-    default:
-      return 8;
-  }
-}
-
 }  // namespace
 
 Status ObjectSerializer::serialize(ObjectRef ref, Bytes& out) const {

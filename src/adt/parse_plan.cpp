@@ -12,22 +12,6 @@ namespace {
 using proto::FieldType;
 using wire::WireType;
 
-uint8_t plan_elem_size(FieldType t) noexcept {
-  switch (t) {
-    case FieldType::kBool: return 1;
-    case FieldType::kInt32:
-    case FieldType::kUint32:
-    case FieldType::kSint32:
-    case FieldType::kFixed32:
-    case FieldType::kSfixed32:
-    case FieldType::kFloat:
-    case FieldType::kEnum:
-      return 4;
-    default:
-      return 8;
-  }
-}
-
 /// Opcode for a scalar field's canonical (non-LEN) tag.
 PlanOp scalar_op(FieldType t, bool repeated) noexcept {
   switch (proto::wire_type_for(t)) {
@@ -116,7 +100,7 @@ ParsePlanSet ParsePlanSet::build(const Adt& adt) {
         s.has_mask = (!f.repeated && f.has_bit >= 0)
                          ? (1u << static_cast<uint32_t>(f.has_bit))
                          : 0;
-        s.elem_size = plan_elem_size(f.type);
+        s.elem_size = static_cast<uint8_t>(scalar_elem_size(f.type));
         s.aux = f.child_class;
         s.next_tag = predicted;
 

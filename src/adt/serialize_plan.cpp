@@ -14,28 +14,6 @@ namespace {
 
 using proto::FieldType;
 
-struct RepHeader {
-  void* data;
-  uint32_t size;
-  uint32_t capacity;
-};
-
-uint32_t scalar_elem_size(FieldType t) noexcept {
-  switch (t) {
-    case FieldType::kBool: return 1;
-    case FieldType::kInt32:
-    case FieldType::kUint32:
-    case FieldType::kSint32:
-    case FieldType::kFixed32:
-    case FieldType::kSfixed32:
-    case FieldType::kFloat:
-    case FieldType::kEnum:
-      return 4;
-    default:
-      return 8;
-  }
-}
-
 SerOp singular_op(FieldType t) noexcept {
   switch (t) {
     case FieldType::kInt32:

@@ -20,6 +20,7 @@
 
 #include <deque>
 #include <optional>
+#include <utility>
 
 #include "common/lockdep.hpp"
 #include "common/thread_annotations.hpp"
@@ -32,14 +33,16 @@ class BoundedQueue {
   explicit BoundedQueue(size_t capacity) : capacity_(capacity) {}
 
   /// Blocks until space is available or the queue is closed.
-  /// Returns false if closed.
-  bool push(T item) DPURPC_EXCLUDES(mu_) {
+  /// Returns false if closed, and then leaves `item` with the caller: an
+  /// rvalue is moved from only when the push succeeds.
+  template <typename U>
+  bool push(U&& item) DPURPC_EXCLUDES(mu_) {
     lockdep::UniqueLock lk(mu_);
     not_full_.wait(lk, [&]() DPURPC_REQUIRES(mu_) {
       return closed_ || items_.size() < capacity_;
     });
     if (closed_) return false;
-    items_.push_back(std::move(item));
+    items_.push_back(std::forward<U>(item));
     not_empty_.notify_one();
     return true;
   }

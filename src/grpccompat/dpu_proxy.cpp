@@ -168,9 +168,21 @@ void DpuProxy::handle_call(xrpc::CallContext ctx) {
     ctx.respond(Code::kNotFound, {});
     return;
   }
-  // Round-robin across poller lanes (§III.C: dedicated poller per
-  // connection); post() wakes the lane if it sleeps on its channel.
-  Lane* lane = lanes_[relaxed::add(next_lane_, 1) % lanes_.size()].get();
+  // Round-robin across live poller lanes (§III.C: dedicated poller per
+  // connection); post() wakes the lane if it sleeps on its channel. A lane
+  // whose datapath failed leaves the rotation; a post that races its
+  // exit is answered by post() itself.
+  Lane* lane = nullptr;
+  for (size_t i = 0; i < lanes_.size() && lane == nullptr; ++i) {
+    Lane* next = lanes_[relaxed::add(next_lane_, 1) % lanes_.size()].get();
+    if (!relaxed::load(next->dead)) lane = next;
+  }
+  if (lane == nullptr) {
+    // dpulint: allow(trace-pairing): no lane left — the call never
+    // reached the datapath, so no kComplete span exists.
+    ctx.respond(Code::kUnavailable, {});
+    return;
+  }
   uint64_t enqueue_ns = ctx.trace.active() ? WallTimer::now() : 0;
   if (ctx.is_stream()) {
     // A stream pins its lane: every event for it must reach the same
@@ -671,9 +683,10 @@ Status DpuProxy::forward(Lane& lane, PendingCall call) {
 }
 
 void DpuProxy::fail_pending(Lane& lane) {
-  // Readers now drop what they post here instead of waiting on a lane
-  // that will never drain its queue. Calls still queued get a definite
-  // status.
+  // Readers now skip this lane, and a post that races the close is
+  // answered kUnavailable instead of waiting on a lane that will never
+  // drain its queue. Calls still queued get a definite status.
+  relaxed::store(lane.dead, true);
   lane.queue.close();
   while (auto event = lane.queue.try_pop()) {
     // dpulint: allow(trace-pairing): shutdown path — queued calls never

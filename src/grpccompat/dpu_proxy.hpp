@@ -213,15 +213,26 @@ class DpuProxy {
   struct Lane {
     Lane(rdmarpc::Connection* c, size_t i) : conn(c), client(c), index(i) {}
     /// The one way onto the lane: enqueue, then kick the poller out of its
-    /// channel wait. Blocks while the queue is full; once the queue is
-    /// closed (stop(), or the lane died) the event is dropped.
+    /// channel wait. Blocks while the queue is full. Once the queue is
+    /// closed (stop(), or the lane died) the event's call is answered
+    /// kUnavailable instead; stream frames for a dead lane are dropped
+    /// (fail_pending already failed their stream).
     void post(PendingCall event) {
-      if (queue.push(std::move(event))) conn->interrupt();
+      if (queue.push(std::move(event))) {
+        conn->interrupt();
+        return;
+      }
+      // push() leaves the event intact when the queue is closed.
+      // NOLINTNEXTLINE(bugprone-use-after-move)
+      if (event.respond) event.respond(Code::kUnavailable, {});
     }
     rdmarpc::Connection* conn;
     rdmarpc::RpcClient client;
     size_t index;
     BoundedQueue<PendingCall> queue{1024};
+    /// Set by fail_pending just before it closes `queue`: handle_call skips
+    /// dead lanes without taking the queue's lock on every call.
+    std::atomic<bool> dead{false};
     std::thread thread;
     std::atomic<uint64_t> forwarded{0};
     // Poller-thread-only state (submission and completion both happen on

@@ -28,12 +28,17 @@ HostEngine::HostEngine(rdmarpc::Connection* conn, const OffloadManifest* manifes
       pool_(pool),
       deserializer_(&manifest->adt(), options) {}
 
-Status HostEngine::register_unary(std::string_view full_name, Method method) {
+StatusOr<const MethodEntry*> HostEngine::find_method(std::string_view full_name) const {
   const MethodEntry* entry = manifest_->find_by_name(full_name);
   if (entry == nullptr) {
     return Status(Code::kNotFound,
                   "method not in offload manifest: " + std::string(full_name));
   }
+  return entry;
+}
+
+Status HostEngine::register_unary(std::string_view full_name, Method method) {
+  DPURPC_ASSIGN_OR_RETURN(const MethodEntry* entry, find_method(full_name));
   const proto::MessageDescriptor* out_desc = pool_->find_message(entry->output_type);
   if (out_desc == nullptr) {
     return Status(Code::kNotFound, "response type missing from pool: " + entry->output_type);
@@ -66,11 +71,7 @@ Status HostEngine::register_unary(std::string_view full_name, Method method) {
 
 Status HostEngine::register_unary_object(std::string_view full_name,
                                           InPlaceMethod method) {
-  const MethodEntry* entry = manifest_->find_by_name(full_name);
-  if (entry == nullptr) {
-    return Status(Code::kNotFound,
-                  "method not in offload manifest: " + std::string(full_name));
-  }
+  DPURPC_ASSIGN_OR_RETURN(const MethodEntry* entry, find_method(full_name));
   uint32_t input_class = entry->input_class;
   uint32_t output_class = entry->output_class;
 
@@ -123,11 +124,7 @@ Status HostEngine::register_unary_object(std::string_view full_name,
 
 Status HostEngine::register_stream(std::string_view full_name,
                                    StreamMethod method) {
-  const MethodEntry* entry = manifest_->find_by_name(full_name);
-  if (entry == nullptr) {
-    return Status(Code::kNotFound,
-                  "method not in offload manifest: " + std::string(full_name));
-  }
+  DPURPC_ASSIGN_OR_RETURN(const MethodEntry* entry, find_method(full_name));
   uint16_t method_id = entry->method_id;
 
   server_.register_handler(

@@ -91,6 +91,9 @@ class HostEngine {
   rdmarpc::RpcServer& rpc_server() noexcept { return server_; }
 
  private:
+  /// The manifest entry every register_* binds to; NOT_FOUND if absent.
+  StatusOr<const MethodEntry*> find_method(std::string_view full_name) const;
+
   rdmarpc::RpcServer server_;
   const OffloadManifest* manifest_;
   const proto::DescriptorPool* pool_;

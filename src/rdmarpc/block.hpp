@@ -7,6 +7,11 @@
 // a payload arena spanning the rest of the block.
 //
 // BlockReader validates and iterates a received block without copying.
+//
+// The WireTrace prefix of a traced message lives here and nowhere else:
+// the writer stamps it in begin_message (identity) and finalize (send_ns),
+// the reader peels it in next(); engines only ever see the payload
+// after it.
 #pragma once
 
 #include <vector>
@@ -17,6 +22,7 @@
 #include "common/hot_path.hpp"
 #include "common/status.hpp"
 #include "rdmarpc/protocol.hpp"
+#include "trace/trace.hpp"
 
 namespace dpurpc::rdmarpc {
 
@@ -32,51 +38,58 @@ class BlockWriter {
            cursor_ + message_slot_size(payload_size) <= capacity_;
   }
 
-  /// Space available for the next message's payload (after its header).
-  uint64_t payload_capacity() const noexcept {
-    uint64_t after_header = cursor_ + kHeaderSize;
-    return after_header >= capacity_ ? 0 : capacity_ - after_header;
-  }
-
   /// Start a message: reserves the header slot and returns the payload
-  /// base (8-aligned). Pair with commit_message or abort_message.
-  StatusOr<std::byte*> begin_message() noexcept {
+  /// base (8-aligned). An active `tctx` writes the message's WireTrace
+  /// prefix first (send_ns is stamped by finalize); the returned base and
+  /// payload_arena() then start just past it, so an in-place object root
+  /// lands where the receiver's peeled payload_addr points. Pair with
+  /// commit_message or abort_message.
+  StatusOr<std::byte*> begin_message(trace::TraceContext tctx = {}) noexcept {
     if (in_message_) return Status(Code::kFailedPrecondition, "message already open");
     if (message_count_ >= kMaxMessagesPerBlock) {
       return Status(Code::kResourceExhausted, "block message count limit");
     }
-    if (cursor_ + kHeaderSize >= capacity_) {
+    const uint32_t prefix = tctx.active() ? kWireTraceSize : 0;
+    if (cursor_ + kHeaderSize + prefix >= capacity_) {
       return Status(Code::kResourceExhausted, "block full");
     }
     in_message_ = true;
     header_pos_ = cursor_;
-    return base_ + cursor_ + kHeaderSize;
+    prefix_size_ = prefix;
+    if (prefix != 0) {
+      WireTrace wt{tctx.trace_id, tctx.parent_span_id, 0};
+      std::memcpy(base_ + header_pos_ + kHeaderSize, &wt, sizeof(wt));
+    }
+    return payload_base();
   }
 
   /// Arena over the open message's payload space, for in-place building.
   arena::Arena payload_arena() noexcept {
-    return arena::Arena(base_ + header_pos_ + kHeaderSize,
-                        capacity_ - header_pos_ - kHeaderSize);
+    return arena::Arena(payload_base(),
+                        capacity_ - header_pos_ - kHeaderSize - prefix_size_);
   }
 
-  /// Finish the open message with its real payload size.
+  /// Finish the open message with its payload size, not counting the
+  /// trace prefix: the header's payload_size adds it, and kFlagTraced is
+  /// set when the message carries one.
   Status commit_message(uint32_t payload_size, uint16_t id_or_method,
                         uint16_t flags = 0, uint16_t aux = 0) noexcept {
     if (!in_message_) return Status(Code::kFailedPrecondition, "no open message");
-    if (payload_size > kMaxPayloadSize) {
+    const uint64_t wire_size = uint64_t{payload_size} + prefix_size_;
+    if (wire_size > kMaxPayloadSize) {
       return Status(Code::kOutOfRange, "payload exceeds 64 KiB header limit");
     }
-    uint64_t slot = message_slot_size(payload_size);
+    uint64_t slot = message_slot_size(static_cast<uint32_t>(wire_size));
     if (header_pos_ + slot > capacity_) {
       return Status(Code::kResourceExhausted, "payload overruns block");
     }
     MsgHeader h;
-    h.payload_size = static_cast<uint16_t>(payload_size);
+    h.payload_size = static_cast<uint16_t>(wire_size);
     h.id_or_method = id_or_method;
-    h.flags = flags;
+    h.flags = prefix_size_ != 0 ? static_cast<uint16_t>(flags | kFlagTraced) : flags;
     h.aux = aux;
     std::memcpy(base_ + header_pos_, &h, sizeof(h));
-    if (flags & kFlagTraced) {
+    if (prefix_size_ != 0) {
       // Remember where the WireTrace prefix sits; finalize() stamps its
       // send_ns field so every traced message in the block shares the
       // flush instant (kFlushWait ends exactly where the wire span starts).
@@ -90,19 +103,6 @@ class BlockWriter {
 
   /// Roll back the open message (e.g. in-place build failed).
   void abort_message() noexcept { in_message_ = false; }
-
-  /// Copy-path convenience: append a serialized payload.
-  Status append(ByteSpan payload, uint16_t id_or_method, uint16_t flags = 0,
-                uint16_t aux = 0) noexcept {
-    auto dst = begin_message();
-    if (!dst.is_ok()) return dst.status();
-    if (payload.size() > payload_capacity() + 0) {
-      abort_message();
-      return Status(Code::kResourceExhausted, "payload does not fit in block");
-    }
-    std::memcpy(*dst, payload.data(), payload.size());
-    return commit_message(static_cast<uint32_t>(payload.size()), id_or_method, flags, aux);
-  }
 
   /// Write the preamble and return the block's total byte length. Also
   /// stamps send_ns into every traced message's WireTrace prefix (one
@@ -133,10 +133,15 @@ class BlockWriter {
   std::byte* base() const noexcept { return base_; }
 
  private:
+  std::byte* payload_base() const noexcept {
+    return base_ + header_pos_ + kHeaderSize + prefix_size_;
+  }
+
   std::byte* base_;
   uint64_t capacity_;
   uint64_t cursor_;
   uint64_t header_pos_ = 0;
+  uint32_t prefix_size_ = 0;  ///< open message's WireTrace prefix: 0 or 24
   uint16_t message_count_ = 0;
   bool in_message_ = false;
   std::vector<uint64_t> traced_payloads_;  ///< block offsets of WireTrace prefixes

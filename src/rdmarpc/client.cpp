@@ -51,72 +51,53 @@ RpcClient::RpcClient(Connection* conn)
   });
 }
 
-Status RpcClient::call(uint16_t method_id, ByteSpan payload, Continuation done,
-                       trace::TraceContext tctx) {
+Status RpcClient::admit() const {
+  // Every request queued in the open block takes an ID at flush time, so
+  // the pool must cover them all plus this one.
   if (id_pool_.available() <= open_block_requests_.size()) {
     return Status(Code::kResourceExhausted, "request ID pool exhausted");
   }
-  if (!trace::enabled() ||
-      payload.size() + kWireTraceSize > kMaxPayloadSize) {
-    // Near the 64 KiB header limit the prefix would push a previously
-    // valid payload over it; drop the trace rather than fail the call.
-    tctx = {};
-  }
-  uint64_t t0 = tctx.active() ? WallTimer::now() : 0;
-  uint32_t extra = tctx.active() ? kWireTraceSize : 0;
-  auto dst = conn_->begin_message(static_cast<uint32_t>(payload.size()) + extra);
-  if (!dst.is_ok()) return dst.status();
-  if (extra != 0) {
-    WireTrace wt{tctx.trace_id, tctx.parent_span_id, 0};  // stamped at flush
-    std::memcpy(*dst, &wt, sizeof(wt));
-  }
-  std::memcpy(*dst + extra, payload.data(), payload.size());
-  DPURPC_RETURN_IF_ERROR(
-      conn_->commit_message(static_cast<uint32_t>(payload.size()) + extra,
-                            method_id, extra != 0 ? kFlagTraced : uint16_t{0}));
+  return Status::ok();
+}
+
+void RpcClient::enqueue(Continuation&& done, const trace::TraceContext& tctx,
+                        uint64_t t0, size_t payload_bytes) {
   uint64_t commit_ns = 0;
   if (tctx.active()) {
     commit_ns = WallTimer::now();
     trace::Tracer::instance().record(trace::Stage::kBlockBuild, tctx, t0,
-                                     commit_ns, payload.size());
+                                     commit_ns, payload_bytes);
   }
   open_block_requests_.push_back({std::move(done), tctx, commit_ns});
+}
+
+Status RpcClient::call(uint16_t method_id, ByteSpan payload, Continuation done,
+                       trace::TraceContext tctx) {
+  DPURPC_RETURN_IF_ERROR(admit());
+  uint64_t t0 = tctx.active() ? WallTimer::now() : 0;
+  const auto size = static_cast<uint32_t>(payload.size());
+  auto dst = conn_->begin_message(size, tctx);
+  if (!dst.is_ok()) return dst.status();
+  if (size != 0) std::memcpy(*dst, payload.data(), size);
+  DPURPC_RETURN_IF_ERROR(conn_->commit_message(size, method_id));
+  enqueue(std::move(done), tctx, t0, size);
   return Status::ok();
 }
 
 Status RpcClient::call_inplace(uint16_t method_id, uint16_t class_index,
                                uint32_t payload_hint, const InPlaceBuilder& builder,
                                Continuation done, trace::TraceContext tctx) {
-  if (id_pool_.available() <= open_block_requests_.size()) {
-    return Status(Code::kResourceExhausted, "request ID pool exhausted");
-  }
-  if (!trace::enabled()) tctx = {};
+  DPURPC_RETURN_IF_ERROR(admit());
   uint64_t t0 = tctx.active() ? WallTimer::now() : 0;
-  uint32_t extra = tctx.active() ? kWireTraceSize : 0;
-  uint32_t hint = std::min(payload_hint + extra, kMaxPayloadSize);
+  uint32_t hint = std::min(payload_hint, kMaxPayloadSize);
   for (int attempt = 0; attempt < 2; ++attempt) {
-    auto dst = conn_->begin_message(hint);
+    auto dst = conn_->begin_message(hint, tctx);
     if (!dst.is_ok()) return dst.status();
     arena::Arena arena = conn_->payload_arena();
-    if (extra != 0) {
-      // The prefix is the first allocation from the payload arena, so the
-      // builder's arena.used() return covers it and the object root lands
-      // right after it — exactly where the receiver's stripped
-      // payload_addr points. kWireTraceSize keeps kPayloadAlign.
-      void* prefix = arena.allocate(kWireTraceSize, kPayloadAlign);
-      if (prefix == nullptr) {
-        conn_->abort_message();
-        hint = kMaxPayloadSize;
-        continue;
-      }
-      WireTrace wt{tctx.trace_id, tctx.parent_span_id, 0};
-      std::memcpy(prefix, &wt, sizeof(wt));
-    }
     auto size = builder(arena, conn_->translator());
     if (size.is_ok()) {
-      uint16_t flags = kFlagInPlaceObject;
-      if (extra != 0) flags |= kFlagTraced;
-      Status committed = conn_->commit_message(*size, method_id, flags, class_index);
+      Status committed =
+          conn_->commit_message(*size, method_id, kFlagInPlaceObject, class_index);
       if (!committed.is_ok()) {
         // An object past the 64 KiB header limit (a maximum-size block's
         // arena can be a little larger): kOutOfRange, per call. Close the
@@ -124,13 +105,7 @@ Status RpcClient::call_inplace(uint16_t method_id, uint16_t class_index,
         conn_->abort_message();
         return committed;
       }
-      uint64_t commit_ns = 0;
-      if (tctx.active()) {
-        commit_ns = WallTimer::now();
-        trace::Tracer::instance().record(trace::Stage::kBlockBuild, tctx, t0,
-                                         commit_ns, *size);
-      }
-      open_block_requests_.push_back({std::move(done), tctx, commit_ns});
+      enqueue(std::move(done), tctx, t0, *size);
       return Status::ok();
     }
     conn_->abort_message();
@@ -151,10 +126,7 @@ Status RpcClient::call_fragmented(uint16_t method_id, ByteSpan payload,
   if (payload.size() > UINT32_MAX) {
     return Status(Code::kOutOfRange, "fragmented payload exceeds 4 GiB");
   }
-  if (id_pool_.available() <= open_block_requests_.size()) {
-    return Status(Code::kResourceExhausted, "request ID pool exhausted");
-  }
-  if (!trace::enabled()) tctx = {};
+  DPURPC_RETURN_IF_ERROR(admit());
   uint64_t t0 = tctx.active() ? WallTimer::now() : 0;
   const uint32_t stream_id = next_frag_stream_++;
   const uint32_t total = static_cast<uint32_t>(payload.size());
@@ -166,11 +138,12 @@ Status RpcClient::call_fragmented(uint16_t method_id, ByteSpan payload,
   while (off < total) {
     const uint32_t frag_bytes = std::min(kFragBytes, total - off);
     const bool last = off + frag_bytes == total;
-    const uint32_t extra = (last && tctx.active()) ? kWireTraceSize : 0;
-    const uint32_t msg_bytes = extra + kFragHeaderSize + frag_bytes;
+    const uint32_t msg_bytes = kFragHeaderSize + frag_bytes;
+    // Only the final fragment is the request, so only it carries the trace.
+    trace::TraceContext frag_trace = last ? tctx : trace::TraceContext();
     std::byte* dst = nullptr;
     for (int attempt = 0;; ++attempt) {
-      auto d = conn_->begin_message(msg_bytes);
+      auto d = conn_->begin_message(msg_bytes, frag_trace);
       if (d.is_ok()) {
         dst = *d;
         break;
@@ -188,34 +161,17 @@ Status RpcClient::call_fragmented(uint16_t method_id, ByteSpan payload,
       if (!pumped.is_ok()) return pumped.status();
       if (*pumped == 0) conn_->wait(1);
     }
-    uint32_t woff = 0;
-    if (extra != 0) {
-      WireTrace wt{tctx.trace_id, tctx.parent_span_id, 0};  // stamped at flush
-      std::memcpy(dst, &wt, sizeof(wt));
-      woff += kWireTraceSize;
-    }
     FragHeader fh;
     fh.stream_id = stream_id;
     fh.frag_offset = off;
     fh.total_bytes = total;
     fh.frag_flags = last ? kFragLast : uint16_t{0};
     fh.reserved = 0;
-    std::memcpy(dst + woff, &fh, sizeof(fh));
-    woff += kFragHeaderSize;
-    std::memcpy(dst + woff, payload.data() + off, frag_bytes);
-    uint16_t flags = kFlagFragment;
-    if (extra != 0) flags |= kFlagTraced;
-    DPURPC_RETURN_IF_ERROR(conn_->commit_message(msg_bytes, method_id, flags));
+    std::memcpy(dst, &fh, sizeof(fh));
+    std::memcpy(dst + kFragHeaderSize, payload.data() + off, frag_bytes);
+    DPURPC_RETURN_IF_ERROR(conn_->commit_message(msg_bytes, method_id, kFlagFragment));
     off += frag_bytes;
-    if (last) {
-      uint64_t commit_ns = 0;
-      if (tctx.active()) {
-        commit_ns = WallTimer::now();
-        trace::Tracer::instance().record(trace::Stage::kBlockBuild, tctx, t0,
-                                         commit_ns, total);
-      }
-      open_block_requests_.push_back({std::move(done), tctx, commit_ns});
-    }
+    if (last) enqueue(std::move(done), frag_trace, t0, total);
   }
   return Status::ok();
 }

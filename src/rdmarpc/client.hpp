@@ -37,9 +37,10 @@ class RpcClient {
 
   /// Enqueue a copy-path request. kUnavailable = backpressure (no credit /
   /// send buffer full): run the event loop and retry. An active `tctx`
-  /// prefixes the payload with a WireTrace (kFlagTraced) and records the
-  /// block-build/flush-wait spans; the engine never *starts* traces — the
-  /// caller owns sampling (xrpc channel or bench driver).
+  /// makes the message traced (the block writer owns the WireTrace prefix)
+  /// and records the block-build/flush-wait spans; the engine never
+  /// *starts* traces — the caller owns sampling (xrpc channel or bench
+  /// driver).
   Status call(uint16_t method_id, ByteSpan payload, Continuation done,
               trace::TraceContext tctx = trace::TraceContext());
 
@@ -80,6 +81,13 @@ class RpcClient {
   Connection& connection() noexcept { return *conn_; }
 
  private:
+  /// The one admission check: kResourceExhausted when the ID pool cannot
+  /// cover the open block's requests plus one more.
+  Status admit() const;
+  /// The one commit tail: record the block-build span and queue `done`
+  /// for the ID assignment at flush.
+  void enqueue(Continuation&& done, const trace::TraceContext& tctx,
+               uint64_t t0, size_t payload_bytes);
   Status flush_open_block();
   Status process_response_block(const Connection::ReceivedBlock& rb);
 

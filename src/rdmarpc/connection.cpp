@@ -74,11 +74,18 @@ Status Connection::connect(Connection& a, Connection& b) {
   return Status::ok();
 }
 
-StatusOr<std::byte*> Connection::begin_message(uint32_t payload_hint) {
+StatusOr<std::byte*> Connection::begin_message(uint32_t payload_hint,
+                                               trace::TraceContext& tctx) {
   if (payload_hint > kMaxPayloadSize) {
     return Status(Code::kOutOfRange, "payload exceeds protocol limit");
   }
-  if (writer_.has_value() && !writer_->can_fit(payload_hint)) {
+  if (!trace::enabled() || payload_hint + kWireTraceSize > kMaxPayloadSize) {
+    // Near the 64 KiB header limit the prefix would push a valid payload
+    // over it: drop the trace rather than fail the message.
+    tctx = {};
+  }
+  const uint32_t wire_hint = payload_hint + (tctx.active() ? kWireTraceSize : 0);
+  if (writer_.has_value() && !writer_->can_fit(wire_hint)) {
     if (writer_->empty()) {
       // flush() has nothing to send for an empty writer, so it would leave
       // the undersized block in place and the hint would be ignored —
@@ -95,7 +102,7 @@ StatusOr<std::byte*> Connection::begin_message(uint32_t payload_hint) {
   if (!writer_.has_value()) {
     // A message larger than the configured block size gets a block of its
     // own (§IV: "the block is composed of a single message").
-    uint64_t need = kPreambleSize + message_slot_size(payload_hint);
+    uint64_t need = kPreambleSize + message_slot_size(wire_hint);
     uint64_t block_bytes = std::max<uint64_t>(cfg_.block_size, need);
     auto offset = sbuf_alloc_.allocate(block_bytes);
     if (!offset.has_value()) {
@@ -105,21 +112,13 @@ StatusOr<std::byte*> Connection::begin_message(uint32_t payload_hint) {
     open_block_offset_ = *offset;
     writer_.emplace(sbuf_.data() + *offset, align_up(block_bytes, kBlockAlign));
   }
-  return writer_->begin_message();
+  return writer_->begin_message(tctx);
 }
 
 Status Connection::commit_message(uint32_t payload_size, uint16_t id_or_method,
                                   uint16_t flags, uint16_t aux) {
   if (!writer_.has_value()) return Status(Code::kFailedPrecondition, "no open block");
   return writer_->commit_message(payload_size, id_or_method, flags, aux);
-}
-
-Status Connection::append(ByteSpan payload, uint16_t id_or_method, uint16_t flags,
-                          uint16_t aux) {
-  auto dst = begin_message(static_cast<uint32_t>(payload.size()));
-  if (!dst.is_ok()) return dst.status();
-  std::memcpy(*dst, payload.data(), payload.size());
-  return commit_message(static_cast<uint32_t>(payload.size()), id_or_method, flags, aux);
 }
 
 StatusOr<bool> Connection::flush() {

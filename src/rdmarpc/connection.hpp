@@ -33,6 +33,7 @@
 #include "rdmarpc/offset_allocator.hpp"
 #include "rdmarpc/protocol.hpp"
 #include "simverbs/simverbs.hpp"
+#include "trace/trace.hpp"
 
 namespace dpurpc::rdmarpc {
 
@@ -72,18 +73,24 @@ class Connection {
   /// Open space for a message with up to `payload_hint` payload bytes,
   /// flushing the current block first if it cannot fit. Returns the
   /// payload base pointer. kUnavailable means no credit — poll and retry.
-  StatusOr<std::byte*> begin_message(uint32_t payload_hint);
+  ///
+  /// An active `tctx` makes the message traced: the block writer puts the
+  /// WireTrace prefix in front of the payload, and the returned pointer and
+  /// payload_arena() start just past it. The trace is dropped, never the
+  /// message, when tracing is off or the prefix would push `payload_hint`
+  /// past kMaxPayloadSize; `tctx` is then cleared, so callers record spans
+  /// only for messages that carry their trace.
+  StatusOr<std::byte*> begin_message(uint32_t payload_hint,
+                                     trace::TraceContext& tctx);
 
   /// Arena over the open message's payload region (in-place building).
   arena::Arena payload_arena() noexcept { return writer_->payload_arena(); }
 
+  /// Close the open message. `payload_size` excludes any trace prefix;
+  /// the writer adds it and sets kFlagTraced.
   Status commit_message(uint32_t payload_size, uint16_t id_or_method,
                         uint16_t flags = 0, uint16_t aux = 0);
   void abort_message() noexcept { writer_->abort_message(); }
-
-  /// Copy-path convenience.
-  Status append(ByteSpan payload, uint16_t id_or_method, uint16_t flags = 0,
-                uint16_t aux = 0);
 
   /// Send the open block, piggybacking the pending ack counter in its
   /// preamble (§IV.B). No-op returning false when no messages are queued.

@@ -73,6 +73,7 @@ inline constexpr uint16_t kFlagFragment = 1u << 3;
 /// payload bytes of a kFlagTraced message. 24 bytes, 8-aligned like every
 /// payload, so stripping it keeps the remaining payload kPayloadAlign'd —
 /// in-place objects land with their root at the post-prefix address.
+/// BlockWriter::begin_message writes it (its only writer), and
 /// `send_ns` is stamped by BlockWriter::finalize (the flush instant) so
 /// the receiver can attribute wire+poll time without clock handshakes
 /// (both ends share CLOCK_MONOTONIC in this single-process harness).

@@ -28,7 +28,7 @@ Status RpcServer::register_background_handler(uint16_t method_id, Handler handle
   if (!task_queue_) {
     return Status(Code::kFailedPrecondition, "call enable_background() first");
   }
-  background_handlers_[method_id] = std::move(handler);
+  methods_[method_id] = Method{std::move(handler), {}, true};
   return Status::ok();
 }
 
@@ -86,15 +86,20 @@ RpcServer::RpcServer(Connection* conn)
 }
 
 void RpcServer::register_handler(uint16_t method_id, Handler handler) {
-  handlers_[method_id] = std::move(handler);
+  methods_[method_id] = Method{std::move(handler), {}, false};
 }
 
 void RpcServer::register_inplace_handler(uint16_t method_id, InPlaceHandler handler) {
-  inplace_handlers_[method_id] = std::move(handler);
+  methods_[method_id] = Method{{}, std::move(handler), false};
 }
 
-// Credit/buffer backpressure relief shared by both response paths: wait
-// for the client's next counter and queue any new request blocks.
+const RpcServer::Method* RpcServer::find_method(uint16_t method_id) const noexcept {
+  auto it = methods_.find(method_id);
+  return it == methods_.end() ? nullptr : &it->second;
+}
+
+// Credit/buffer backpressure relief: wait for the client's next counter
+// and queue any new request blocks.
 Status RpcServer::pump_for_space() {
   conn_->wait(10);
   poll_scratch_.clear();
@@ -103,75 +108,65 @@ Status RpcServer::pump_for_space() {
   return Status::ok();
 }
 
-Status RpcServer::write_response_inplace(uint16_t request_id, const RequestView& req,
-                                         const InPlaceHandler& handler) {
-  trace::TraceContext tctx = trace::enabled() ? req.trace : trace::TraceContext();
-  uint32_t extra = tctx.active() ? kWireTraceSize : 0;
-  uint32_t hint = 512;
+StatusOr<std::byte*> RpcServer::open_response(uint32_t hint,
+                                              trace::TraceContext& tctx) {
+  // Backpressure: out of credits means the client has not acknowledged
+  // earlier response blocks yet; wait for its next block (which carries
+  // the counter) and queue any new request blocks for later processing.
   for (int attempt = 0; attempt < 1000; ++attempt) {
-    auto dst = conn_->begin_message(hint);
-    if (!dst.is_ok()) {
-      if (dst.status().code() != Code::kUnavailable &&
-          dst.status().code() != Code::kResourceExhausted) {
-        return dst.status();
-      }
-      DPURPC_RETURN_IF_ERROR(pump_for_space());
-      continue;
+    auto dst = conn_->begin_message(hint, tctx);
+    if (dst.is_ok() || (dst.status().code() != Code::kUnavailable &&
+                        dst.status().code() != Code::kResourceExhausted)) {
+      return dst;
     }
+    DPURPC_RETURN_IF_ERROR(pump_for_space());
+  }
+  return Status(Code::kUnavailable, "client never acknowledged response blocks");
+}
+
+Status RpcServer::commit_response(uint32_t payload_size, uint16_t request_id,
+                                  uint16_t flags, uint16_t aux,
+                                  const trace::TraceContext& tctx) {
+  DPURPC_RETURN_IF_ERROR(
+      conn_->commit_message(payload_size, request_id, flags, aux));
+  open_block_ids_.push_back(request_id);
+  if (tctx.active()) open_block_traced_.push_back({tctx, WallTimer::now()});
+  return Status::ok();
+}
+
+Status RpcServer::write_response_inplace(const RequestView& req,
+                                         const InPlaceHandler& handler) {
+  trace::TraceContext tctx = req.trace;
+  uint32_t hint = 512;
+  while (true) {
+    auto dst = open_response(hint, tctx);
+    if (!dst.is_ok()) return dst.status();
     arena::Arena arena = conn_->payload_arena();
-    if (extra != 0) {
-      // Prefix first so the handler's arena.used() covers it and the
-      // response object root lands at the client's stripped payload_addr.
-      void* prefix = arena.allocate(kWireTraceSize, kPayloadAlign);
-      if (prefix == nullptr) {
-        conn_->abort_message();
-        if (hint < kMaxPayloadSize) {
-          hint = kMaxPayloadSize;
-          note_hint_retry();
-          continue;
-        }
-        return write_response(request_id,
-                              Status(Code::kResourceExhausted, "no arena space"),
-                              {}, tctx);
-      }
-      WireTrace wt{tctx.trace_id, tctx.parent_span_id, 0};
-      std::memcpy(prefix, &wt, sizeof(wt));
-    }
     uint32_t payload_size = 0;
     uint16_t class_index = 0;
     Status result = handler(req, arena, conn_->translator(), &payload_size, &class_index);
     if (result.is_ok()) {
-      uint16_t flags = kFlagInPlaceObject;
-      if (extra != 0) flags |= kFlagTraced;
-      Status committed =
-          conn_->commit_message(payload_size, request_id, flags, class_index);
-      if (!committed.is_ok()) {
-        // An object past the 64 KiB header limit (a maximum-size block's
-        // arena can be a little larger): kOutOfRange for this request
-        // only. Close the message and answer with the status.
-        conn_->abort_message();
-        return write_response(request_id, committed, {}, tctx);
-      }
-      open_block_ids_.push_back(request_id);
-      if (tctx.active()) {
-        open_block_traced_.push_back({tctx, WallTimer::now()});
-      }
-      return Status::ok();
+      result = commit_response(payload_size, req.request_id, kFlagInPlaceObject,
+                               class_index, tctx);
+      if (result.is_ok()) return result;
+      // An object past the 64 KiB header limit (a maximum-size block's
+      // arena can be a little larger): kOutOfRange for this request
+      // only. Close the message and answer with the status.
+      conn_->abort_message();
+      return write_response(req.request_id, result, {}, tctx);
     }
     conn_->abort_message();
-    if (result.code() == Code::kResourceExhausted && hint < kMaxPayloadSize) {
-      // The handler's arena ran dry: retry in a bigger block. Doubling
-      // (instead of jumping straight to kMaxPayloadSize) keeps oversize
-      // single-message blocks right-sized — a 64 KiB block per response
-      // would exhaust the send buffer under a burst of large replies.
-      hint = std::min(std::max(hint * 2, 4096u), kMaxPayloadSize);
-      note_hint_retry();
-      continue;
+    if (result.code() != Code::kResourceExhausted || hint >= kMaxPayloadSize) {
+      // Handler error: fall back to an error response.
+      return write_response(req.request_id, result, {}, tctx);
     }
-    // Handler error: fall back to an error response.
-    return write_response(request_id, result, {}, tctx);
+    // The handler's arena ran dry: retry in a bigger block. Doubling
+    // (instead of jumping straight to kMaxPayloadSize) keeps oversize
+    // single-message blocks right-sized — a 64 KiB block per response
+    // would exhaust the send buffer under a burst of large replies.
+    hint = std::min(std::max(hint * 2, 4096u), kMaxPayloadSize);
+    note_hint_retry();
   }
-  return Status(Code::kUnavailable, "client never acknowledged response blocks");
 }
 
 Status RpcServer::write_response(uint16_t request_id, const Status& handler_status,
@@ -179,46 +174,16 @@ Status RpcServer::write_response(uint16_t request_id, const Status& handler_stat
   uint16_t flags = 0;
   uint16_t aux = 0;
   if (!handler_status.is_ok()) {
+    // Error responses keep the trace prefix: the trace must see failures.
     flags = kFlagErrorStatus;
     aux = static_cast<uint16_t>(handler_status.code());
     payload = {};
   }
-  if (!trace::enabled() ||
-      payload.size() + kWireTraceSize > kMaxPayloadSize) {
-    tctx = {};  // prefix would not fit; drop the trace, not the response
-  }
-  uint32_t extra = tctx.active() ? kWireTraceSize : 0;
-  if (extra != 0) flags |= kFlagTraced;
-  // Backpressure: out of credits means the client has not acknowledged
-  // earlier response blocks yet; wait for its next block (which carries
-  // the counter) and queue any new request blocks for later processing.
-  for (int attempt = 0; attempt < 1000; ++attempt) {
-    auto dst = conn_->begin_message(static_cast<uint32_t>(payload.size()) + extra);
-    if (dst.is_ok()) {
-      if (extra != 0) {
-        // Echo the request's context; send_ns stamped at flush. Error
-        // responses keep the prefix too — the trace must see failures.
-        WireTrace wt{tctx.trace_id, tctx.parent_span_id, 0};
-        std::memcpy(*dst, &wt, sizeof(wt));
-      }
-      if (!payload.empty()) {
-        std::memcpy(*dst + extra, payload.data(), payload.size());
-      }
-      DPURPC_RETURN_IF_ERROR(conn_->commit_message(
-          static_cast<uint32_t>(payload.size()) + extra, request_id, flags, aux));
-      open_block_ids_.push_back(request_id);
-      if (tctx.active()) {
-        open_block_traced_.push_back({tctx, WallTimer::now()});
-      }
-      return Status::ok();
-    }
-    if (dst.status().code() != Code::kUnavailable &&
-        dst.status().code() != Code::kResourceExhausted) {
-      return dst.status();
-    }
-    DPURPC_RETURN_IF_ERROR(pump_for_space());
-  }
-  return Status(Code::kUnavailable, "client never acknowledged response blocks");
+  const auto size = static_cast<uint32_t>(payload.size());
+  auto dst = open_response(size, tctx);
+  if (!dst.is_ok()) return dst.status();
+  if (size != 0) std::memcpy(*dst, payload.data(), size);
+  return commit_response(size, request_id, flags, aux, tctx);
 }
 
 Status RpcServer::process_request_block(const Connection::ReceivedBlock& rb) {
@@ -277,54 +242,34 @@ Status RpcServer::process_request_block(const Connection::ReceivedBlock& rb) {
                                        msg->payload.size());
     }
 
-    if (auto bg = background_handlers_.find(req.method_id);
-        bg != background_handlers_.end()) {
+    const Method* m = find_method(req.method_id);
+    if (m != nullptr && m->background) {
       // Background execution (§III.D): hand off to the pool; the request's
       // buffer stays valid because this block's ack is deferred.
       ++tracker->outstanding;
-      BackgroundTask task{&bg->second, req, tracker};
-      if (!task_queue_->try_push(std::move(task))) {
-        // Pool saturated: degrade to foreground rather than deadlock.
-        --tracker->outstanding;
-        response_scratch_.clear();
-        Status result = bg->second(req, response_scratch_);
-        uint64_t handled_ns = 0;
-        if (req.trace.active()) {
-          handled_ns = WallTimer::now();
-          trace::Tracer::instance().record(trace::Stage::kHostDispatch,
-                                           req.trace, recv_ns, handled_ns);
-        }
-        DPURPC_RETURN_IF_ERROR(
-            write_response(*id, result, ByteSpan(response_scratch_), req.trace));
-        if (req.trace.active()) {
-          trace::Tracer::instance().record(trace::Stage::kHostSerialize,
-                                           req.trace, handled_ns,
-                                           WallTimer::now());
-        }
-        ++requests_served_;
+      if (task_queue_->try_push(BackgroundTask{&m->handler, req, tracker})) {
+        continue;
       }
-      continue;
+      // Pool saturated: degrade to foreground rather than deadlock.
+      --tracker->outstanding;
     }
-
-    DPURPC_RETURN_IF_ERROR(dispatch_foreground(req, recv_ns));
+    DPURPC_RETURN_IF_ERROR(dispatch(req, m, recv_ns));
   }
   tracker->iterated = true;
   advance_ack_order();
   return Status::ok();
 }
 
-// Foreground dispatch shared by directly-received and reassembled
-// (fragmented) requests: in-place handlers first, then copy-path handlers.
-// Background-registered methods only reach the fallback here for
-// reassembled requests — their payload lives in the reassembly buffer,
-// whose lifetime ends with this dispatch, so they degrade to foreground.
-Status RpcServer::dispatch_foreground(const RequestView& req, uint64_t recv_ns) {
-  if (auto ip = inplace_handlers_.find(req.method_id);
-      ip != inplace_handlers_.end()) {
+// Reassembled requests always run here, background methods included:
+// their payload lives in the reassembly buffer, whose lifetime ends with
+// this dispatch.
+Status RpcServer::dispatch(const RequestView& req, const Method* m,
+                           uint64_t recv_ns) {
+  if (m != nullptr && m->inplace) {
     // Offloaded-response path: the handler builds the object in place.
     // Dispatch and serialize are one fused act here (the handler *is*
     // the serializer), recorded as host dispatch.
-    DPURPC_RETURN_IF_ERROR(write_response_inplace(req.request_id, req, ip->second));
+    DPURPC_RETURN_IF_ERROR(write_response_inplace(req, m->inplace));
     if (req.trace.active()) {
       trace::Tracer::instance().record(trace::Stage::kHostDispatch,
                                        req.trace, recv_ns, WallTimer::now());
@@ -332,20 +277,9 @@ Status RpcServer::dispatch_foreground(const RequestView& req, uint64_t recv_ns) 
     ++requests_served_;
     return Status::ok();
   }
-  const Handler* h = nullptr;
-  if (auto it = handlers_.find(req.method_id); it != handlers_.end()) {
-    h = &it->second;
-  } else if (auto bg = background_handlers_.find(req.method_id);
-             bg != background_handlers_.end()) {
-    h = &bg->second;
-  }
-  Status result;
   response_scratch_.clear();
-  if (h == nullptr) {
-    result = Status(Code::kNotFound, "no handler for method");
-  } else {
-    result = (*h)(req, response_scratch_);  // foreground (§III.D)
-  }
+  Status result = m != nullptr ? m->handler(req, response_scratch_)  // §III.D
+                               : Status(Code::kNotFound, "no handler for method");
   uint64_t handled_ns = 0;
   if (req.trace.active()) {
     handled_ns = WallTimer::now();
@@ -421,8 +355,8 @@ DPURPC_HOT_PATH Status RpcServer::accept_fragment(const InMessage& msg) {
   // dpulint: allow(hot-path): completion edge — dispatch runs the user
   // handler and response serialization, the same cold tail every unary
   // request takes; the reassembly hot loop ends here.
-  return dispatch_foreground(
-      req, ready.recv_ns != 0 ? ready.recv_ns : WallTimer::now());
+  return dispatch(req, find_method(req.method_id),
+                  ready.recv_ns != 0 ? ready.recv_ns : WallTimer::now());
 }
 
 void RpcServer::advance_ack_order() {

@@ -71,7 +71,8 @@ class RpcServer {
   ~RpcServer();
 
   /// Register the callback for a method id (§III.D "register RPCs by
-  /// providing a callback"). Last registration wins.
+  /// providing a callback"). One method table serves all three kinds of
+  /// handler: the last registration for an id wins, whatever its kind.
   void register_handler(uint16_t method_id, Handler handler);
 
   /// Register an offloaded-response callback (foreground execution).
@@ -124,8 +125,15 @@ class RpcServer {
     bool iterated = false;
     bool is_pure_ack = false;
   };
+  /// One entry of the method table: an in-place handler when `inplace` is
+  /// set, else `handler`, run on the pool when `background`.
+  struct Method {
+    Handler handler;
+    InPlaceHandler inplace;
+    bool background = false;
+  };
   struct BackgroundTask {
-    Handler* handler;
+    const Handler* handler;
     RequestView request;
     std::shared_ptr<BlockTracker> tracker;
   };
@@ -158,12 +166,23 @@ class RpcServer {
 
   Status process_request_block(const Connection::ReceivedBlock& rb);
   Status accept_fragment(const InMessage& msg);
-  Status dispatch_foreground(const RequestView& req, uint64_t recv_ns);
+  /// Null when no handler is registered for `method_id`.
+  const Method* find_method(uint16_t method_id) const noexcept;
+  /// Run `m` on the poller thread and answer the request. Serves the
+  /// block path, reassembled fragments, and background methods the pool
+  /// cannot take. A null `m` answers kNotFound.
+  Status dispatch(const RequestView& req, const Method* m, uint64_t recv_ns);
   Status write_response(uint16_t request_id, const Status& handler_status,
-                        ByteSpan payload,
-                        trace::TraceContext tctx = trace::TraceContext());
-  Status write_response_inplace(uint16_t request_id, const RequestView& req,
+                        ByteSpan payload, trace::TraceContext tctx);
+  Status write_response_inplace(const RequestView& req,
                                 const InPlaceHandler& handler);
+  /// The response writers' one way into the block: open a message with
+  /// room for `hint` payload bytes, waiting out backpressure.
+  StatusOr<std::byte*> open_response(uint32_t hint, trace::TraceContext& tctx);
+  /// ...and their one way out: commit it and book the answered ID.
+  Status commit_response(uint32_t payload_size, uint16_t request_id,
+                         uint16_t flags, uint16_t aux,
+                         const trace::TraceContext& tctx);
   Status pump_for_space();
   void note_hint_retry() noexcept {
     ++hint_retries_count_;
@@ -174,8 +193,7 @@ class RpcServer {
   void background_worker();
 
   Connection* conn_;
-  std::map<uint16_t, Handler> handlers_;
-  std::map<uint16_t, InPlaceHandler> inplace_handlers_;
+  std::map<uint16_t, Method> methods_;
   RequestIdPool id_pool_;
   /// Request IDs answered in each flushed-but-unacked response block, FIFO.
   /// Retired vectors are recycled through `id_list_pool_` so the steady
@@ -195,7 +213,6 @@ class RpcServer {
   uint64_t hint_retries_count_ = 0;
 
   // Background execution (§III.D extension).
-  std::map<uint16_t, Handler> background_handlers_;
   std::deque<std::shared_ptr<BlockTracker>> ack_order_;  ///< receive order
   std::unique_ptr<BoundedQueue<BackgroundTask>> task_queue_;
   std::unique_ptr<BoundedQueue<BackgroundResult>> result_queue_;

@@ -26,13 +26,18 @@ void Channel::close() {
     closed_ = true;
   }
   fd_.shutdown();
+  // The reader fails anything still outstanding on its way out.
   if (reader_.joinable()) reader_.join();
-  // Fail anything still outstanding. Orphaned traces never get a root
-  // span; the collector ages them out as orphans.
+}
+
+void Channel::fail_outstanding() {
+  // Orphaned traces never get a root span; the collector ages them out
+  // as orphans.
   std::map<uint32_t, PendingCall> orphans;
   std::map<uint32_t, std::shared_ptr<StreamState>> stream_orphans;
   {
     lockdep::ScopedLock lk(mu_);
+    dead_ = true;
     orphans.swap(pending_);
     stream_orphans.swap(streams_);
   }
@@ -57,7 +62,7 @@ Status Channel::call_async(std::string_view method, ByteSpan payload, Callback d
   uint32_t id;
   {
     lockdep::ScopedLock lk(mu_);
-    if (closed_) return Status(Code::kUnavailable, "channel closed");
+    if (dead_) return Status(Code::kUnavailable, "channel closed");
     id = next_call_id_++;
     pending_[id] = PendingCall{std::move(done), tctx, start_ns};
   }
@@ -77,7 +82,9 @@ Status Channel::call_async(std::string_view method, ByteSpan payload, Callback d
   }
   if (!st.is_ok()) {
     lockdep::ScopedLock lk(mu_);
-    pending_.erase(id);
+    // Already failed by the reader's exit: the callback carries the
+    // outcome, so the call must not also report an error.
+    if (pending_.erase(id) == 0) return Status::ok();
   }
   return st;
 }
@@ -124,7 +131,7 @@ StatusOr<std::unique_ptr<ClientStream>> Channel::open_stream(
   uint32_t id;
   {
     lockdep::ScopedLock lk(mu_);
-    if (closed_) return Status(Code::kUnavailable, "channel closed");
+    if (dead_) return Status(Code::kUnavailable, "channel closed");
     id = next_call_id_++;
     st->call_id = id;
     streams_[id] = st;
@@ -181,7 +188,11 @@ void Channel::finish_stream(const std::shared_ptr<StreamState>& st,
 void Channel::reader_loop() {
   while (true) {
     auto frame = read_frame(fd_);
-    if (!frame.is_ok()) return;  // closed
+    if (!frame.is_ok()) {
+      // EOF, a broken socket, or close(): no response can arrive any more.
+      fail_outstanding();
+      return;
+    }
     if (frame->type == FrameType::kStreamCredit) {
       std::shared_ptr<StreamState> st;
       {

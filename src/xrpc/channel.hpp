@@ -32,6 +32,10 @@ class Channel {
   Channel& operator=(const Channel&) = delete;
 
   /// Fire a unary call; the callback runs on the channel's reader thread.
+  /// Exactly one of two things happens: an error return, or the callback.
+  /// Once the connection is gone (EOF, socket error, close()) every
+  /// outstanding call and stream fails with kUnavailable and later calls
+  /// return kUnavailable.
   /// The channel is the datapath's trace entry point: when tracing is on,
   /// each call asks the Tracer for a (possibly head-sampled) context,
   /// ships it in the frame header, and records the root span when the
@@ -55,6 +59,9 @@ class Channel {
   friend class ClientStream;
   explicit Channel(Fd fd);
   void reader_loop();
+  /// Reader exit: mark the channel dead, then fail every pending call and
+  /// open stream with kUnavailable.
+  void fail_outstanding();
   /// Final kResponse routed to a stream (reader thread).
   void finish_stream(const std::shared_ptr<StreamState>& st,
                      ResponseFrame&& resp);
@@ -76,7 +83,8 @@ class Channel {
   std::map<uint32_t, std::shared_ptr<StreamState>> streams_ DPURPC_GUARDED_BY(mu_);
   uint32_t next_call_id_ DPURPC_GUARDED_BY(mu_) = 1;
   std::thread reader_;
-  bool closed_ DPURPC_GUARDED_BY(mu_) = false;
+  bool closed_ DPURPC_GUARDED_BY(mu_) = false;  ///< close() ran
+  bool dead_ DPURPC_GUARDED_BY(mu_) = false;    ///< the reader exited
 };
 
 }  // namespace dpurpc::xrpc

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <set>
 #include <thread>
 
@@ -23,12 +24,14 @@ constexpr uint16_t kSlowFirst = 3;
 constexpr uint16_t kBgFail = 4;
 
 struct Fixture {
-  Fixture() : client_conn(Role::kClient, &client_pd, {}),
-              server_conn(Role::kServer, &server_pd, {}),
-              client(&client_conn),
-              server(&server_conn) {
+  explicit Fixture(RpcServer::BackgroundOptions options = {.threads = 2,
+                                                           .queue_depth = 64})
+      : client_conn(Role::kClient, &client_pd, {}),
+        server_conn(Role::kServer, &server_pd, {}),
+        client(&client_conn),
+        server(&server_conn) {
     EXPECT_TRUE(Connection::connect(client_conn, server_conn).is_ok());
-    EXPECT_TRUE(server.enable_background({.threads = 2, .queue_depth = 64}).is_ok());
+    EXPECT_TRUE(server.enable_background(options).is_ok());
   }
 
   // Pump until N responses. The server may be waiting on workers, so allow
@@ -254,6 +257,89 @@ TEST(BackgroundRpc, InPlaceObjectStaysValidDuringBackgroundWork) {
   }
   ASSERT_TRUE(f.pump_until(8).is_ok());
   EXPECT_EQ(checksum.load(), expect);
+}
+
+TEST(BackgroundRpc, SaturatedPoolFallsBackToForeground) {
+  // One worker, one queue slot. "hold" pins the worker on a latch and
+  // "queued" waits in the slot, so every later request finds the pool
+  // full and runs on the poller thread. All of them must be answered
+  // correctly, and the deferred acks must still retire every block.
+  Fixture f({.threads = 1, .queue_depth = 1});
+  std::atomic<bool> release{false};
+  // Unpins the worker however the test exits, before ~RpcServer joins it.
+  struct Unpin {
+    std::atomic<bool>& release;
+    ~Unpin() { release = true; }
+  } unpin{release};
+  std::atomic<bool> holding{false};
+  const std::thread::id poller = std::this_thread::get_id();
+  std::atomic<int> on_poller{0};
+  ASSERT_TRUE(f.server
+                  .register_background_handler(
+                      kBgEcho,
+                      [&](const RequestView& req, Bytes& out) {
+                        if (as_string_view(req.payload) == "hold") {
+                          holding = true;
+                          while (!release.load()) {
+                            std::this_thread::sleep_for(std::chrono::microseconds(100));
+                          }
+                        }
+                        if (std::this_thread::get_id() == poller) ++on_poller;
+                        out = to_bytes("bg:" + std::string(as_string_view(req.payload)));
+                        return Status::ok();
+                      })
+                  .is_ok());
+
+  std::map<std::string, std::string> got;
+  auto expect = [&](std::string payload) {
+    return [&got, payload](const Status& st, const InMessage& resp) {
+      ASSERT_TRUE(st.is_ok()) << payload;
+      got[payload] = std::string(as_string_view(resp.payload));
+    };
+  };
+  ASSERT_TRUE(f.client.call(kBgEcho, as_bytes_view("hold"), expect("hold")).is_ok());
+  for (int i = 0; i < 2000 && !holding.load(); ++i) {
+    ASSERT_TRUE(f.client.event_loop_once().is_ok());
+    ASSERT_TRUE(f.server.event_loop_once().is_ok());
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  ASSERT_TRUE(holding.load());
+
+  constexpr int kOverflow = 6;
+  ASSERT_TRUE(
+      f.client.call(kBgEcho, as_bytes_view("queued"), expect("queued")).is_ok());
+  for (int i = 0; i < kOverflow; ++i) {
+    std::string payload = "spill" + std::to_string(i);
+    ASSERT_TRUE(f.client.call(kBgEcho, as_bytes_view(payload), expect(payload)).is_ok());
+  }
+  // The spilled requests are answered while the worker is still pinned.
+  ASSERT_TRUE(f.pump_until(kOverflow).is_ok());
+  EXPECT_EQ(on_poller.load(), kOverflow);
+  EXPECT_EQ(got.count("hold"), 0u);
+  EXPECT_EQ(got.count("queued"), 0u);
+
+  release = true;
+  ASSERT_TRUE(f.pump_until(kOverflow + 2).is_ok());
+  ASSERT_EQ(got.size(), static_cast<size_t>(kOverflow + 2));
+  for (const auto& [payload, reply] : got) EXPECT_EQ(reply, "bg:" + payload);
+  EXPECT_EQ(f.server.background_served(), 2u);
+  EXPECT_EQ(f.server.requests_served(), static_cast<uint64_t>(kOverflow + 2));
+
+  // Follow-up calls still go through the pool.
+  ASSERT_TRUE(f.client.call(kBgEcho, as_bytes_view("after"), expect("after")).is_ok());
+  ASSERT_TRUE(f.pump_until(kOverflow + 3).is_ok());
+  EXPECT_EQ(got["after"], "bg:after");
+  EXPECT_EQ(f.server.background_served(), 3u);
+
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(f.client.event_loop_once().is_ok());
+    ASSERT_TRUE(f.server.event_loop_once().is_ok());
+  }
+  EXPECT_EQ(f.client_conn.credits_available(), f.client_conn.config().credits);
+  EXPECT_EQ(f.server_conn.credits_available(), f.server_conn.config().credits);
+  EXPECT_EQ(f.client_conn.allocator().used(), 0u);
+  EXPECT_EQ(f.server_conn.allocator().used(), 0u);
+  EXPECT_EQ(f.client.in_flight(), 0u);
 }
 
 }  // namespace

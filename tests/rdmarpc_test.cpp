@@ -18,6 +18,7 @@
 #include "rdmarpc/id_pool.hpp"
 #include "rdmarpc/offset_allocator.hpp"
 #include "rdmarpc/server.hpp"
+#include "trace/trace.hpp"
 
 namespace dpurpc::rdmarpc {
 namespace {
@@ -147,12 +148,27 @@ TEST(OffsetAllocator, MonitorReadsAreRaceFreeDuringChurn) {
 
 // ------------------------------------------------------------------ block
 
+// Copy a serialized payload into `w` as one message.
+Status append(BlockWriter& w, ByteSpan payload, uint16_t id_or_method,
+              uint16_t flags = 0, uint16_t aux = 0) {
+  DPURPC_RETURN_IF_ERROR(w.begin_message().status());
+  arena::Arena arena = w.payload_arena();
+  void* dst = arena.allocate(payload.size(), 1);
+  if (dst == nullptr) {
+    w.abort_message();
+    return Status(Code::kResourceExhausted, "payload does not fit in block");
+  }
+  if (!payload.empty()) std::memcpy(dst, payload.data(), payload.size());
+  return w.commit_message(static_cast<uint32_t>(payload.size()), id_or_method,
+                          flags, aux);
+}
+
 TEST(Block, WriterReaderRoundTrip) {
   alignas(1024) std::byte buf[4096];
   BlockWriter w(buf, sizeof(buf));
-  ASSERT_TRUE(w.append(as_bytes_view("first"), 10).is_ok());
-  ASSERT_TRUE(w.append(as_bytes_view("second payload"), 20, kFlagInPlaceObject, 7).is_ok());
-  ASSERT_TRUE(w.append({}, 30).is_ok());  // empty payload is legal
+  ASSERT_TRUE(append(w, as_bytes_view("first"), 10).is_ok());
+  ASSERT_TRUE(append(w, as_bytes_view("second payload"), 20, kFlagInPlaceObject, 7).is_ok());
+  ASSERT_TRUE(append(w, {}, 30).is_ok());  // empty payload is legal
   uint64_t len = w.finalize(3);
   EXPECT_TRUE(is_aligned(len, kPayloadAlign));
 
@@ -177,8 +193,8 @@ TEST(Block, WriterReaderRoundTrip) {
 TEST(Block, PayloadsAreEightByteAligned) {
   alignas(1024) std::byte buf[4096];
   BlockWriter w(buf, sizeof(buf));
-  ASSERT_TRUE(w.append(as_bytes_view("abc"), 1).is_ok());   // 3 bytes: padded
-  ASSERT_TRUE(w.append(as_bytes_view("defgh"), 2).is_ok());
+  ASSERT_TRUE(append(w, as_bytes_view("abc"), 1).is_ok());   // 3 bytes: padded
+  ASSERT_TRUE(append(w, as_bytes_view("defgh"), 2).is_ok());
   w.finalize(0);
   auto r = BlockReader::parse(ByteSpan(buf, sizeof(buf)));
   auto m1 = r->next();
@@ -210,7 +226,7 @@ TEST(Block, InPlaceBuildViaArena) {
 TEST(Block, RejectsCorruptPreambleAndOverruns) {
   alignas(1024) std::byte buf[1024];
   BlockWriter w(buf, sizeof(buf));
-  ASSERT_TRUE(w.append(as_bytes_view("x"), 1).is_ok());
+  ASSERT_TRUE(append(w, as_bytes_view("x"), 1).is_ok());
   w.finalize(0);
   {
     // block_bytes larger than the region
@@ -242,8 +258,8 @@ TEST(Block, CapacityEnforced) {
   EXPECT_FALSE(w.can_fit(1000));
   EXPECT_TRUE(w.can_fit(32));
   std::string big(200, 'x');
-  EXPECT_FALSE(w.append(as_bytes_view(big), 1).is_ok());
-  EXPECT_TRUE(w.append(as_bytes_view("ok"), 1).is_ok());
+  EXPECT_FALSE(append(w, as_bytes_view(big), 1).is_ok());
+  EXPECT_TRUE(append(w, as_bytes_view("ok"), 1).is_ok());
 }
 
 // ---------------------------------------------------------------- ID pool
@@ -931,6 +947,166 @@ TEST(Fragmentation, TotalOverReassemblyCapIsProtocolFatal) {
     }
   }
   EXPECT_EQ(st.code(), Code::kDataLoss);
+}
+
+// ---------------------------------------------------------------- tracing
+
+// Turns tracing on for one test and restores the previous mode after.
+class ScopedFullTracing {
+ public:
+  ScopedFullTracing() : saved_(trace::Tracer::instance().config()) {
+    trace::TraceConfig full;
+    full.mode = trace::Mode::kFull;
+    trace::Tracer::instance().configure(full);
+  }
+  ~ScopedFullTracing() {
+    trace::Tracer::instance().configure(saved_);
+    std::vector<trace::SpanRecord> spans;
+    trace::Tracer::instance().drain_into(spans);
+  }
+
+ private:
+  trace::TraceConfig saved_;
+};
+
+// A traced message on the wire: the header counts the 24-byte WireTrace
+// prefix and sets kFlagTraced; the reader peels the prefix, so the peer
+// sees the sender's trace ids and exactly the payload bytes after it.
+void expect_traced(const InMessage& m, const trace::TraceContext& want,
+                   size_t payload_bytes) {
+  EXPECT_NE(m.header.flags & kFlagTraced, 0) << m.header.flags;
+  EXPECT_EQ(m.trace.trace_id, want.trace_id);
+  EXPECT_EQ(m.trace.parent_span_id, want.parent_span_id);
+  EXPECT_NE(m.trace.send_ns, 0u);  // stamped at flush
+  size_t frag_header = m.is_fragment() ? kFragHeaderSize : 0;
+  EXPECT_EQ(m.header.payload_size, payload_bytes + frag_header + kWireTraceSize);
+  EXPECT_EQ(m.payload.size(), payload_bytes);
+  EXPECT_EQ(m.payload.data(), m.payload_addr);
+}
+
+TEST(Tracing, EveryRequestWriterCarriesTheWirePrefix) {
+#if !DPURPC_TRACE_ENABLED
+  GTEST_SKIP() << "tracing compiled out (DPURPC_TRACE=OFF)";
+#endif
+  ScopedFullTracing tracing;
+  simverbs::ProtectionDomain client_pd("dpu"), server_pd("host");
+  Connection client_conn(Role::kClient, &client_pd, {});
+  Connection server_conn(Role::kServer, &server_pd, {});
+  ASSERT_TRUE(Connection::connect(client_conn, server_conn).is_ok());
+  RpcClient client(&client_conn);
+
+  const trace::TraceContext copy_ctx{0x1001, 0x2001};
+  const trace::TraceContext inplace_ctx{0x1002, 0x2002};
+  const trace::TraceContext frag_ctx{0x1003, 0x2003};
+  const std::string copy_payload = "traced copy payload";
+  constexpr uint64_t kObject = 0x0123456789abcdefull;
+  std::mt19937_64 rng(kDefaultSeed);
+  const std::string big = random_ascii(rng, kMaxPayloadSize + 1000);
+
+  ASSERT_TRUE(client.call(kEcho, as_bytes_view(copy_payload), nullptr, copy_ctx)
+                  .is_ok());
+  ASSERT_TRUE(client
+                  .call_inplace(
+                      kEcho, /*class_index=*/7, /*payload_hint=*/64,
+                      [](arena::Arena& arena,
+                         const arena::AddressTranslator&) -> StatusOr<uint32_t> {
+                        auto* p = static_cast<std::byte*>(arena.allocate(8));
+                        if (p == nullptr) return Status(Code::kResourceExhausted, "full");
+                        store_le<uint64_t>(p, kObject);
+                        return static_cast<uint32_t>(arena.used());
+                      },
+                      nullptr, inplace_ctx)
+                  .is_ok());
+  ASSERT_TRUE(
+      client.call_fragmented(kEcho, as_bytes_view(big), nullptr, frag_ctx).is_ok());
+  ASSERT_TRUE(client.event_loop_once().is_ok());
+
+  std::vector<Connection::ReceivedBlock> blocks;
+  ASSERT_TRUE(server_conn.poll_into(blocks).is_ok());
+  std::vector<InMessage> msgs;
+  for (const auto& rb : blocks) {
+    BlockReader reader = server_conn.read_block(rb);
+    while (!reader.done()) {
+      auto m = reader.next();
+      ASSERT_TRUE(m.is_ok()) << m.status().to_string();
+      msgs.push_back(*m);
+    }
+  }
+  ASSERT_EQ(msgs.size(), 4u);  // copy, in-place, two fragments
+
+  expect_traced(msgs[0], copy_ctx, copy_payload.size());
+  EXPECT_EQ(msgs[0].header.flags, kFlagTraced);
+  EXPECT_EQ(as_string_view(msgs[0].payload), copy_payload);
+
+  expect_traced(msgs[1], inplace_ctx, 8);
+  EXPECT_EQ(msgs[1].header.flags, kFlagInPlaceObject | kFlagTraced);
+  EXPECT_EQ(msgs[1].header.aux, 7);
+  EXPECT_TRUE(is_aligned(msgs[1].payload_addr, kPayloadAlign));
+  EXPECT_EQ(load_le<uint64_t>(msgs[1].payload_addr), kObject);  // root here
+
+  // Only the final fragment is the request, so only it is traced.
+  EXPECT_EQ(msgs[2].header.flags, kFlagFragment);
+  EXPECT_EQ(msgs[2].trace.trace_id, 0u);
+  const size_t first = msgs[2].payload.size();
+  expect_traced(msgs[3], frag_ctx, big.size() - first);
+  EXPECT_EQ(msgs[3].header.flags, kFlagFragment | kFlagTraced);
+  EXPECT_TRUE(msgs[3].is_last_fragment());
+  std::string joined(as_string_view(msgs[2].payload));
+  joined += as_string_view(msgs[3].payload);
+  EXPECT_EQ(joined, big);
+}
+
+TEST(Tracing, EveryResponseWriterEchoesTheWirePrefix) {
+#if !DPURPC_TRACE_ENABLED
+  GTEST_SKIP() << "tracing compiled out (DPURPC_TRACE=OFF)";
+#endif
+  ScopedFullTracing tracing;
+  Fabric f;
+  register_echo(f.server);
+  constexpr uint16_t kObjectReply = 3;
+  constexpr uint64_t kObject = 0xfedcba9876543210ull;
+  f.server.register_inplace_handler(
+      kObjectReply, [](const RequestView&, arena::Arena& arena,
+                       const arena::AddressTranslator&, uint32_t* payload_size,
+                       uint16_t* class_index) -> Status {
+        auto* p = static_cast<std::byte*>(arena.allocate(8));
+        if (p == nullptr) return Status(Code::kResourceExhausted, "full");
+        store_le<uint64_t>(p, kObject);
+        *payload_size = static_cast<uint32_t>(arena.used());
+        *class_index = 9;
+        return Status::ok();
+      });
+
+  const trace::TraceContext copy_ctx{0x3001, 0x4001};
+  const trace::TraceContext inplace_ctx{0x3002, 0x4002};
+  const std::string payload = "echo me, traced";
+  int checked = 0;
+  ASSERT_TRUE(f.client
+                  .call(kEcho, as_bytes_view(payload),
+                        [&](const Status& st, const InMessage& resp) {
+                          ASSERT_TRUE(st.is_ok());
+                          expect_traced(resp, copy_ctx, payload.size());
+                          EXPECT_EQ(resp.header.flags, kFlagTraced);
+                          EXPECT_EQ(as_string_view(resp.payload), payload);
+                          ++checked;
+                        },
+                        copy_ctx)
+                  .is_ok());
+  ASSERT_TRUE(f.client
+                  .call(kObjectReply, as_bytes_view("x"),
+                        [&](const Status& st, const InMessage& resp) {
+                          ASSERT_TRUE(st.is_ok());
+                          expect_traced(resp, inplace_ctx, 8);
+                          EXPECT_EQ(resp.header.flags,
+                                    kFlagInPlaceObject | kFlagTraced);
+                          EXPECT_EQ(resp.header.aux, 9);
+                          EXPECT_EQ(load_le<uint64_t>(resp.payload_addr), kObject);
+                          ++checked;
+                        },
+                        inplace_ctx)
+                  .is_ok());
+  ASSERT_TRUE(f.pump_until(2).is_ok());
+  EXPECT_EQ(checked, 2);
 }
 
 TEST(Integration, LostBlockStallsButDoesNotCorrupt) {

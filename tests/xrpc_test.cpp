@@ -4,6 +4,7 @@
 #include <poll.h>
 
 #include <atomic>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -164,6 +165,56 @@ TEST(Xrpc, ServerShutdownFailsInFlightCalls) {
   (*server)->shutdown();
   (*chan)->close();  // channel close fails orphans
   EXPECT_TRUE(failed.load());
+}
+
+TEST(Xrpc, ConnectionLossFailsCallsWithoutClose) {
+  // The server takes the call, keeps its responder and goes away. The
+  // channel sees EOF: the call must fail on its own, not wait for close(),
+  // and the dead channel must refuse new work.
+  std::mutex mu;
+  std::vector<Responder> held;  // outlives the server, like a proxy's
+  std::atomic<int> taken{0};
+  auto server = Server::start(CallHandler([&](CallContext ctx) {
+    std::lock_guard<std::mutex> l(mu);
+    held.push_back(std::move(ctx.respond));
+    ++taken;
+  }));
+  ASSERT_TRUE(server.is_ok());
+  auto chan = Channel::connect((*server)->port());
+  ASSERT_TRUE(chan.is_ok());
+  std::atomic<int> callbacks{0};
+  std::atomic<Code> code{Code::kOk};
+  ASSERT_TRUE((*chan)
+                  ->call_async("x/Y", as_bytes_view("stashed"),
+                               [&](Code c, Bytes) {
+                                 code = c;
+                                 ++callbacks;
+                               })
+                  .is_ok());
+  for (int i = 0; i < 500 && taken.load() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(taken.load(), 1);
+  (*server)->shutdown();
+
+  for (int i = 0; i < 200 && callbacks.load() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(callbacks.load(), 1);
+  EXPECT_EQ(code.load(), Code::kUnavailable);
+  EXPECT_EQ((*chan)->outstanding(), 0u);
+
+  // Later calls and streams fail up front; their callbacks never run.
+  std::atomic<bool> late_ran{false};
+  EXPECT_EQ((*chan)
+                ->call_async("x/Y", as_bytes_view("late"),
+                             [&](Code, Bytes) { late_ran = true; })
+                .code(),
+            Code::kUnavailable);
+  EXPECT_EQ((*chan)->open_stream("x/Stream").status().code(), Code::kUnavailable);
+  (*chan)->close();
+  EXPECT_FALSE(late_ran.load());
+  EXPECT_EQ(callbacks.load(), 1);
 }
 
 TEST(Xrpc, ShutdownRacesInFlightTraffic) {

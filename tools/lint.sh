@@ -5,6 +5,11 @@
 #      metrics::default_registry(), so no header under src/ other than
 #      src/metrics/metrics.hpp may name metrics::Registry — a Registry*
 #      parameter, field or option coming back fails here.
+#      One trace-prefix writer: the rdmarpc block layer owns the 24-byte
+#      WireTrace payload prefix (BlockWriter stamps it, BlockReader peels
+#      it), so nothing outside src/rdmarpc/block.* may construct a
+#      WireTrace or memcpy one — an engine hand-building the prefix again
+#      fails here.
 #   1. dpulint (tools/dpulint) — the project-specific checker that proves
 #      the datapath invariants: hot-path allocation/lock freedom,
 #      DESIGN.md lock-order sync, the relaxed-atomics whitelist, and
@@ -44,6 +49,17 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 if grep -rn --include='*.hpp' 'metrics::Registry' src | grep -v '^src/metrics/metrics\.hpp:'; then
   echo "lint: a header above names metrics::Registry; components register in" >&2
   echo "lint: metrics::default_registry() instead of taking a registry" >&2
+  exit 1
+fi
+
+wire_trace_construct='\bWireTrace([{(]|[[:space:]]+[A-Za-z_][A-Za-z0-9_]*([{(;]|[[:space:]]*=))'
+wire_trace_copy='memcpy\([^;]*(\bWireTrace\b|kWireTraceSize)'
+if grep -rnE --include='*.hpp' --include='*.cpp' \
+       "$wire_trace_construct|$wire_trace_copy" src tests bench examples perfbench |
+     grep -vE '^src/rdmarpc/block\.(hpp|cpp):|^[^:]+:[0-9]+:[[:space:]]*//' |
+     grep -v 'struct WireTrace {'; then
+  echo "lint: a WireTrace is built or copied above; the trace prefix is" >&2
+  echo "lint: written only by src/rdmarpc/block.* (Connection::begin_message)" >&2
   exit 1
 fi
 
