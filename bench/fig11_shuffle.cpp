@@ -3,22 +3,24 @@
 //
 // A client streams multi-MB payloads of repeated sh.ShuffleRow records
 // over xRPC. The DPU proxy cuts the byte stream at protobuf record
-// boundaries into ~160 KiB pieces, decodes each piece on the CodecPool
-// (kDecodeChunk — the offloaded validation work), and forwards the raw
-// wire bytes to the host as fragmented RPC-over-RDMA calls, never holding
-// more than the configured per-stream budget. Backpressure composes end
+// boundaries into pieces of at most kMaxStreamPiece bytes, decodes each
+// piece on the CodecPool (kDecodeChunk — the offloaded validation work),
+// and forwards the raw wire bytes to the host as one RPC-over-RDMA
+// message per piece, never holding more than the per-stream budget
+// (kStreamBudget). Backpressure composes end
 // to end: host acks release budget, released budget becomes xRPC credit,
 // and a sender that outruns the datapath stalls at the xRPC edge.
 //
 // Reported: end-to-end stream throughput (bytes/s over simverbs), pool
-// chunk-decode throughput, credit stalls, and the peak per-stream bytes
-// held by the proxy.
+// chunk-decode throughput, credit stalls, the peak per-stream bytes held
+// by the proxy, and the count and largest size of the pieces the host saw.
 //
 // In-bench acceptance gates (exit 3 on violation):
 //   - bit-for-bit parity: the host's reassembled stream equals the
 //     WireCodec oracle concatenation, byte for byte (checked inline) and
 //     by digest in the final response;
-//   - bounded memory: proxy stream_peak_bytes <= per_stream_budget;
+//   - bounded memory: proxy stream_peak_bytes <= kStreamBudget;
+//   - one message per piece: the largest piece <= kMaxStreamPiece;
 //   - backpressure: the client observed at least one credit stall;
 //   - trace tiling (full runs only): the streaming span tree keeps the
 //     stage-spans-sum-to-e2e invariant, including the new kStreamTransfer
@@ -78,9 +80,11 @@ struct Deployment {
   std::atomic<bool> stop{false};
   uint16_t port = 0;
 
-  // Parity state shared with the host-side stream handler.
+  // Parity and piece-size state shared with the host-side stream handler.
   const Bytes* oracle = nullptr;
   std::atomic<bool> parity_failed{false};
+  std::atomic<uint64_t> pieces{0};
+  std::atomic<uint64_t> largest_piece{0};
 
   ~Deployment() {
     if (proxy) proxy->stop();
@@ -100,8 +104,8 @@ bool setup(Deployment& d) {
 
   d.dpu_pd = std::make_unique<simverbs::ProtectionDomain>("dpu");
   d.host_pd = std::make_unique<simverbs::ProtectionDomain>("host");
-  // Fragmented stream pieces ride the DPU->host direction in (up to)
-  // 64 KiB blocks; size both ends so a full budget's worth is in flight.
+  // Stream pieces ride the DPU->host direction in (up to) 64 KiB blocks,
+  // one each; size both ends so a full budget's worth is in flight.
   rdmarpc::ConnectionConfig ccfg, scfg;
   ccfg.sbuf_size = 32ull << 20;
   scfg.rbuf_size = 32ull << 20;
@@ -134,6 +138,10 @@ bool setup(Deployment& d) {
           digest = 1469598103934665603ull;
           return Status::ok();
         }
+        d.pieces.fetch_add(1, std::memory_order_relaxed);
+        if (chunk.size() > d.largest_piece.load(std::memory_order_relaxed)) {
+          d.largest_piece.store(chunk.size(), std::memory_order_relaxed);
+        }
         if (d.oracle != nullptr) {
           if (offset + chunk.size() > d.oracle->size() ||
               std::memcmp(chunk.data(), d.oracle->data() + offset,
@@ -157,8 +165,6 @@ bool setup(Deployment& d) {
 
   d.proxy = std::make_unique<grpccompat::DpuProxy>(d.dpu_conn.get(),
                                                    d.manifest.get());
-  grpccompat::StreamOptions sopts;  // defaults: 1 MiB budget, 160 KiB pieces
-  d.proxy->set_stream_options(sopts);
   auto port = d.proxy->start();
   if (!port.is_ok()) return false;
   d.port = *port;
@@ -229,7 +235,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "fig11: deployment setup failed\n");
     return 1;
   }
-  const size_t budget = d.proxy->stream_options().per_stream_budget;
+  const size_t budget = grpccompat::kStreamBudget;
 
   // The oracle: WireCodec-serialized ShuffleRow records, concatenated —
   // the exact bytes the host must reassemble.
@@ -303,6 +309,11 @@ int main(int argc, char** argv) {
   std::printf("proxy peak held:   %" PRIu64 " bytes (budget %zu)\n", peak,
               budget);
   std::printf("credit stalls:     %" PRIu64 "\n", total_stalls);
+  const uint64_t pieces = d.pieces.load();
+  const uint64_t largest = d.largest_piece.load();
+  std::printf("pieces:            %" PRIu64 ", largest %" PRIu64
+              " bytes (limit %zu)\n",
+              pieces, largest, grpccompat::kMaxStreamPiece);
 
   // ---- acceptance gates -------------------------------------------------
   bool failed = false;
@@ -316,6 +327,13 @@ int main(int argc, char** argv) {
                  "FAIL: proxy held %" PRIu64 " bytes, budget %zu — "
                  "per-stream memory is not bounded\n",
                  peak, budget);
+    failed = true;
+  }
+  if (largest > grpccompat::kMaxStreamPiece) {
+    std::fprintf(stderr,
+                 "FAIL: a %" PRIu64 "-byte piece exceeds kMaxStreamPiece "
+                 "(%zu) — pieces no longer fit one RDMA message\n",
+                 largest, grpccompat::kMaxStreamPiece);
     failed = true;
   }
   if (total_stalls == 0) {
@@ -411,16 +429,18 @@ int main(int argc, char** argv) {
                  "  \"credit_stalls\": %" PRIu64 ",\n"
                  "  \"peak_bytes\": %" PRIu64 ",\n"
                  "  \"budget_bytes\": %zu,\n"
+                 "  \"pieces\": %" PRIu64 ",\n"
+                 "  \"largest_piece_bytes\": %" PRIu64 ",\n"
                  "  \"trace_sum_ratio\": %.3f\n}\n",
                  oracle.size(), n_streams, n_rows, stream_mibs, decode_bytes,
                  decode_busy_ns, decode_mibs, total_stalls, peak, budget,
-                 trace_sum_ratio);
+                 pieces, largest, trace_sum_ratio);
     std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());
   }
 
   if (failed) return 3;
   std::printf("\nall gates pass: bit-for-bit parity, peak <= budget, "
-              "backpressure at the xRPC edge\n");
+              "pieces <= one message, backpressure at the xRPC edge\n");
   return 0;
 }

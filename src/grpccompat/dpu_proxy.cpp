@@ -16,9 +16,9 @@ namespace {
 // result even across the ring's power-of-two rounding.
 constexpr size_t kMaxOutstandingJobs = 128;
 constexpr size_t kCodecRingCapacity = 256;
-// Slice cap for the pool: stream pieces are piece_target-sized and can
-// inflate ~8x on decode. Slices are sized from the wire first and only
-// grow to the cap on arena exhaustion.
+// Slice cap for the pool: stream pieces are at most kMaxStreamPiece
+// bytes and can inflate ~8x on decode. Slices are sized from the wire
+// first and only grow to the cap on arena exhaustion.
 constexpr size_t kPoolSliceCap = 4u << 20;
 // The lane's one sleep: its connection's completion channel, woken by
 // Lane::post, codec completions, RDMA completions and stop(). The timeout
@@ -83,6 +83,12 @@ size_t record_length(ByteSpan data) {
     default:  // wire types 3/4 (groups): unsupported
       return kMalformedRecord;
   }
+}
+
+/// A stream record that cannot travel as one RDMA message fails its
+/// stream, as an oversized unary request fails its call.
+Status oversized_record() {
+  return Status(Code::kOutOfRange, "stream record exceeds one RDMA message");
 }
 
 /// Monotone max on a relaxed stats cell (pollers race across lanes).
@@ -183,7 +189,17 @@ void DpuProxy::handle_call(xrpc::CallContext ctx) {
     ctx.respond(Code::kUnavailable, {});
     return;
   }
-  uint64_t enqueue_ns = ctx.trace.active() ? WallTimer::now() : 0;
+  uint64_t enqueue_ns = 0;
+  if (ctx.trace.active()) {
+    // Method lookup + lane selection, on the xRPC reader thread. It ends
+    // where the lane-queue-wait span starts (enqueue_ns), so the queue
+    // push is not counted twice. Recorded before the post: once the lane
+    // has the call, the reply can reach the client and complete the trace
+    // while this reader is still preempted here.
+    enqueue_ns = WallTimer::now();
+    trace::Tracer::instance().record(trace::Stage::kProxyDispatch, ctx.trace,
+                                     t0, enqueue_ns);
+  }
   if (ctx.is_stream()) {
     // A stream pins its lane: every event for it must reach the same
     // poller, in arrival order — which the per-lane FIFO queue gives us
@@ -233,14 +249,6 @@ void DpuProxy::handle_call(xrpc::CallContext ctx) {
     call.enqueue_ns = enqueue_ns;
     lane->post(std::move(call));
   }
-  if (ctx.trace.active()) {
-    // Method lookup + lane selection, on the xRPC reader thread. It ends
-    // where the lane-queue-wait span starts (enqueue_ns), so the queue
-    // push — and a reader preempted right after it while the lane already
-    // runs the call — is not counted twice.
-    trace::Tracer::instance().record(trace::Stage::kProxyDispatch, ctx.trace,
-                                     t0, enqueue_ns);
-  }
 }
 
 Status DpuProxy::dispatch_event(Lane& lane, PendingCall event) {
@@ -277,8 +285,7 @@ void DpuProxy::open_stream(Lane& lane, PendingCall event) {
   // Open the credit window: the client may ship up to the whole budget
   // before the first host ack re-grants — the proxy-side bound on held
   // bytes falls straight out of this being the only unearned credit.
-  (void)stream->grant(static_cast<uint32_t>(
-      std::min<size_t>(stream_options_.per_stream_budget, UINT32_MAX)));
+  (void)stream->grant(static_cast<uint32_t>(kStreamBudget));
 }
 
 void DpuProxy::stream_chunk(Lane& lane, PendingCall event) {
@@ -340,43 +347,17 @@ DPURPC_HOT_PATH Status DpuProxy::scan_and_submit(Lane& lane, uint32_t stream_id)
   auto it = lane.streams.find(stream_id);
   if (it == lane.streams.end()) return Status::ok();
   ProxyStream& ps = *it->second;
-  size_t pos = 0;
-  size_t piece_start = 0;
-  // Cut [piece_start, pos) at record boundaries into ~piece_target
-  // pieces; a trailing partial record stays in carry for the next chunk.
-  while (pos < ps.carry.size()) {
-    size_t rl = record_length(ByteSpan(ps.carry).subspan(pos));
-    if (rl == kMalformedRecord) {
-      return Status(Code::kInvalidArgument, "malformed stream chunk");
-    }
-    if (rl == 0) {
-      // Incomplete record. If it can never fit under the piece cap, no
-      // amount of further chunks will make it decodable.
-      if (ps.carry.size() - pos > stream_options_.max_decoded_chunk) {
-        return Status(Code::kResourceExhausted,
-                      "stream record exceeds max_decoded_chunk");
-      }
-      break;
-    }
-    if (rl > stream_options_.max_decoded_chunk) {
-      return Status(Code::kResourceExhausted,
-                    "stream record exceeds max_decoded_chunk");
-    }
-    pos += rl;
-    if (pos - piece_start < stream_options_.piece_target &&
-        !(ps.ended && pos == ps.carry.size())) {
-      continue;
-    }
-    // Emit [piece_start, pos) with the prefix hole up front — the same
-    // buffer goes pool → ready → host without another copy.
-    const size_t piece_bytes = pos - piece_start;
+  // Hand [piece_start, end) to the pool as one kDecodeChunk job, with the
+  // prefix hole up front — the same buffer goes pool → ready → host
+  // without another copy.
+  auto submit_piece = [&](size_t piece_start, size_t end) -> Status {
+    const size_t piece_bytes = end - piece_start;
     // dpulint: allow(hot-path): the one designed allocation per piece —
     // the prefix-holed buffer that travels pool → ready → host without
     // another copy.
     Bytes buf(kStreamPrefixSize + piece_bytes);
     std::memcpy(buf.data() + kStreamPrefixSize, ps.carry.data() + piece_start,
                 piece_bytes);
-    piece_start = pos;
     const uint32_t seq = ps.next_piece_seq++;
     dpu::CodecJob job;
     job.kind = dpu::JobKind::kDecodeChunk;
@@ -389,7 +370,7 @@ DPURPC_HOT_PATH Status DpuProxy::scan_and_submit(Lane& lane, uint32_t stream_id)
       lane.pending_chunks.emplace(job.cookie, std::make_pair(stream_id, seq));
       relaxed::add(lane.outstanding, 1);
       ++ps.decodes_in_pool;
-      continue;
+      return Status::ok();
     }
     // Ring/budget full: validate-decode on the lane thread (overload
     // spill) and stage the piece as ready directly.
@@ -407,6 +388,35 @@ DPURPC_HOT_PATH Status DpuProxy::scan_and_submit(Lane& lane, uint32_t stream_id)
     if (!obj.is_ok()) return obj.status();
     relaxed::add(stats_.stream_chunks, 1);
     ps.ready.emplace(seq, std::move(piece));
+    return Status::ok();
+  };
+  size_t pos = 0;
+  size_t piece_start = 0;
+  // Close each piece at the last record boundary that keeps it within
+  // kMaxStreamPiece, so it travels as exactly one RDMA message. Complete
+  // records short of a full piece and a trailing partial record stay in
+  // carry for the next chunk (or the end frame).
+  while (pos < ps.carry.size()) {
+    size_t rl = record_length(ByteSpan(ps.carry).subspan(pos));
+    if (rl == kMalformedRecord) {
+      return Status(Code::kInvalidArgument, "malformed stream chunk");
+    }
+    if (rl == 0) {
+      // Incomplete record: once more than a piece of it is here, no
+      // amount of further chunks makes it fit one message.
+      if (ps.carry.size() - pos > kMaxStreamPiece) return oversized_record();
+      break;
+    }
+    if (rl > kMaxStreamPiece) return oversized_record();
+    if (pos + rl - piece_start > kMaxStreamPiece) {
+      DPURPC_RETURN_IF_ERROR(submit_piece(piece_start, pos));
+      piece_start = pos;
+    }
+    pos += rl;
+  }
+  if (ps.ended && pos == ps.carry.size() && pos > piece_start) {
+    DPURPC_RETURN_IF_ERROR(submit_piece(piece_start, pos));
+    piece_start = pos;
   }
   ps.carry.erase(ps.carry.begin(),
                  ps.carry.begin() + static_cast<ptrdiff_t>(piece_start));
@@ -457,10 +467,10 @@ Status DpuProxy::send_with_backpressure(Lane& lane, Send&& send) {
 }
 
 void DpuProxy::forward_ready(Lane& lane, uint32_t stream_id) {
-  // call_fragmented pumps the event loop while blocked, and so does the
-  // backpressure routine, so continuations (host acks, even failures that
-  // erase this very stream) can run inside each try — always re-find the
-  // stream, never cache a reference across a call.
+  // The backpressure routine pumps the event loop between tries, so
+  // continuations (host acks, even failures that erase this very stream)
+  // can run inside a send — always re-find the stream, never cache a
+  // reference across one.
   for (;;) {
     auto sit = lane.streams.find(stream_id);
     if (sit == lane.streams.end()) return;
@@ -472,8 +482,8 @@ void DpuProxy::forward_ready(Lane& lane, uint32_t stream_id) {
     const uint32_t seq = ps.next_forward_seq++;
     const uint64_t payload_bytes = piece.size() - kStreamPrefixSize;
     write_stream_prefix(piece.data(), StreamPrefix{stream_id, seq, 0, 0});
-    // Counted before the call: the host's ack can arrive inside
-    // call_fragmented's internal event-loop pump.
+    // Counted before the send: acks of earlier pieces can run inside its
+    // backpressure pump, and the end marker must not overtake this piece.
     ++ps.rpcs_in_flight;
     const uint16_t method_id = ps.method->method_id;
     const uint64_t fwd_t0 = trace::enabled() ? WallTimer::now() : 0;
@@ -481,7 +491,9 @@ void DpuProxy::forward_ready(Lane& lane, uint32_t stream_id) {
       if (lane.streams.count(stream_id) == 0) {
         return Status(Code::kAborted, "stream failed while back-pressured");
       }
-      return lane.client.call_fragmented(
+      // One piece, one message; pieces travel untraced (the stream's
+      // trace rides its end marker).
+      return lane.client.call(
           method_id, ByteSpan(piece),
           [this, lane = &lane, stream_id, payload_bytes, fwd_t0](
               const Status& rpc_result, const rdmarpc::InMessage&) {
@@ -556,7 +568,7 @@ void DpuProxy::maybe_finish_stream(Lane& lane, uint32_t stream_id) {
     if (lane.streams.count(stream_id) == 0) {
       return Status(Code::kAborted, "stream failed while back-pressured");
     }
-    return lane.client.call_fragmented(
+    return lane.client.call(
         method_id, ByteSpan(marker),
         [this, lane = &lane, stream_id, respond, tctx](
             const Status& rpc_result, const rdmarpc::InMessage& resp) {

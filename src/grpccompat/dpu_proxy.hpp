@@ -20,9 +20,9 @@
 // reply serializes straight from the receive block before it is acked.
 // Round-robin already balances unary work across lanes, so a handoff
 // would only add a slice copy, two rings and two cross-thread wakeups.
-// Stream pieces (~160 KiB each, pinned to their stream's lane) go to the
-// CodecPool instead, so a piece's decode never holds the unary calls
-// queued behind it on the lane.
+// Stream pieces (record-aligned, each one RDMA message, pinned to their
+// stream's lane) go to the CodecPool instead, so a piece's decode never
+// holds the unary calls queued behind it on the lane.
 #pragma once
 
 #include <atomic>
@@ -80,20 +80,12 @@ struct DpuProxyStats {
   std::atomic<uint64_t> stream_aborts{0};
 };
 
-/// Per-stream resource policy (set_stream_options, before start()).
-struct StreamOptions {
-  /// Byte-credit window granted to the client at open; the proxy never
-  /// holds more than this per stream — further credit is granted only as
-  /// the host acks forwarded chunks (the backpressure chain's middle
-  /// link: xRPC credit → this budget → RDMA block credits).
-  size_t per_stream_budget = 1u << 20;
-  /// Decoded-piece size target: the boundary scan cuts the stream into
-  /// whole-record pieces of roughly this many bytes per kDecodeChunk job.
-  size_t piece_target = 160u << 10;
-  /// Hard cap on one piece (a single wire record larger than this aborts
-  /// the stream — it could never decode within the pool's slice cap).
-  size_t max_decoded_chunk = 2u << 20;
-};
+/// Byte-credit window granted to each stream's client at open; the proxy
+/// never holds more than this per stream — further credit is granted only
+/// as the host acks forwarded pieces (the backpressure chain's middle
+/// link: xRPC credit → this budget → RDMA block credits).
+inline constexpr size_t kStreamBudget = 1u << 20;
+static_assert(kStreamBudget <= UINT32_MAX, "one xRPC credit grant covers it");
 
 class DpuProxy {
  public:
@@ -115,14 +107,6 @@ class DpuProxy {
   /// Returns the TCP port xRPC clients should dial (the "DPU's address").
   StatusOr<uint16_t> start();
   void stop();
-
-  /// Override the per-stream resource policy. Call before start().
-  void set_stream_options(const StreamOptions& options) {
-    stream_options_ = options;
-  }
-  const StreamOptions& stream_options() const noexcept {
-    return stream_options_;
-  }
 
   const DpuProxyStats& stats() const noexcept { return stats_; }
   size_t lane_count() const noexcept { return lanes_.size(); }
@@ -178,9 +162,10 @@ class DpuProxy {
   /// One inbound streaming call, owned by its lane's poller thread.
   /// Lifecycle: created at kStreamOpen (grants the whole budget to the
   /// client), accumulates chunk bytes into `carry`, cuts whole-record
-  /// pieces into kDecodeChunk jobs, reorders decoded pieces by sequence
-  /// in `ready`, forwards them in order to the host as prefixed
-  /// (fragmented) RPCs, re-grants credit per host ack, and — once the
+  /// pieces of at most kMaxStreamPiece bytes into kDecodeChunk jobs,
+  /// reorders decoded pieces by sequence in `ready`, forwards them in
+  /// order to the host as prefixed one-message RPCs, re-grants credit per
+  /// host ack, and — once the
   /// end frame arrived and everything drained — sends the end marker
   /// whose response becomes the final xRPC response. Destroying the
   /// entry frees every held buffer; results still out with the pool are
@@ -199,8 +184,8 @@ class DpuProxy {
     uint32_t next_piece_seq = 0;    ///< assigned at kDecodeChunk submit
     uint32_t next_forward_seq = 0;  ///< next piece owed to the host
     /// Budget accounting: bytes inside the proxy (carry + cut pieces)
-    /// until the host acks them; the client got exactly
-    /// per_stream_budget of credit up front, so this never exceeds it.
+    /// until the host acks them; the client got exactly kStreamBudget of
+    /// credit up front, so this never exceeds it.
     uint64_t held_bytes = 0;
     uint64_t total_bytes = 0;
     size_t decodes_in_pool = 0;
@@ -261,15 +246,17 @@ class DpuProxy {
   void stream_chunk(Lane& lane, PendingCall event);
   void stream_end(Lane& lane, PendingCall event);
   void stream_abort(Lane& lane, uint32_t stream_id);
-  /// Cut whole-record pieces out of the stream's carry buffer and submit
-  /// them to the pool as kDecodeChunk jobs (inline-validate spill when
-  /// the ring/budget is full). Non-ok fails the stream, not the lane.
+  /// Cut whole-record pieces of at most kMaxStreamPiece bytes out of the
+  /// stream's carry buffer and submit them to the pool as kDecodeChunk
+  /// jobs (inline-validate spill when the ring/budget is full). Non-ok
+  /// fails the stream, not the lane: kOutOfRange for a record larger than
+  /// a piece, kInvalidArgument for a malformed one.
   Status scan_and_submit(Lane& lane, uint32_t stream_id);
   /// Completion of a kDecodeChunk job: stage the piece in `ready` and
   /// forward everything now in order.
   void chunk_decoded(Lane& lane, dpu::CodecResult result);
-  /// Forward in-order ready pieces to the host (call_fragmented); each
-  /// host ack releases budget and re-grants client credit.
+  /// Forward in-order ready pieces to the host, one RpcClient::call each;
+  /// each host ack releases budget and re-grants client credit.
   void forward_ready(Lane& lane, uint32_t stream_id);
   /// Host acked one forwarded piece (RPC continuation, poller thread).
   void stream_chunk_acked(Lane& lane, uint32_t stream_id,
@@ -311,7 +298,6 @@ class DpuProxy {
   adt::ObjectSerializer serializer_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::unique_ptr<dpu::CodecPool> pool_;
-  StreamOptions stream_options_;
   std::atomic<uint64_t> next_lane_{0};
   /// Stream ids are assigned on the xRPC reader thread (they key the
   /// per-frame events) from one proxy-wide counter, so they are unique

@@ -77,7 +77,9 @@ class HostEngine {
   /// fills `final_response` (the stream's final xRPC payload). The engine
   /// peels the StreamPrefix and rejects out-of-order or cross-method
   /// chunks before the handler runs. Chunks of one stream arrive strictly
-  /// in sequence; distinct streams may interleave.
+  /// in sequence; distinct streams may interleave. Each chunk is one RDMA
+  /// message, at most kMaxStreamPiece bytes, borrowed from the receive
+  /// block: copy whatever must outlive the call.
   using StreamMethod = std::function<Status(const ServerContext&,
                                             uint32_t stream_id, ByteSpan chunk,
                                             bool end, Bytes& final_response)>;

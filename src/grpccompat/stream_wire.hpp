@@ -1,8 +1,8 @@
 // Proxy↔host stream chunk framing (docs/PROTOCOL.md §8).
 //
 // A streaming xRPC call crosses the RDMA hop as a sequence of ordinary
-// (possibly fragmented) RPC over RDMA calls, one per decoded chunk, each
-// payload prefixed with this 16-byte header. The proxy reserves the
+// RPC over RDMA calls, one message per decoded piece, each payload
+// prefixed with this 16-byte header. The proxy reserves the
 // prefix hole at the front of every chunk buffer *before* handing it to
 // the codec pool, so the decoded piece forwards to the host without a
 // re-copy; the host engine peels the prefix, checks sequencing, and acks
@@ -15,6 +15,7 @@
 #include <cstring>
 
 #include "common/bytes.hpp"
+#include "rdmarpc/protocol.hpp"
 
 namespace dpurpc::grpccompat {
 
@@ -31,6 +32,12 @@ struct StreamPrefix {
 static_assert(sizeof(StreamPrefix) == 16, "StreamPrefix is 16 bytes on the wire");
 
 inline constexpr size_t kStreamPrefixSize = sizeof(StreamPrefix);
+
+/// Largest piece of stream bytes one forwarded RPC carries: prefix and
+/// piece fill one RDMA message at most. Pieces travel untraced, so no
+/// WireTrace prefix competes for the room.
+inline constexpr size_t kMaxStreamPiece =
+    rdmarpc::kMaxPayloadSize - kStreamPrefixSize;
 
 inline void write_stream_prefix(std::byte* dst, const StreamPrefix& prefix) {
   std::memcpy(dst, &prefix, sizeof(prefix));

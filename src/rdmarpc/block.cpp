@@ -26,6 +26,9 @@ StatusOr<InMessage> BlockReader::next() noexcept {
   }
   InMessage m;
   std::memcpy(&m.header, base_ + cursor_, sizeof(m.header));
+  if ((m.header.flags & static_cast<uint16_t>(~kKnownFlags)) != 0) {
+    return Status(Code::kDataLoss, "reserved message flag bit set");
+  }
   uint64_t payload_start = cursor_ + kHeaderSize;
   if (payload_start + m.header.payload_size > preamble_.block_bytes) {
     return Status(Code::kDataLoss, "message payload overruns block");
@@ -42,20 +45,6 @@ StatusOr<InMessage> BlockReader::next() noexcept {
     std::memcpy(&m.trace, m.payload_addr, kWireTraceSize);
     m.payload_addr += kWireTraceSize;
     m.payload = ByteSpan(m.payload_addr, m.header.payload_size - kWireTraceSize);
-  }
-  if (m.header.flags & kFlagFragment) {
-    if (m.payload.size() < kFragHeaderSize) {
-      return Status(Code::kDataLoss, "fragment shorter than its header");
-    }
-    // Peel the FragHeader (it sits after any WireTrace prefix) so payload
-    // covers exactly the fragment bytes the receiver scatters into its
-    // reassembly buffer.
-    std::memcpy(&m.frag, m.payload_addr, kFragHeaderSize);
-    if (m.frag.reserved != 0) {
-      return Status(Code::kDataLoss, "nonzero reserved fragment bits");
-    }
-    m.payload_addr += kFragHeaderSize;
-    m.payload = ByteSpan(m.payload_addr, m.payload.size() - kFragHeaderSize);
   }
   cursor_ = cursor_ + message_slot_size(m.header.payload_size);
   ++consumed_;

@@ -151,21 +151,11 @@ class BlockWriter {
 /// Zero-copy view over one received message. For kFlagTraced messages the
 /// WireTrace prefix has been peeled off: `trace` holds it and
 /// payload/payload_addr point past it (at the in-place object root).
-/// Likewise for kFlagFragment messages the FragHeader (which follows any
-/// WireTrace prefix) is peeled into `frag`, and payload covers only the
-/// fragment bytes.
 struct InMessage {
   MsgHeader header;
   ByteSpan payload;             ///< borrowed from the receive buffer
   const std::byte* payload_addr;///< receive-buffer address (in-place objects)
   WireTrace trace{0, 0, 0};     ///< zero trace_id when untraced
-  FragHeader frag{0, 0, 0, 0, 0};  ///< valid when header.flags has kFlagFragment
-  bool is_fragment() const noexcept {
-    return (header.flags & kFlagFragment) != 0;
-  }
-  bool is_last_fragment() const noexcept {
-    return is_fragment() && (frag.frag_flags & kFragLast) != 0;
-  }
 };
 
 class BlockReader {
@@ -179,7 +169,8 @@ class BlockReader {
   uint16_t message_count() const noexcept { return preamble_.message_count; }
   uint64_t block_bytes() const noexcept { return preamble_.block_bytes; }
 
-  /// Next message; kOutOfRange past the last one.
+  /// Next message; kOutOfRange past the last one, kDataLoss on a header
+  /// that overruns the block or sets a reserved flag bit.
   StatusOr<InMessage> next() noexcept;
   bool done() const noexcept { return consumed_ >= preamble_.message_count; }
 

@@ -118,64 +118,6 @@ Status RpcClient::call_inplace(uint16_t method_id, uint16_t class_index,
                 "request payload does not fit in a maximum-size block");
 }
 
-Status RpcClient::call_fragmented(uint16_t method_id, ByteSpan payload,
-                                  Continuation done, trace::TraceContext tctx) {
-  if (payload.size() + kWireTraceSize <= kMaxPayloadSize) {
-    return call(method_id, payload, std::move(done), tctx);
-  }
-  if (payload.size() > UINT32_MAX) {
-    return Status(Code::kOutOfRange, "fragmented payload exceeds 4 GiB");
-  }
-  DPURPC_RETURN_IF_ERROR(admit());
-  uint64_t t0 = tctx.active() ? WallTimer::now() : 0;
-  const uint32_t stream_id = next_frag_stream_++;
-  const uint32_t total = static_cast<uint32_t>(payload.size());
-  // One chunk size for every fragment, conservatively leaving room for the
-  // WireTrace prefix even though only the final fragment carries it.
-  constexpr uint32_t kFragBytes =
-      kMaxPayloadSize - kFragHeaderSize - kWireTraceSize;
-  uint32_t off = 0;
-  while (off < total) {
-    const uint32_t frag_bytes = std::min(kFragBytes, total - off);
-    const bool last = off + frag_bytes == total;
-    const uint32_t msg_bytes = kFragHeaderSize + frag_bytes;
-    // Only the final fragment is the request, so only it carries the trace.
-    trace::TraceContext frag_trace = last ? tctx : trace::TraceContext();
-    std::byte* dst = nullptr;
-    for (int attempt = 0;; ++attempt) {
-      auto d = conn_->begin_message(msg_bytes, frag_trace);
-      if (d.is_ok()) {
-        dst = *d;
-        break;
-      }
-      if (d.status().code() != Code::kUnavailable) return d.status();
-      if (off == 0) return d.status();  // nothing committed: caller retries
-      // Fragments are already on the wire, so backpressure cannot surface
-      // to the caller — pump the event loop until the peer frees credit.
-      // Continuations of earlier requests may run here (documented).
-      if (attempt > 100000) {
-        return Status(Code::kUnavailable,
-                      "peer never freed space for remaining fragments");
-      }
-      auto pumped = event_loop_once();
-      if (!pumped.is_ok()) return pumped.status();
-      if (*pumped == 0) conn_->wait(1);
-    }
-    FragHeader fh;
-    fh.stream_id = stream_id;
-    fh.frag_offset = off;
-    fh.total_bytes = total;
-    fh.frag_flags = last ? kFragLast : uint16_t{0};
-    fh.reserved = 0;
-    std::memcpy(dst, &fh, sizeof(fh));
-    std::memcpy(dst + kFragHeaderSize, payload.data() + off, frag_bytes);
-    DPURPC_RETURN_IF_ERROR(conn_->commit_message(msg_bytes, method_id, kFlagFragment));
-    off += frag_bytes;
-    if (last) enqueue(std::move(done), frag_trace, t0, total);
-  }
-  return Status::ok();
-}
-
 Status RpcClient::flush_open_block() {
   if (open_block_requests_.empty()) {
     // Nothing outgoing: deliver accumulated acks with a resource-free

@@ -54,19 +54,6 @@ class RpcClient {
                       Continuation done,
                       trace::TraceContext tctx = trace::TraceContext());
 
-  /// Enqueue a request whose payload may exceed the 64 KiB per-message
-  /// limit: the payload is split into kFlagFragment messages the receiver
-  /// scatter-gathers back together (docs/PROTOCOL.md §8). Only the final
-  /// fragment carries the request identity, so the deterministic ID pools
-  /// stay in sync. Payloads that fit a single message degrade to call().
-  /// kUnavailable is only returned before the first fragment commits —
-  /// once fragments are on the wire the call pumps the event loop
-  /// internally until the transport frees space, so continuations of
-  /// earlier requests may run inside this call.
-  Status call_fragmented(uint16_t method_id, ByteSpan payload,
-                         Continuation done,
-                         trace::TraceContext tctx = trace::TraceContext());
-
   /// One turn of the event loop (§III.D: called continuously by the
   /// owner's thread): flush batched requests, poll for response blocks,
   /// run continuations, manage acks. Returns responses processed.
@@ -117,8 +104,6 @@ class RpcClient {
   /// paper instruments at the library level, §VI).
   metrics::Histogram& latency_hist_;
   std::vector<uint64_t> sent_at_ns_;
-  /// Reassembly key for the next call_fragmented() (running counter).
-  uint32_t next_frag_stream_ = 1;
 };
 
 }  // namespace dpurpc::rdmarpc

@@ -133,20 +133,24 @@ StatusOr<bool> Connection::flush() {
   // Flush observers end wait-stage spans exactly at the instant stamped
   // into the block's WireTrace prefixes (zero when nothing was traced).
   last_flush_ns_ = writer_->trace_stamp_ns();
+  const uint64_t seq = next_block_seq_;
+  // The observer runs before the post: once the block is on the wire the
+  // peer can answer it, and a traced reply can complete its trace at the
+  // far end, so every span of the block must already be recorded.
+  if (flush_observer_) flush_observer_(seq);
 
   // A send failure here is fatal by design: the credit system makes RNR
   // unreachable, so any error is an invariant violation engines abort on.
-  // State is only advanced after the send succeeds.
+  // The observer's bookkeeping is therefore never rolled back.
   DPURPC_RETURN_IF_ERROR(send_block(offset, length));
   writer_.reset();
   relaxed::store(pending_acks_, 0);
-  uint64_t seq = next_block_seq_++;
+  ++next_block_seq_;
   sent_blocks_.push_back({seq, offset, false});
   relaxed::sub(credits_, 1);
   credits_gauge_.sub(1);
   blocks_sent_.inc();
   messages_sent_.inc(msg_count);
-  if (flush_observer_) flush_observer_(seq);
   return true;
 }
 

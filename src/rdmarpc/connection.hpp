@@ -109,10 +109,13 @@ class Connection {
   /// requests to blocks with this before calling flush).
   uint64_t open_block_seq() const noexcept { return next_block_seq_; }
 
-  /// Invoked with the block sequence number after every successful flush —
-  /// including flushes begin_message() triggers internally when a block
-  /// fills. Engines hang the request-ID discipline here so it runs at the
-  /// true block boundary, never out of step with the peer.
+  /// Invoked with the block sequence number at every flush — including
+  /// flushes begin_message() triggers internally when a block fills —
+  /// after the block is finalized and before it is posted, so spans ended
+  /// here exist before the peer can see the block. Engines hang the
+  /// request-ID discipline here so it runs at the true block boundary,
+  /// never out of step with the peer. A pure ack calls it with UINT64_MAX
+  /// after its send.
   void set_flush_observer(std::function<void(uint64_t seq)> observer) {
     flush_observer_ = std::move(observer);
   }

@@ -50,7 +50,8 @@ struct MsgHeader {
   uint16_t id_or_method;
   /// Bit 0: payload is a pre-deserialized in-place object (offload path)
   /// rather than serialized bytes. Bit 1: response carries an error status
-  /// code in `aux` instead of a payload.
+  /// code in `aux` instead of a payload. Bit 2: payload starts with a
+  /// WireTrace prefix. Every other bit is reserved (kKnownFlags).
   uint16_t flags;
   /// Offload path: ADT class index of the in-place object. Error path:
   /// status code.
@@ -62,12 +63,10 @@ inline constexpr uint16_t kFlagInPlaceObject = 1u << 0;
 inline constexpr uint16_t kFlagErrorStatus = 1u << 1;
 /// Payload starts with a WireTrace prefix (stripped by BlockReader::next).
 inline constexpr uint16_t kFlagTraced = 1u << 2;
-/// Payload is one fragment of a larger message: a FragHeader follows the
-/// (optional) WireTrace prefix, then the fragment bytes. Only the final
-/// fragment (kFragLast) counts as a request for the deterministic ID
-/// discipline — non-final fragments allocate no ID on either side, so the
-/// pools stay in sync (docs/PROTOCOL.md §8).
-inline constexpr uint16_t kFlagFragment = 1u << 3;
+/// Every flag bit a sender may set. Bits 3-15 are reserved: BlockReader::next
+/// fails a message carrying any of them with kDataLoss.
+inline constexpr uint16_t kKnownFlags =
+    kFlagInPlaceObject | kFlagErrorStatus | kFlagTraced;
 
 /// Per-message trace prefix (DESIGN.md §3.15): the first kWireTraceSize
 /// payload bytes of a kFlagTraced message. 24 bytes, 8-aligned like every
@@ -84,29 +83,6 @@ struct WireTrace {
 };
 static_assert(sizeof(WireTrace) == 24);
 inline constexpr uint32_t kWireTraceSize = sizeof(WireTrace);
-
-/// Per-fragment header (kFlagFragment): the first 16 payload bytes after
-/// any WireTrace prefix. Fragments reassemble by (stream_id, frag_offset)
-/// into a `total_bytes` buffer on the receiver — scatter-gather, so
-/// out-of-order fragment arrival needs no resequencing queue. 16 bytes,
-/// a multiple of kPayloadAlign, so stripping it keeps the remaining
-/// fragment bytes 8-aligned.
-struct FragHeader {
-  /// Sender-chosen reassembly key, unique among that sender's incomplete
-  /// fragmented messages (a running counter; wraparound is harmless long
-  /// before 2^32 concurrent incomplete messages).
-  uint32_t stream_id;
-  /// Byte offset of this fragment within the reassembled payload.
-  uint32_t frag_offset;
-  /// Total reassembled payload size (every fragment repeats it).
-  uint32_t total_bytes;
-  /// Bit 0 (kFragLast): final fragment — carries the request identity.
-  uint16_t frag_flags;
-  uint16_t reserved;
-};
-static_assert(sizeof(FragHeader) == 16);
-inline constexpr uint32_t kFragHeaderSize = sizeof(FragHeader);
-inline constexpr uint16_t kFragLast = 1u << 0;
 
 inline constexpr uint32_t kPreambleSize = sizeof(Preamble);
 inline constexpr uint32_t kHeaderSize = sizeof(MsgHeader);

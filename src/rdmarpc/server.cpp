@@ -1,7 +1,6 @@
 #include "rdmarpc/server.hpp"
 
 #include "common/cpu_timer.hpp"
-#include "common/hot_path.hpp"
 
 namespace dpurpc::rdmarpc {
 
@@ -212,13 +211,6 @@ Status RpcServer::process_request_block(const Connection::ReceivedBlock& rb) {
   while (!reader.done()) {
     auto msg = reader.next();
     if (!msg.is_ok()) return msg.status();
-    if (msg->is_fragment()) {
-      // Fragments copy into an owned reassembly buffer, so the block acks
-      // normally; only the final fragment participates in the ID
-      // discipline (handled inside, at this message's in-block position).
-      DPURPC_RETURN_IF_ERROR(accept_fragment(*msg));
-      continue;
-    }
     auto id = id_pool_.allocate();
     if (!id.has_value()) {
       return Status(Code::kDataLoss, "request ID pool desynchronized");
@@ -260,9 +252,6 @@ Status RpcServer::process_request_block(const Connection::ReceivedBlock& rb) {
   return Status::ok();
 }
 
-// Reassembled requests always run here, background methods included:
-// their payload lives in the reassembly buffer, whose lifetime ends with
-// this dispatch.
 Status RpcServer::dispatch(const RequestView& req, const Method* m,
                            uint64_t recv_ns) {
   if (m != nullptr && m->inplace) {
@@ -294,69 +283,6 @@ Status RpcServer::dispatch(const RequestView& req, const Method* m,
   }
   ++requests_served_;
   return Status::ok();
-}
-
-DPURPC_HOT_PATH Status RpcServer::accept_fragment(const InMessage& msg) {
-  const FragHeader& fh = msg.frag;
-  if (fh.total_bytes == 0 || fh.total_bytes > max_fragmented_payload_) {
-    return Status(Code::kDataLoss, "fragment total size out of bounds");
-  }
-  if (static_cast<uint64_t>(fh.frag_offset) + msg.payload.size() >
-      fh.total_bytes) {
-    return Status(Code::kDataLoss, "fragment overruns its message");
-  }
-  FragBuffer& fb = reassembly_[fh.stream_id];
-  // dpulint: allow(hot-path): the one designed allocation on the
-  // reassembly path — the full-message buffer, sized once per stream on
-  // its first fragment; every later fragment is memcpy-only.
-  if (fb.data.empty()) fb.data.resize(fh.total_bytes);
-  if (fb.data.size() != fh.total_bytes) {
-    reassembly_.erase(fh.stream_id);
-    return Status(Code::kDataLoss, "fragment total size changed mid-stream");
-  }
-  std::memcpy(fb.data.data() + fh.frag_offset, msg.payload.data(),
-              msg.payload.size());
-  fb.received += msg.payload.size();
-  if (fb.received > fb.data.size()) {
-    reassembly_.erase(fh.stream_id);
-    return Status(Code::kDataLoss, "overlapping fragments");
-  }
-  if (msg.is_last_fragment()) {
-    // The final fragment *is* the request for the ID discipline (§IV.D):
-    // allocate at its in-block position — not at reassembly completion —
-    // so the pools stay in sync even when completion is deferred by a
-    // not-yet-arrived earlier fragment.
-    auto id = id_pool_.allocate();
-    if (!id.has_value()) {
-      return Status(Code::kDataLoss, "request ID pool desynchronized");
-    }
-    fb.has_id = true;
-    fb.request_id = *id;
-    fb.method_id = msg.header.id_or_method;
-    if (trace::enabled() && msg.trace.trace_id != 0) {
-      fb.trace = {msg.trace.trace_id, msg.trace.parent_span_id};
-      fb.recv_ns = WallTimer::now();
-      trace::Tracer::instance().record(trace::Stage::kRdmaInbound, fb.trace,
-                                       msg.trace.send_ns, fb.recv_ns,
-                                       fh.total_bytes);
-    }
-  }
-  if (!fb.has_id || fb.received < fb.data.size()) return Status::ok();
-  // Complete: move the buffer out and dispatch (always foreground — the
-  // payload is owned bytes, never an in-place object, since relocation
-  // would invalidate a fragmented object's pointers).
-  FragBuffer ready = std::move(fb);
-  reassembly_.erase(fh.stream_id);
-  RequestView req;
-  req.method_id = ready.method_id;
-  req.request_id = ready.request_id;
-  req.payload = ByteSpan(ready.data);
-  req.trace = ready.trace;
-  // dpulint: allow(hot-path): completion edge — dispatch runs the user
-  // handler and response serialization, the same cold tail every unary
-  // request takes; the reassembly hot loop ends here.
-  return dispatch(req, find_method(req.method_id),
-                  ready.recv_ns != 0 ? ready.recv_ns : WallTimer::now());
 }
 
 void RpcServer::advance_ack_order() {

@@ -103,14 +103,6 @@ class RpcServer {
   }
   Connection& connection() noexcept { return *conn_; }
 
-  /// Cap on the reassembled size of a fragmented request (kFlagFragment);
-  /// larger totals fail the connection with kDataLoss. Default 64 MiB.
-  void set_max_fragmented_payload(uint64_t bytes) noexcept {
-    max_fragmented_payload_ = bytes;
-  }
-  /// Fragmented requests with at least one fragment received but not yet
-  /// dispatched (reassembly in flight).
-  size_t reassembly_streams() const noexcept { return reassembly_.size(); }
   /// Times the write_response_inplace block-hint ladder re-ran the handler
   /// in a bigger block (this server's share of the process-wide
   /// dpurpc_block_hint_retries_total).
@@ -151,26 +143,12 @@ class RpcServer {
     uint64_t commit_ns;
   };
 
-  /// Reassembly state for one fragmented request (docs/PROTOCOL.md §8).
-  /// Fragments scatter into `data` by frag_offset; the request dispatches
-  /// once every byte arrived AND the final fragment assigned the ID.
-  struct FragBuffer {
-    Bytes data;
-    uint64_t received = 0;
-    bool has_id = false;
-    uint16_t request_id = 0;
-    uint16_t method_id = 0;
-    trace::TraceContext trace;
-    uint64_t recv_ns = 0;
-  };
-
   Status process_request_block(const Connection::ReceivedBlock& rb);
-  Status accept_fragment(const InMessage& msg);
   /// Null when no handler is registered for `method_id`.
   const Method* find_method(uint16_t method_id) const noexcept;
   /// Run `m` on the poller thread and answer the request. Serves the
-  /// block path, reassembled fragments, and background methods the pool
-  /// cannot take. A null `m` answers kNotFound.
+  /// block path and background methods the pool cannot take. A null `m`
+  /// answers kNotFound.
   Status dispatch(const RequestView& req, const Method* m, uint64_t recv_ns);
   Status write_response(uint16_t request_id, const Status& handler_status,
                         ByteSpan payload, trace::TraceContext tctx);
@@ -206,9 +184,6 @@ class RpcServer {
   std::vector<Connection::ReceivedBlock> poll_scratch_;
   uint64_t requests_served_ = 0;
   Bytes response_scratch_;
-  /// stream_id -> in-flight reassembly (fragmented requests, §8).
-  std::map<uint32_t, FragBuffer> reassembly_;
-  uint64_t max_fragmented_payload_ = 64ull << 20;
   metrics::Counter& hint_retries_;
   uint64_t hint_retries_count_ = 0;
 

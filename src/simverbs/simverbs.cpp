@@ -115,14 +115,6 @@ QueuePair::~QueuePair() {
   // mu_ across recv_cq_->push establishes QueuePair.mu ->
   // CompletionQueue.mu; lockdep holds this as the canonical order.
   lockdep::ScopedLock lk(mu_);
-  if (peer_ != nullptr) {
-    // Release any reorder-held peer completions so their blocks are not
-    // silently lost across teardown.
-    for (const Completion& h : held_recv_) {
-      peer_->deliver_completion(h, /*to_recv_cq=*/true);
-    }
-  }
-  held_recv_.clear();
   for (const auto& wr : recv_queue_) {
     Completion c;
     c.wr_id = wr.wr_id;
@@ -221,24 +213,7 @@ Status QueuePair::post_write_with_imm(const SendWr& wr) {
   rc.imm_data = wr.imm_data;
   rc.has_imm = true;
   rc.qp = peer_;
-  if (relaxed::load(faults_.reorder_next_recvs) > 0) {
-    // Reorder injection: the data already landed (memcpy above), but the
-    // peer won't learn about this block until after the next delivery.
-    relaxed::sub(faults_.reorder_next_recvs, 1);
-    lockdep::ScopedLock lk(mu_);
-    held_recv_.push_back(rc);
-  } else {
-    peer_->deliver_completion(rc, /*to_recv_cq=*/true);
-    std::vector<Completion> release;
-    {
-      lockdep::ScopedLock lk(mu_);
-      release.assign(held_recv_.begin(), held_recv_.end());
-      held_recv_.clear();
-    }
-    for (const Completion& h : release) {
-      peer_->deliver_completion(h, /*to_recv_cq=*/true);
-    }
-  }
+  peer_->deliver_completion(rc, /*to_recv_cq=*/true);
 
   Completion sc;
   sc.wr_id = wr.wr_id;

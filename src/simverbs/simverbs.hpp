@@ -180,12 +180,6 @@ struct LinkCounters {
 /// Fault injection for failure tests.
 struct FaultInjection {
   std::atomic<uint32_t> drop_next_sends{0};  ///< swallow N sends silently
-  /// Hold the receive completions of the next N write-with-imm posts and
-  /// deliver them after the following post's completion — the data memcpy
-  /// still happens at post time, in order, so only the peer's *processing*
-  /// order swaps. Models the completion reordering a multi-path RDMA
-  /// fabric could exhibit; used by fragmentation out-of-order tests.
-  std::atomic<uint32_t> reorder_next_recvs{0};
 };
 
 /// Groups MRs and issues keys; one per endpoint, like ibv_pd.
@@ -260,9 +254,6 @@ class QueuePair {
   // methods (take_recv, CQ push) with no lock of its own held.
   mutable lockdep::Mutex mu_{"simverbs.QueuePair.mu"};
   std::deque<RecvWr> recv_queue_ DPURPC_GUARDED_BY(mu_);
-  /// Receive completions held back by faults().reorder_next_recvs; flushed
-  /// to the peer after the next undelayed post (or at destruction).
-  std::deque<Completion> held_recv_ DPURPC_GUARDED_BY(mu_);
 
   LinkCounters tx_;  ///< bytes/ops this QP transmitted
   FaultInjection faults_;

@@ -68,7 +68,7 @@ enum class Stage : uint8_t {
   kStreamTransfer,     ///< stream open/first chunk → end frame received
   kStreamDrainWait,    ///< end frame → last chunk result forwarded
   kWorkerDecodeChunk,  ///< global: chunk decode on a pool worker
-  kStreamChunkForward, ///< global: decoded chunk → host fragment call
+  kStreamChunkForward, ///< global: decoded piece → host ack (one message)
   kStageCount
 };
 

@@ -212,9 +212,8 @@ TEST(DpulintRealTree, RequiredHotRootsAnnotated) {
            "dpurpc::trace::Tracer::record",
            "dpurpc::adt::Adt::plans",
            "dpurpc::rdmarpc::BlockWriter::finalize",
-           // Streaming additions: fragment reassembly pop on the server
-           // and the chunk-cut/submit loop on the proxy's lane thread.
-           "dpurpc::rdmarpc::RpcServer::accept_fragment",
+           // Streaming: the chunk-cut/submit loop on the proxy's lane
+           // thread.
            "dpurpc::grpccompat::DpuProxy::scan_and_submit",
            // Tail forensics: the per-tree trigger check on the collector
            // thread and the sampler's per-period read pass.

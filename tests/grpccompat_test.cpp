@@ -531,20 +531,22 @@ uint64_t fnv1a(ByteSpan data) {
 
 TEST_F(OffloadFixture, StreamedBulkTransferEndToEnd) {
   // The tentpole path: a multi-MB stream of kv.PutRequest records chunked
-  // by the client, cut at record boundaries and chunk-decoded on the DPU
-  // pool under a bounded per-stream budget, forwarded to the host as
-  // (possibly fragmented) unary RPCs, and answered with a digest of the
-  // reassembled bytes. Bit-for-bit parity: the host must accumulate
+  // by the client, cut at record boundaries into one-message pieces and
+  // chunk-decoded on the DPU pool under the bounded per-stream budget,
+  // forwarded to the host as unary RPCs, and answered with a digest of
+  // the accumulated bytes. Bit-for-bit parity: the host must accumulate
   // exactly the WireCodec oracle's concatenation.
   std::mutex mu;
   std::map<uint32_t, Bytes> accumulated;
   Bytes finished_stream;
+  size_t largest_chunk = 0;
   ASSERT_TRUE(host_
                   ->register_stream(
                       "kv.KvStore/Put",
                       [&](const ServerContext&, uint32_t stream_id,
                           ByteSpan chunk, bool end, Bytes& final_response) {
                         std::lock_guard<std::mutex> lk(mu);
+                        largest_chunk = std::max(largest_chunk, chunk.size());
                         Bytes& acc = accumulated[stream_id];
                         if (end) {
                           final_response.resize(8);
@@ -560,10 +562,6 @@ TEST_F(OffloadFixture, StreamedBulkTransferEndToEnd) {
   start_host_loop();
 
   proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
-  StreamOptions sopts;
-  sopts.per_stream_budget = 256 * 1024;  // force backpressure on a 1.5 MB stream
-  sopts.piece_target = 64 * 1024;        // pieces fragment on the RDMA hop too
-  proxy_->set_stream_options(sopts);
   auto port = proxy_->start();
   ASSERT_TRUE(port.is_ok()) << port.status().to_string();
   auto chan = xrpc::Channel::connect(*port);
@@ -574,7 +572,7 @@ TEST_F(OffloadFixture, StreamedBulkTransferEndToEnd) {
   std::mt19937_64 rng(kDefaultSeed);
   Bytes oracle;
   int n_records = 0;
-  while (oracle.size() < 1536u * 1024) {  // ~1.5 MB, 6x the budget
+  while (oracle.size() < 4 * kStreamBudget) {  // backpressure engages
     proto::DynamicMessage m(put_desc);
     m.set_string(put_desc->field_by_name("key"),
                  "key-" + std::to_string(n_records));
@@ -584,7 +582,6 @@ TEST_F(OffloadFixture, StreamedBulkTransferEndToEnd) {
     oracle.insert(oracle.end(), wire.begin(), wire.end());
     ++n_records;
   }
-  ASSERT_GT(oracle.size(), sopts.per_stream_budget);
 
   auto stream = (*chan)->open_stream("kv.KvStore/Put");
   ASSERT_TRUE(stream.is_ok()) << stream.status().to_string();
@@ -604,12 +601,14 @@ TEST_F(OffloadFixture, StreamedBulkTransferEndToEnd) {
     EXPECT_TRUE(std::equal(finished_stream.begin(), finished_stream.end(),
                            oracle.begin()));
     EXPECT_TRUE(accumulated.empty());
+    // One piece, one RDMA message.
+    EXPECT_LE(largest_chunk, kMaxStreamPiece);
   }
 
-  // Bounded memory: the proxy never held more than the configured budget.
+  // Bounded memory: the proxy never held more than the budget.
   EXPECT_GT(proxy_->stats().stream_chunks.load(), 0u);
   EXPECT_EQ(proxy_->stats().stream_bytes.load(), oracle.size());
-  EXPECT_LE(proxy_->stats().stream_peak_bytes.load(), sopts.per_stream_budget);
+  EXPECT_LE(proxy_->stats().stream_peak_bytes.load(), kStreamBudget);
   EXPECT_EQ(proxy_->stats().stream_aborts.load(), 0u);
   EXPECT_EQ(proxy_->stats().deserialize_failures.load(), 0u);
   // Stream pieces are the pool's work: every piece is a pool decode
@@ -622,8 +621,8 @@ TEST_F(OffloadFixture, StreamedBulkTransferEndToEnd) {
   EXPECT_EQ(codec.total_jobs() + proxy_->stats().inline_decodes.load(),
             proxy_->stats().stream_chunks.load());
   EXPECT_EQ(proxy_->stats().offloaded_requests.load(), 0u);
-  // Backpressure engaged at the xRPC edge: the 1.5 MB stream had to wait
-  // for the 256 KiB window at least once.
+  // Backpressure engaged at the xRPC edge: the stream had to wait for the
+  // budget's window at least once.
   EXPECT_GE((*stream)->credit_stalls(), 1u);
 }
 
@@ -655,6 +654,132 @@ TEST_F(OffloadFixture, StreamMalformedRecordAbortsAtTheDpu) {
   EXPECT_FALSE(resp.is_ok());
   EXPECT_FALSE(host_saw_stream);
   EXPECT_GE(proxy_->stats().stream_aborts.load(), 1u);
+}
+
+// A kv.PutRequest with only `value` set, exactly `bytes` long on the
+// wire: one top-level field, so one record to the proxy's boundary scan.
+Bytes put_record_of_size(const proto::MessageDescriptor* put_desc,
+                         size_t bytes) {
+  size_t value_len = bytes;
+  for (;;) {
+    proto::DynamicMessage m(put_desc);
+    m.set_string(put_desc->field_by_name("value"), std::string(value_len, 'v'));
+    Bytes wire = proto::WireCodec::serialize(m);
+    if (wire.size() == bytes) return wire;
+    value_len -= wire.size() - bytes;  // headers only ever add bytes
+  }
+}
+
+// The host side of the piece-size tests: every chunk is recorded, and the
+// end marker answers with the stream's byte count.
+struct ChunkLog {
+  std::mutex mu;
+  std::vector<size_t> chunk_sizes;
+  Bytes bytes;
+};
+
+Status register_chunk_log(HostEngine& host, ChunkLog& log) {
+  return host.register_stream(
+      "kv.KvStore/Put",
+      [&log](const ServerContext&, uint32_t, ByteSpan chunk, bool end,
+             Bytes& final_response) {
+        std::lock_guard<std::mutex> lk(log.mu);
+        if (end) {
+          final_response.resize(8);
+          store_le<uint64_t>(final_response.data(), log.bytes.size());
+          return Status::ok();
+        }
+        log.chunk_sizes.push_back(chunk.size());
+        log.bytes.insert(log.bytes.end(), chunk.begin(), chunk.end());
+        return Status::ok();
+      });
+}
+
+TEST_F(OffloadFixture, StreamRecordOfExactlyOnePieceStreamsWithParity) {
+  // The largest legal record fills a piece, and so one RDMA message, on
+  // its own; the small records around it cannot share its piece.
+  ChunkLog log;
+  ASSERT_TRUE(register_chunk_log(*host_, log).is_ok());
+  start_host_loop();
+  proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
+  auto port = proxy_->start();
+  ASSERT_TRUE(port.is_ok());
+  auto chan = xrpc::Channel::connect(*port);
+  ASSERT_TRUE(chan.is_ok());
+
+  const auto* put_desc = pool_.find_message("kv.PutRequest");
+  const Bytes small = put_record_of_size(put_desc, 100);
+  const Bytes full = put_record_of_size(put_desc, kMaxStreamPiece);
+  Bytes oracle = small;
+  oracle.insert(oracle.end(), full.begin(), full.end());
+  oracle.insert(oracle.end(), small.begin(), small.end());
+
+  auto stream = (*chan)->open_stream("kv.KvStore/Put");
+  ASSERT_TRUE(stream.is_ok());
+  ASSERT_TRUE((*stream)->write(ByteSpan(oracle)).is_ok());
+  auto resp = (*stream)->finish(60000);
+  ASSERT_TRUE(resp.is_ok()) << resp.status().to_string();
+  EXPECT_EQ(load_le<uint64_t>(resp->data()), oracle.size());
+
+  std::lock_guard<std::mutex> lk(log.mu);
+  EXPECT_EQ(log.bytes, oracle);
+  EXPECT_EQ(log.chunk_sizes,
+            (std::vector<size_t>{small.size(), full.size(), small.size()}));
+  EXPECT_EQ(proxy_->stats().stream_aborts.load(), 0u);
+}
+
+TEST_F(OffloadFixture, StreamRecordOverOnePieceFailsOnlyItsStream) {
+  // One byte past the largest piece: the record can never travel as one
+  // message, so its stream fails with kOutOfRange, as an oversized unary
+  // request fails its call. The lane keeps serving unary calls and streams.
+  ChunkLog log;
+  ASSERT_TRUE(register_chunk_log(*host_, log).is_ok());
+  ASSERT_TRUE(host_
+                  ->register_unary(
+                      "kv.KvStore/Get",
+                      [](const ServerContext&, const adt::LayoutView&,
+                         proto::DynamicMessage& resp) {
+                        resp.set_uint64(resp.descriptor()->field_by_name("found"),
+                                        1);
+                        return Status::ok();
+                      })
+                  .is_ok());
+  start_host_loop();
+  proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
+  ASSERT_EQ(proxy_->lane_count(), 1u);  // every call below shares the lane
+  auto port = proxy_->start();
+  ASSERT_TRUE(port.is_ok());
+  auto chan = xrpc::Channel::connect(*port);
+  ASSERT_TRUE(chan.is_ok());
+
+  const auto* put_desc = pool_.find_message("kv.PutRequest");
+  const Bytes too_big = put_record_of_size(put_desc, kMaxStreamPiece + 1);
+  auto doomed = (*chan)->open_stream("kv.KvStore/Put");
+  ASSERT_TRUE(doomed.is_ok());
+  ASSERT_TRUE((*doomed)->write(ByteSpan(too_big)).is_ok());
+  auto failed = (*doomed)->finish(60000);
+  EXPECT_EQ(failed.status().code(), Code::kOutOfRange);
+  EXPECT_EQ(proxy_->stats().stream_aborts.load(), 1u);
+  {
+    std::lock_guard<std::mutex> lk(log.mu);
+    EXPECT_TRUE(log.chunk_sizes.empty());  // the host never saw it
+  }
+
+  const auto* get_desc = pool_.find_message("kv.GetRequest");
+  proto::DynamicMessage g(get_desc);
+  g.set_string(get_desc->field_by_name("key"), "after-oversize");
+  Bytes gw = proto::WireCodec::serialize(g);
+  auto unary = (*chan)->call("kv.KvStore/Get", ByteSpan(gw));
+  EXPECT_TRUE(unary.is_ok()) << unary.status().to_string();
+
+  const Bytes fits = put_record_of_size(put_desc, kMaxStreamPiece);
+  auto next = (*chan)->open_stream("kv.KvStore/Put");
+  ASSERT_TRUE(next.is_ok());
+  ASSERT_TRUE((*next)->write(ByteSpan(fits)).is_ok());
+  auto resp = (*next)->finish(60000);
+  ASSERT_TRUE(resp.is_ok()) << resp.status().to_string();
+  std::lock_guard<std::mutex> lk(log.mu);
+  EXPECT_EQ(log.bytes, fits);
 }
 
 TEST_F(OffloadFixture, StreamAbortMidTransferDrainsCleanly) {
@@ -695,10 +820,6 @@ TEST_F(OffloadFixture, StreamAbortMidTransferDrainsCleanly) {
                   .is_ok());
   start_host_loop();
   proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
-  StreamOptions sopts;
-  sopts.per_stream_budget = 256 * 1024;
-  sopts.piece_target = 32 * 1024;
-  proxy_->set_stream_options(sopts);
   auto port = proxy_->start();
   ASSERT_TRUE(port.is_ok());
   auto chan = xrpc::Channel::connect(*port);
@@ -707,7 +828,7 @@ TEST_F(OffloadFixture, StreamAbortMidTransferDrainsCleanly) {
   const auto* put_desc = pool_.find_message("kv.PutRequest");
   std::mt19937_64 rng(kDefaultSeed);
   Bytes records;
-  for (int i = 0; i < 400; ++i) {
+  for (int i = 0; records.size() < 3 * kStreamBudget; ++i) {
     proto::DynamicMessage m(put_desc);
     m.set_string(put_desc->field_by_name("key"), "k" + std::to_string(i));
     m.set_string(put_desc->field_by_name("value"), random_ascii(rng, 700));
@@ -717,8 +838,8 @@ TEST_F(OffloadFixture, StreamAbortMidTransferDrainsCleanly) {
 
   auto stream = (*chan)->open_stream("kv.KvStore/Put");
   ASSERT_TRUE(stream.is_ok());
-  // Push enough that pieces are in the pool and on the RDMA hop, then pull
-  // the plug mid-transfer.
+  // Push more than the budget, so pieces are in the pool and on the RDMA
+  // hop, then pull the plug mid-transfer.
   size_t sent = 0;
   for (; sent < records.size() / 2; sent += 16 * 1024) {
     size_t n = std::min<size_t>(16 * 1024, records.size() - sent);

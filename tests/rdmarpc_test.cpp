@@ -820,133 +820,38 @@ TEST(Integration, CreditsGaugeSumsLiveConnections) {
   EXPECT_EQ(client_credits_gauge() - base, b.client_conn.credits_available());
 }
 
-// ---------------------------------------------------------- fragmentation
-
-uint64_t fnv1a(ByteSpan data) {
-  uint64_t h = 1469598103934665603ull;
-  for (std::byte b : data) {
-    h ^= static_cast<uint64_t>(b);
-    h *= 1099511628211ull;
+TEST(Integration, ReservedFlagBitIsProtocolFatal) {
+  // Hostile bytes: a header flag bit outside kKnownFlags (bits 3-15 are
+  // reserved) is not a request the server can interpret. Its event loop
+  // fails with kDataLoss, and the message never reaches a handler.
+  for (uint16_t bit = 3; bit < 16; ++bit) {
+    alignas(1024) std::byte buf[1024];
+    BlockWriter w(buf, sizeof(buf));
+    ASSERT_TRUE(w.begin_message().is_ok());
+    ASSERT_TRUE(w.commit_message(0, kEcho, static_cast<uint16_t>(1u << bit)).is_ok());
+    w.finalize(0);
+    auto r = BlockReader::parse(ByteSpan(buf, sizeof(buf)));
+    ASSERT_TRUE(r.is_ok());
+    EXPECT_EQ(r->next().status().code(), Code::kDataLoss) << "bit " << bit;
   }
-  return h;
-}
 
-// Responses cannot be fragmented (the request path owns kFlagFragment), so
-// the handler answers with an 8-byte digest instead of echoing.
-void register_digest(RpcServer& server) {
-  server.register_handler(kEcho, [](const RequestView& req, Bytes& out) {
-    out.resize(8);
-    store_le(out.data(), fnv1a(req.payload));
+  Fabric f;
+  int dispatched = 0;
+  f.server.register_handler(kEcho, [&](const RequestView&, Bytes&) {
+    ++dispatched;
     return Status::ok();
   });
-}
-
-TEST(Fragmentation, OneByteOverSingleBlockSplitsAndReassembles) {
-  Fabric f;
-  register_digest(f.server);
-  std::mt19937_64 rng(kDefaultSeed);
-  // Around the delegation boundary: the largest payload that still fits a
-  // single block (a plain call), then one byte more (two fragments, the
-  // second carrying a single chunk byte), then one over the block payload
-  // field itself.
-  const size_t kSizes[] = {kMaxPayloadSize - kWireTraceSize,
-                           kMaxPayloadSize - kWireTraceSize + 1,
-                           kMaxPayloadSize + 1};
-  uint64_t done = 0;
-  for (size_t size : kSizes) {
-    std::string payload = random_ascii(rng, size);
-    const uint64_t want = fnv1a(ByteSpan(as_bytes_view(payload)));
-    bool checked = false;
-    ASSERT_TRUE(f.client
-                    .call_fragmented(kEcho, as_bytes_view(payload),
-                                     [&](const Status& st, const InMessage& resp) {
-                                       ASSERT_TRUE(st.is_ok()) << st.to_string();
-                                       ASSERT_EQ(resp.payload.size(), 8u);
-                                       EXPECT_EQ(load_le<uint64_t>(resp.payload_addr),
-                                                 want);
-                                       checked = true;
-                                     })
-                    .is_ok());
-    ASSERT_TRUE(f.pump_until(++done).is_ok());
-    EXPECT_TRUE(checked) << "size " << size;
-  }
-  EXPECT_EQ(f.server.reassembly_streams(), 0u);
-  EXPECT_EQ(f.client.in_flight(), 0u);
-}
-
-TEST(Fragmentation, OutOfOrderFragmentsReassemble) {
-  // The simverbs reorder knob swaps the *processing* order of consecutive
-  // blocks at the receiver. Only blocks carrying non-final fragments may
-  // swap: the final fragment is the request for the ID discipline (§IV.D),
-  // so moving it would legitimately desynchronize the ID pools.
-  Fabric f;
-  register_digest(f.server);
-  std::mt19937_64 rng(kDefaultSeed);
-
-  // 200000 bytes -> 4 fragments; holding the first delivers it after the
-  // second (swap of two non-final fragments).
-  {
-    std::string payload = random_ascii(rng, 200000);
-    const uint64_t want = fnv1a(ByteSpan(as_bytes_view(payload)));
-    f.client_conn.queue_pair().faults().reorder_next_recvs.store(1);
-    bool checked = false;
-    ASSERT_TRUE(f.client
-                    .call_fragmented(kEcho, as_bytes_view(payload),
-                                     [&](const Status& st, const InMessage& resp) {
-                                       ASSERT_TRUE(st.is_ok()) << st.to_string();
-                                       EXPECT_EQ(load_le<uint64_t>(resp.payload_addr),
-                                                 want);
-                                       checked = true;
-                                     })
-                    .is_ok());
-    ASSERT_TRUE(f.pump_until(1).is_ok());
-    EXPECT_TRUE(checked);
-  }
-
-  // 280000 bytes -> 5 fragments; holding the first two delivers them after
-  // the third (a deeper swap, still only non-final fragments moved).
-  {
-    std::string payload = random_ascii(rng, 280000);
-    const uint64_t want = fnv1a(ByteSpan(as_bytes_view(payload)));
-    f.client_conn.queue_pair().faults().reorder_next_recvs.store(2);
-    bool checked = false;
-    ASSERT_TRUE(f.client
-                    .call_fragmented(kEcho, as_bytes_view(payload),
-                                     [&](const Status& st, const InMessage& resp) {
-                                       ASSERT_TRUE(st.is_ok()) << st.to_string();
-                                       EXPECT_EQ(load_le<uint64_t>(resp.payload_addr),
-                                                 want);
-                                       checked = true;
-                                     })
-                    .is_ok());
-    ASSERT_TRUE(f.pump_until(2).is_ok());
-    EXPECT_TRUE(checked);
-  }
-  EXPECT_EQ(f.server.reassembly_streams(), 0u);
-  EXPECT_EQ(f.client.in_flight(), 0u);
-}
-
-TEST(Fragmentation, TotalOverReassemblyCapIsProtocolFatal) {
-  // A declared total above the server's reassembly cap is indistinguishable
-  // from a resource-exhaustion attack; the server treats it as a protocol
-  // violation (kDataLoss surfaces from its event loop) rather than buffer it.
-  Fabric f;
-  register_digest(f.server);
-  f.server.set_max_fragmented_payload(100 * 1024);
-  std::mt19937_64 rng(kDefaultSeed);
-  std::string payload = random_ascii(rng, 200000);
-  ASSERT_TRUE(f.client.call_fragmented(kEcho, as_bytes_view(payload), nullptr)
-                  .is_ok());
-  Status st;
-  for (int i = 0; i < 200; ++i) {
-    (void)f.client.event_loop_once();
-    auto s = f.server.event_loop_once();
-    if (!s.is_ok()) {
-      st = s.status();
-      break;
-    }
-  }
-  EXPECT_EQ(st.code(), Code::kDataLoss);
+  trace::TraceContext untraced;
+  auto dst = f.client_conn.begin_message(4, untraced);
+  ASSERT_TRUE(dst.is_ok());
+  std::memcpy(*dst, "evil", 4);
+  ASSERT_TRUE(f.client_conn.commit_message(4, kEcho, 1u << 3).is_ok());
+  ASSERT_TRUE(f.client_conn.flush().is_ok());
+  auto served = f.server.event_loop_once();
+  ASSERT_FALSE(served.is_ok());
+  EXPECT_EQ(served.status().code(), Code::kDataLoss);
+  EXPECT_EQ(dispatched, 0);
+  EXPECT_EQ(f.server.requests_served(), 0u);
 }
 
 // ---------------------------------------------------------------- tracing
@@ -978,8 +883,7 @@ void expect_traced(const InMessage& m, const trace::TraceContext& want,
   EXPECT_EQ(m.trace.trace_id, want.trace_id);
   EXPECT_EQ(m.trace.parent_span_id, want.parent_span_id);
   EXPECT_NE(m.trace.send_ns, 0u);  // stamped at flush
-  size_t frag_header = m.is_fragment() ? kFragHeaderSize : 0;
-  EXPECT_EQ(m.header.payload_size, payload_bytes + frag_header + kWireTraceSize);
+  EXPECT_EQ(m.header.payload_size, payload_bytes + kWireTraceSize);
   EXPECT_EQ(m.payload.size(), payload_bytes);
   EXPECT_EQ(m.payload.data(), m.payload_addr);
 }
@@ -997,11 +901,8 @@ TEST(Tracing, EveryRequestWriterCarriesTheWirePrefix) {
 
   const trace::TraceContext copy_ctx{0x1001, 0x2001};
   const trace::TraceContext inplace_ctx{0x1002, 0x2002};
-  const trace::TraceContext frag_ctx{0x1003, 0x2003};
   const std::string copy_payload = "traced copy payload";
   constexpr uint64_t kObject = 0x0123456789abcdefull;
-  std::mt19937_64 rng(kDefaultSeed);
-  const std::string big = random_ascii(rng, kMaxPayloadSize + 1000);
 
   ASSERT_TRUE(client.call(kEcho, as_bytes_view(copy_payload), nullptr, copy_ctx)
                   .is_ok());
@@ -1017,8 +918,6 @@ TEST(Tracing, EveryRequestWriterCarriesTheWirePrefix) {
                       },
                       nullptr, inplace_ctx)
                   .is_ok());
-  ASSERT_TRUE(
-      client.call_fragmented(kEcho, as_bytes_view(big), nullptr, frag_ctx).is_ok());
   ASSERT_TRUE(client.event_loop_once().is_ok());
 
   std::vector<Connection::ReceivedBlock> blocks;
@@ -1032,7 +931,7 @@ TEST(Tracing, EveryRequestWriterCarriesTheWirePrefix) {
       msgs.push_back(*m);
     }
   }
-  ASSERT_EQ(msgs.size(), 4u);  // copy, in-place, two fragments
+  ASSERT_EQ(msgs.size(), 2u);  // copy, in-place
 
   expect_traced(msgs[0], copy_ctx, copy_payload.size());
   EXPECT_EQ(msgs[0].header.flags, kFlagTraced);
@@ -1044,16 +943,6 @@ TEST(Tracing, EveryRequestWriterCarriesTheWirePrefix) {
   EXPECT_TRUE(is_aligned(msgs[1].payload_addr, kPayloadAlign));
   EXPECT_EQ(load_le<uint64_t>(msgs[1].payload_addr), kObject);  // root here
 
-  // Only the final fragment is the request, so only it is traced.
-  EXPECT_EQ(msgs[2].header.flags, kFlagFragment);
-  EXPECT_EQ(msgs[2].trace.trace_id, 0u);
-  const size_t first = msgs[2].payload.size();
-  expect_traced(msgs[3], frag_ctx, big.size() - first);
-  EXPECT_EQ(msgs[3].header.flags, kFlagFragment | kFlagTraced);
-  EXPECT_TRUE(msgs[3].is_last_fragment());
-  std::string joined(as_string_view(msgs[2].payload));
-  joined += as_string_view(msgs[3].payload);
-  EXPECT_EQ(joined, big);
 }
 
 TEST(Tracing, EveryResponseWriterEchoesTheWirePrefix) {
