@@ -22,11 +22,16 @@ constexpr size_t kCodecRingCapacity = 256;
 constexpr size_t kPoolSliceCap = 4u << 20;
 // The lane's one sleep: its connection's completion channel, woken by
 // Lane::post, codec completions, RDMA completions and stop(). The timeout
-// is a measured wake-latency choice, not a lost-wakeup backstop (the
-// channel's interrupt is sticky): on a 4-vCPU VM an untimed wait moved
-// perfbench small_unary's light p50 from 21.9 to 26.2 µs (worse in 8 of 8
+// is a measured wake-latency choice, not a lost-wakeup backstop (channel
+// events are sticky): on a 4-vCPU VM an untimed wait moved perfbench
+// small_unary's light p50 from 21.9 to 26.2 µs (worse in 8 of 8
 // alternating pairs) and cost 5 % of capacity.
 constexpr int kLaneWaitMs = 1;
+// While the host holds one of the lane's calls, the lane spins this long
+// on its channel before it sleeps, so the host's response finds it awake:
+// the host thread pays no FUTEX_WAKE and the reply loses a wake. A small
+// call's RDMA round trip is ~15–26 µs in the deployment on a 4-vCPU VM.
+constexpr uint64_t kLaneSpinNs = 30'000;
 
 /// One protobuf varint at the front of [p, p+n). Returns its byte
 /// length; 0 when the buffer ends mid-varint (caller decides between
@@ -462,8 +467,12 @@ Status DpuProxy::send_with_backpressure(Lane& lane, Send&& send) {
     }
     auto pumped = lane.client.event_loop_once();
     if (!pumped.is_ok()) return pumped.status();
-    if (*pumped == 0) lane.conn->wait(kLaneWaitMs);
+    if (*pumped == 0) lane_sleep(lane);
   }
+}
+
+void DpuProxy::lane_sleep(Lane& lane) {
+  lane.conn->wait(kLaneWaitMs, lane.client.in_flight() > 0 ? kLaneSpinNs : 0);
 }
 
 void DpuProxy::forward_ready(Lane& lane, uint32_t stream_id) {
@@ -747,8 +756,8 @@ void DpuProxy::poller_loop(Lane& lane) {
     if (!pumped.is_ok()) break;
     if (*pumped > 0) did_work = true;
     // Blocking wait (poll()-style, §III.C) instead of busy-polling; the
-    // lane's one sleep (kLaneWaitMs).
-    if (!did_work) lane.conn->wait(kLaneWaitMs);
+    // lane's one sleep.
+    if (!did_work) lane_sleep(lane);
   }
   fail_pending(lane);
 }

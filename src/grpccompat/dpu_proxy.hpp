@@ -12,9 +12,12 @@
 // Threading (§III.C + lane sharding, DESIGN.md §3.14/§3.16): one poller
 // thread (lane) per RDMA connection owns that connection's RpcClient and
 // event loop; xRPC reader threads enqueue work round-robin across lanes.
-// A lane has one way in (Lane::post), one sleep (its connection's
-// completion channel, in the poller loop and in the one backpressure
-// routine) and one way out (stop() or a datapath failure).
+// A lane has one way in (Lane::post), one sleep (lane_sleep: its
+// connection's completion channel, in the poller loop and in the one
+// backpressure routine) and one way out (stop() or a datapath failure).
+// The sleep spins briefly first while the host holds one of the lane's
+// calls, so the response finds the lane awake; the host thread never
+// spins.
 // A unary call's codec runs on its own lane, both ways: the request
 // decodes straight into the RDMA send block (§V), and an in-place object
 // reply serializes straight from the receive block before it is acked.
@@ -279,10 +282,14 @@ class DpuProxy {
   /// or fails with something other than backpressure (kUnavailable or
   /// kResourceExhausted: no credit, no request ID, send buffer full), and
   /// returns that result. Between tries it pumps the event loop once and,
-  /// when nothing moved, sleeps the way the poller loop does. Returns
-  /// kUnavailable once the proxy stops, or the event loop's failure.
+  /// when nothing moved, sleeps (lane_sleep). Returns kUnavailable once
+  /// the proxy stops, or the event loop's failure.
   template <typename Send>
   Status send_with_backpressure(Lane& lane, Send&& send);
+  /// The lane's one sleep: a timed wait (kLaneWaitMs) on the connection's
+  /// channel, spinning first for up to kLaneSpinNs while calls are in
+  /// flight to the host.
+  void lane_sleep(Lane& lane);
   /// Shared RPC continuation tail: error → error reply; in-place object →
   /// serialize it on the lane, straight from the receive block; bytes →
   /// pass through.

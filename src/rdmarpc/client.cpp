@@ -122,10 +122,14 @@ Status RpcClient::flush_open_block() {
   if (open_block_requests_.empty()) {
     // Nothing outgoing: deliver accumulated acks with a resource-free
     // pure-ack immediate when the peer might be starving for reclamation —
-    // immediately if we are idle, or once half the credit window piled up.
-    bool force = conn_->pending_acks() > 0 &&
-                 (in_flight_count_ == 0 ||
-                  conn_->pending_acks() >= conn_->config().credits / 2);
+    // once half the credit window piled up, or once we have been idle for
+    // kIdleAckNs. Otherwise the counter rides the next request block, and
+    // a back-to-back caller never wakes the peer for an ack alone.
+    const uint32_t pending = conn_->pending_acks();
+    bool force = pending > 0 &&
+                 (pending >= conn_->config().credits / 2 ||
+                  (in_flight_count_ == 0 &&
+                   WallTimer::now() - last_response_ns_ >= kIdleAckNs));
     if (!force) return Status::ok();
     auto sent = conn_->send_pure_ack();
     return sent.is_ok() ? Status::ok() : sent.status();
@@ -166,6 +170,7 @@ Status RpcClient::process_response_block(const Connection::ReceivedBlock& rb) {
     if (done) done(result, *msg);
   }
   conn_->note_peer_block_processed();
+  last_response_ns_ = WallTimer::now();
   return Status::ok();
 }
 

@@ -12,6 +12,7 @@
 // mirrors this exactly, so request IDs never travel with requests.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -21,6 +22,14 @@
 #include "trace/trace.hpp"
 
 namespace dpurpc::rdmarpc {
+
+/// How long an idle client (nothing in flight) holds its pending acks
+/// before it sends them as a pure ack. Until then the counter rides the
+/// next request block's preamble (§IV.B); an idle client has no request
+/// waiting on the peer, so holding the acks only delays the peer's
+/// reclamation at quiescence. Below the 1 ms timed waits of the engines'
+/// owners, so one idle sleep-and-pump cycle delivers it.
+inline constexpr uint64_t kIdleAckNs = 500'000;
 
 class RpcClient {
  public:
@@ -100,6 +109,7 @@ class RpcClient {
   std::vector<uint16_t> ids_to_release_;  ///< freed at next flush
   std::vector<Connection::ReceivedBlock> poll_scratch_;
   uint64_t responses_received_ = 0;
+  uint64_t last_response_ns_ = 0;  ///< when the last response block landed
   /// Flush-to-response latency histogram in the process registry (the
   /// paper instruments at the library level, §VI).
   metrics::Histogram& latency_hist_;

@@ -51,7 +51,7 @@ Connection::Connection(Role role, simverbs::ProtectionDomain* pd, ConnectionConf
 
 Connection::~Connection() {
   credits_gauge_.sub(relaxed::load(credits_));
-  channel().interrupt();
+  interrupt();
 }
 
 Status Connection::connect(Connection& a, Connection& b) {

@@ -173,8 +173,12 @@ class Connection {
 
   /// Block on the completion channel (poll() analogue in the paper; busy
   /// polling wastes 100% CPU for ~10% gain, §III.C). False on timeout.
-  bool wait(int timeout_ms) { return channel().wait(timeout_ms); }
-  void interrupt() { channel().interrupt(); }
+  /// `spin_ns` > 0 spins on the channel first (CompletionChannel::wait).
+  bool wait(int timeout_ms, uint64_t spin_ns = 0) {
+    return channel().wait(timeout_ms, spin_ns);
+  }
+  /// Kick whoever waits on this connection's channel (new work, shutdown).
+  void interrupt() { channel().notify(); }
   simverbs::CompletionChannel& channel() noexcept {
     return cfg_.shared_channel != nullptr ? *cfg_.shared_channel : own_channel_;
   }

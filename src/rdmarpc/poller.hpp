@@ -42,7 +42,7 @@ class ServerPoller {
   /// Sleep until any pooled connection has work (or timeout). §III.C:
   /// poll()-style blocking, not busy polling.
   bool wait(int timeout_ms) { return channel_.wait(timeout_ms); }
-  void interrupt() { channel_.interrupt(); }
+  void interrupt() { channel_.notify(); }
 
   size_t connection_count() const noexcept { return servers_.size(); }
 

@@ -1,7 +1,13 @@
 #include "simverbs/simverbs.hpp"
 
-#include <chrono>
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <climits>
 #include <cstring>
+#include <ctime>
 
 #include "common/cpu_timer.hpp"
 #include "trace/trace.hpp"
@@ -10,24 +16,76 @@ namespace dpurpc::simverbs {
 
 // ------------------------------------------------------------- channel
 
-bool CompletionChannel::wait(int timeout_ms) {
-  lockdep::UniqueLock lk(mu_);
-  bool ok = cv_.wait_for(lk, std::chrono::milliseconds(timeout_ms),
-                         [&] { return events_ > consumed_; });
-  if (ok) consumed_ = events_;
-  return ok;
+namespace {
+
+static_assert(sizeof(std::atomic<uint32_t>) == sizeof(uint32_t) &&
+                  std::atomic<uint32_t>::is_always_lock_free,
+              "the futex word must be a plain 32-bit integer");
+
+uint32_t* futex_word(std::atomic<uint32_t>& a) noexcept {
+  return reinterpret_cast<uint32_t*>(&a);
 }
 
-void CompletionChannel::interrupt() {
-  lockdep::ScopedLock lk(mu_);
-  ++events_;
-  cv_.notify_all();
+/// Sleep while *word == expected, for at most `timeout_ns`. Wakes early on
+/// FUTEX_WAKE, a changed word (EAGAIN), a signal or spuriously; the caller
+/// re-checks either way.
+void futex_wait(std::atomic<uint32_t>& word, uint32_t expected, uint64_t timeout_ns) {
+  timespec ts{};
+  ts.tv_sec = static_cast<time_t>(timeout_ns / 1'000'000'000ull);
+  ts.tv_nsec = static_cast<long>(timeout_ns % 1'000'000'000ull);
+  syscall(SYS_futex, futex_word(word), FUTEX_WAIT_PRIVATE, expected, &ts, nullptr, 0);
+}
+
+void futex_wake_all(std::atomic<uint32_t>& word) {
+  syscall(SYS_futex, futex_word(word), FUTEX_WAKE_PRIVATE, INT_MAX, nullptr, nullptr, 0);
+}
+
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+}  // namespace
+
+bool CompletionChannel::take_event() noexcept {
+  const uint32_t seen = events_.load();
+  if (seen == relaxed::load(consumed_)) return false;
+  relaxed::store(consumed_, seen);
+  return true;
+}
+
+bool CompletionChannel::wait(int timeout_ms, uint64_t spin_ns) {
+  if (take_event()) return true;
+  const uint64_t start = WallTimer::now();
+  while (spin_ns > 0 && WallTimer::now() - start < spin_ns) {
+    cpu_relax();
+    if (take_event()) return true;
+  }
+  const uint64_t deadline =
+      start + static_cast<uint64_t>(std::max(timeout_ms, 0)) * 1'000'000ull;
+  for (;;) {
+    // Announce the sleep, then re-check the word: a notify that read
+    // sleepers_ == 0 added its event before this load, and a later one
+    // sees the sleeper and wakes it (FUTEX_WAIT also returns at once when
+    // the word moved after this load).
+    sleepers_.fetch_add(1);
+    const uint32_t seen = events_.load();
+    const uint64_t now = WallTimer::now();
+    if (seen == relaxed::load(consumed_) && now < deadline) {
+      futex_wait(events_, seen, deadline - now);
+    }
+    sleepers_.fetch_sub(1);
+    if (take_event()) return true;
+    if (WallTimer::now() >= deadline) return false;
+  }
 }
 
 void CompletionChannel::notify() {
-  lockdep::ScopedLock lk(mu_);
-  ++events_;
-  cv_.notify_all();
+  events_.fetch_add(1);
+  if (sleepers_.load() != 0) futex_wake_all(events_);
 }
 
 // ------------------------------------------------------------------ cq

@@ -103,26 +103,39 @@ struct RecvWr {
 
 /// Blocking wait primitive (completion channel + poll()). CQs attached to
 /// a channel wake it whenever a completion arrives.
+///
+/// One futex word: `events_` counts notifications, and `sleepers_` counts
+/// threads inside FUTEX_WAIT. A notify costs one atomic add, plus a
+/// FUTEX_WAKE only when somebody sleeps, so a CQ push to a busy poller
+/// takes no syscall and no lock. Events are sticky: a notify before wait()
+/// makes that wait return at once, and any number of notifies between two
+/// waits coalesce into one `true`.
 class CompletionChannel {
  public:
-  /// Wait until any attached CQ has completions or `timeout_ms` elapses.
-  /// Returns false on timeout.
-  bool wait(int timeout_ms);
+  /// Wait until any attached CQ has completions (or notify() ran) or
+  /// `timeout_ms` elapses; false on timeout. With `spin_ns` > 0 the
+  /// caller first spins on the word for up to that long (inside the
+  /// timeout) before it sleeps: a thread that expects an event within a
+  /// few microseconds pays neither its own sleep nor the notifier's wake.
+  bool wait(int timeout_ms, uint64_t spin_ns = 0);
 
-  /// Wake all waiters regardless of CQ state (shutdown path).
-  void interrupt();
-
- private:
-  friend class CompletionQueue;
+  /// Record an event and wake every sleeper. CQs call it after each push;
+  /// owners call it to kick a waiter (new work, shutdown).
   void notify();
 
-  // Leaf lock: nothing else is ever acquired under it. CQs call
-  // notify() *after* dropping their own lock, so the CQ->channel edge
-  // never forms and any poller->CQ->channel chain stays acyclic.
-  lockdep::Mutex mu_{"simverbs.CompletionChannel.mu"};
-  lockdep::CondVar cv_;
-  uint64_t events_ DPURPC_GUARDED_BY(mu_) = 0;
-  uint64_t consumed_ DPURPC_GUARDED_BY(mu_) = 0;
+ private:
+  /// Consume the events seen since the last wait, if any.
+  bool take_event() noexcept;
+
+  // Both words are seq_cst on both sides: notify() adds to events_ then
+  // reads sleepers_, a waiter adds to sleepers_ then reads events_ (the
+  // Dekker handshake). One of the two always sees the other, so a notify
+  // never lands between a waiter's check and its sleep unseen.
+  std::atomic<uint32_t> events_{0};
+  std::atomic<uint32_t> sleepers_{0};
+  /// events_ as of the last wait() that returned true. Touched only by
+  /// waiters; it orders nothing, so it is relaxed.
+  std::atomic<uint32_t> consumed_{0};
 };
 
 /// Bounded completion queue. Overflow is recorded and the completion is

@@ -10,6 +10,7 @@
 #include <set>
 #include <thread>
 
+#include "common/cpu_timer.hpp"
 #include "common/rng.hpp"
 #include "rdmarpc/client.hpp"
 #include "rdmarpc/connection.hpp"
@@ -46,6 +47,23 @@ struct Fixture {
       if (*c == 0 && *s == 0) std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
     return Status(Code::kInternal, "pump did not converge");
+  }
+
+  // Pump both event loops until every credit, buffer and block is back on
+  // both sides, bounded at 1 s: an idle client holds its last acks for
+  // kIdleAckNs before it sends them as a pure ack.
+  void pump_until_quiescent() {
+    const uint64_t deadline = WallTimer::now() + 1'000'000'000ull;
+    while (WallTimer::now() < deadline) {
+      ASSERT_TRUE(client.event_loop_once().is_ok());
+      ASSERT_TRUE(server.event_loop_once().is_ok());
+      if (client_conn.credits_available() == client_conn.config().credits &&
+          server_conn.credits_available() == server_conn.config().credits &&
+          client_conn.sent_blocks_outstanding() == 0 &&
+          server_conn.sent_blocks_outstanding() == 0) {
+        return;
+      }
+    }
   }
 
   simverbs::ProtectionDomain client_pd{"dpu"}, server_pd{"host"};
@@ -206,10 +224,7 @@ TEST(BackgroundRpc, ResourcesReclaimedAtQuiescence) {
     }
     ASSERT_TRUE(f.pump_until(sent).is_ok());
   }
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(f.client.event_loop_once().is_ok());
-    ASSERT_TRUE(f.server.event_loop_once().is_ok());
-  }
+  f.pump_until_quiescent();
   EXPECT_EQ(f.client_conn.credits_available(), f.client_conn.config().credits);
   EXPECT_EQ(f.server_conn.credits_available(), f.server_conn.config().credits);
   EXPECT_EQ(f.client_conn.allocator().used(), 0u);
@@ -331,10 +346,7 @@ TEST(BackgroundRpc, SaturatedPoolFallsBackToForeground) {
   EXPECT_EQ(got["after"], "bg:after");
   EXPECT_EQ(f.server.background_served(), 3u);
 
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(f.client.event_loop_once().is_ok());
-    ASSERT_TRUE(f.server.event_loop_once().is_ok());
-  }
+  f.pump_until_quiescent();
   EXPECT_EQ(f.client_conn.credits_available(), f.client_conn.config().credits);
   EXPECT_EQ(f.server_conn.credits_available(), f.server_conn.config().credits);
   EXPECT_EQ(f.client_conn.allocator().used(), 0u);

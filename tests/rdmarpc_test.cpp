@@ -10,6 +10,7 @@
 #include <set>
 #include <thread>
 
+#include "common/cpu_timer.hpp"
 #include "common/rng.hpp"
 #include "metrics/metrics.hpp"
 #include "rdmarpc/block.hpp"
@@ -328,6 +329,23 @@ struct Fabric {
     return Status(Code::kInternal, "pump did not converge");
   }
 
+  // Pump both event loops until every credit, buffer and block is back on
+  // both sides, bounded at 1 s: an idle client holds its last acks for
+  // kIdleAckNs before it sends them as a pure ack.
+  void pump_until_quiescent() {
+    const uint64_t deadline = WallTimer::now() + 1'000'000'000ull;
+    while (WallTimer::now() < deadline) {
+      ASSERT_TRUE(client.event_loop_once().is_ok());
+      ASSERT_TRUE(server.event_loop_once().is_ok());
+      if (client_conn.credits_available() == client_conn.config().credits &&
+          server_conn.credits_available() == server_conn.config().credits &&
+          client_conn.sent_blocks_outstanding() == 0 &&
+          server_conn.sent_blocks_outstanding() == 0) {
+        return;
+      }
+    }
+  }
+
   simverbs::ProtectionDomain client_pd, server_pd;
   Connection client_conn, server_conn;
   RpcClient client;
@@ -638,11 +656,7 @@ TEST(Integration, CreditsAndBuffersFullyReclaimedAtQuiescence) {
     }
     ASSERT_TRUE(f.pump_until(sent).is_ok());
   }
-  // Drain the final acks (a few idle pump turns).
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(f.client.event_loop_once().is_ok());
-    ASSERT_TRUE(f.server.event_loop_once().is_ok());
-  }
+  f.pump_until_quiescent();
   // Everything must be back: credits, send buffers, IDs.
   EXPECT_EQ(f.client_conn.credits_available(), small_client.credits);
   EXPECT_EQ(f.server_conn.credits_available(), small_server.credits);
@@ -651,6 +665,55 @@ TEST(Integration, CreditsAndBuffersFullyReclaimedAtQuiescence) {
   EXPECT_EQ(f.client_conn.sent_blocks_outstanding(), 0u);
   EXPECT_EQ(f.server_conn.sent_blocks_outstanding(), 0u);
   EXPECT_EQ(f.client.in_flight(), 0u);
+}
+
+uint64_t client_blocks_sent() {
+  return metrics::default_registry()
+      .counter_family("rdmarpc_blocks_sent_total", "")
+      .counter({{"role", "client"}})
+      .value();
+}
+
+TEST(Integration, BackToBackCallsSendNoPureAck) {
+  // A client that calls again as soon as each response lands never sends
+  // an ack on its own: every counter rides the next request block.
+  Fabric f;
+  register_echo(f.server);
+  const uint64_t blocks_before = client_blocks_sent();
+  const uint64_t ops_before = f.client_conn.tx_counters().ops.load();
+  constexpr uint64_t kCalls = 200;
+  for (uint64_t i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(f.client.call(kEcho, as_bytes_view("x"), nullptr).is_ok());
+    ASSERT_TRUE(f.pump_until(i + 1).is_ok());
+  }
+  const uint64_t blocks = client_blocks_sent() - blocks_before;
+  EXPECT_EQ(blocks, kCalls);
+  EXPECT_EQ(f.client_conn.tx_counters().ops.load() - ops_before, blocks);
+}
+
+TEST(Integration, IdleClientSendsOnePureAckAfterIdleAckDelay) {
+  Fabric f;
+  register_echo(f.server);
+  ASSERT_TRUE(f.client.call(kEcho, as_bytes_view("x"), nullptr).is_ok());
+  ASSERT_TRUE(f.pump_until(1).is_ok());
+  const uint64_t response_ns = WallTimer::now();
+  const uint64_t ops_before = f.client_conn.tx_counters().ops.load();
+  // The response block is still unacked: the client holds the counter.
+  EXPECT_EQ(f.server_conn.credits_available(), f.server_conn.config().credits - 1);
+  EXPECT_EQ(f.client_conn.pending_acks(), 1u);
+
+  // Keep pumping well past kIdleAckNs: exactly one pure ack goes out.
+  while (WallTimer::now() - response_ns < 3 * kIdleAckNs) {
+    ASSERT_TRUE(f.client.event_loop_once().is_ok());
+    ASSERT_TRUE(f.server.event_loop_once().is_ok());
+  }
+  EXPECT_EQ(f.client_conn.tx_counters().ops.load() - ops_before, 1u);
+  EXPECT_EQ(f.client_conn.pending_acks(), 0u);
+  EXPECT_EQ(f.server_conn.credits_available(), f.server_conn.config().credits);
+  EXPECT_EQ(f.server_conn.allocator().used(), 0u);
+  EXPECT_EQ(f.server_conn.sent_blocks_outstanding(), 0u);
+  EXPECT_EQ(f.client_conn.credits_available(), f.client_conn.config().credits);
+  EXPECT_EQ(f.client_conn.allocator().used(), 0u);
 }
 
 TEST(Integration, SustainedLoadUnderTinyCreditWindow) {

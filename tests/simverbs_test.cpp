@@ -3,10 +3,13 @@
 // byte accounting, and fault injection.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 
 #include "dpu/dpu_model.hpp"
+#include "common/cpu_timer.hpp"
 #include "simverbs/simverbs.hpp"
 
 namespace dpurpc::simverbs {
@@ -261,10 +264,75 @@ TEST(CompletionChannelTest, InterruptWakesWaiter) {
   CompletionChannel chan;
   std::thread waker([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    chan.interrupt();
+    chan.notify();
   });
   EXPECT_TRUE(chan.wait(1000));
   waker.join();
+}
+
+TEST(CompletionChannelTest, NotifyBeforeWaitIsSticky) {
+  CompletionChannel chan;
+  chan.notify();
+  const uint64_t t0 = WallTimer::now();
+  EXPECT_TRUE(chan.wait(10'000));
+  // Returned on the pending event, not after sleeping out the timeout.
+  EXPECT_LT(WallTimer::now() - t0, 1'000'000'000ull);
+}
+
+TEST(CompletionChannelTest, NotifiesCoalesceIntoOneWake) {
+  CompletionChannel chan;
+  for (int i = 0; i < 5; ++i) chan.notify();
+  EXPECT_TRUE(chan.wait(1000));
+  EXPECT_FALSE(chan.wait(10));
+}
+
+TEST(CompletionChannelTest, SpinReturnsEarlyOnEvent) {
+  CompletionChannel chan;
+  // With nothing pending the spin runs out and the wait times out.
+  EXPECT_FALSE(chan.wait(5, /*spin_ns=*/1'000'000));
+  std::thread waker([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    chan.notify();
+  });
+  // A spin budget far past the notify: the spin itself sees the event.
+  const uint64_t t0 = WallTimer::now();
+  EXPECT_TRUE(chan.wait(10'000, /*spin_ns=*/5'000'000'000ull));
+  EXPECT_LT(WallTimer::now() - t0, 4'000'000'000ull);
+  waker.join();
+}
+
+TEST(CompletionChannelTest, PingPongNeverLosesAWakeup) {
+  // Two threads hand a token back and forth over two channels. Each
+  // notify lands either before the peer announces its sleep (the peer's
+  // re-check sees it) or after (the notifier sees the sleeper and wakes
+  // it). A lost wakeup leaves the peer asleep until its 1 s timeout, so
+  // any wait that times out or sleeps half of it counts as a stall. The
+  // spin budgets vary per round so that sleeps start at every phase of
+  // the peer's notify.
+  constexpr int kRounds = 20'000;
+  constexpr uint64_t kStallNs = 500'000'000;
+  CompletionChannel ping, pong;
+  std::atomic<int> stalls{0};
+  std::atomic<uint64_t> token{0};
+  auto timed_wait = [&](CompletionChannel& chan, uint64_t spin_ns) {
+    const uint64_t t0 = WallTimer::now();
+    if (!chan.wait(1000, spin_ns) || WallTimer::now() - t0 >= kStallNs) ++stalls;
+  };
+  // Both sides stop at the first stall: one is enough to fail.
+  std::thread answerer([&] {
+    for (int i = 0; i < kRounds && stalls.load() == 0; ++i) {
+      timed_wait(ping, (i % 5) * 1000);
+      token.fetch_add(1);
+      pong.notify();
+    }
+  });
+  for (int i = 0; i < kRounds && stalls.load() == 0; ++i) {
+    ping.notify();
+    timed_wait(pong, (i % 3) * 1000);
+  }
+  answerer.join();
+  EXPECT_EQ(stalls.load(), 0);
+  EXPECT_EQ(token.load(), static_cast<uint64_t>(kRounds));
 }
 
 TEST(FaultInjectionTest, DroppedSendVanishesSilently) {
