@@ -129,7 +129,22 @@ Adt& Adt::operator=(Adt&& other) noexcept {
   return *this;
 }
 
-const FieldEntry* ClassEntry::field_by_number(uint32_t number) const noexcept {
+void ClassEntry::build_index() {
+  // Dense up to twice the field count (plus slack for a few gaps), so a
+  // class numbered 1..N indexes every field and a sparse or hostile
+  // numbering still costs O(fields).
+  uint32_t max_number = 0;
+  for (const FieldEntry& f : fields) max_number = std::max(max_number, f.number);
+  const size_t bound = std::min<size_t>(static_cast<size_t>(max_number) + 1,
+                                        2 * fields.size() + 16);
+  by_number_.assign(bound, kNoSlot);
+  for (size_t i = 0; i < fields.size(); ++i) {
+    const uint32_t n = fields[i].number;
+    if (n < bound && by_number_[n] == kNoSlot) by_number_[n] = static_cast<uint32_t>(i);
+  }
+}
+
+const FieldEntry* ClassEntry::search_field(uint32_t number) const noexcept {
   auto it = std::lower_bound(
       fields.begin(), fields.end(), number,
       [](const FieldEntry& f, uint32_t n) { return f.number < n; });
@@ -166,6 +181,7 @@ Status AbiFingerprint::compatible_with(const AbiFingerprint& other) const noexce
 uint32_t Adt::add_class(ClassEntry entry) {
   auto index = static_cast<uint32_t>(classes_.size());
   by_name_.emplace(entry.name, index);
+  entry.build_index();
   classes_.push_back(std::move(entry));
   // Invalidation swaps the cache slot; it never touches the old set, so
   // deserializers holding the previous shared_ptr keep a valid (stale
@@ -175,6 +191,7 @@ uint32_t Adt::add_class(ClassEntry entry) {
 }
 
 void Adt::replace_class(uint32_t index, ClassEntry entry) {
+  entry.build_index();
   classes_.at(index) = std::move(entry);
   invalidate_plans();
 }
@@ -249,6 +266,7 @@ uint32_t Adt::find_class(std::string_view name) const noexcept {
 }
 
 Status Adt::validate() const {
+  const auto flavor = static_cast<arena::StdLibFlavor>(fingerprint_.string_flavor);
   for (const auto& cls : classes_) {
     if (cls.default_bytes.size() != cls.size) {
       return Status(Code::kInternal, "ADT class " + cls.name +
@@ -264,9 +282,16 @@ Status Adt::validate() const {
                       "ADT class " + cls.name + ": fields not sorted by number");
       }
       prev = f.number;
-      if (f.offset >= cls.size) {
-        return Status(Code::kInternal, "ADT class " + cls.name + ": field offset "
-                                           "outside the instance");
+      if (f.number > kMaxFieldNumber) {
+        return Status(Code::kInternal,
+                      "ADT class " + cls.name + ": field number above 2^29-1");
+      }
+      // LayoutView and LayoutBuilder read and write the whole storage
+      // without further checks, so all of it must lie inside the instance.
+      if (static_cast<uint64_t>(f.offset) +
+              field_storage_size(f.type, f.repeated, flavor) > cls.size) {
+        return Status(Code::kInternal, "ADT class " + cls.name + ": field storage "
+                                           "overruns the instance");
       }
       if (f.type == proto::FieldType::kMessage) {
         if (f.child_class == kNoChild || f.child_class >= classes_.size()) {
@@ -277,6 +302,10 @@ Status Adt::validate() const {
       if (f.has_bit >= 32) {
         return Status(Code::kInternal, "ADT class " + cls.name +
                                            ": has-bit beyond the 32-bit word");
+      }
+      if (f.has_bit >= 0 && static_cast<uint64_t>(cls.has_bits_offset) + 4 > cls.size) {
+        return Status(Code::kInternal, "ADT class " + cls.name +
+                                           ": has-bits word outside the instance");
       }
     }
   }

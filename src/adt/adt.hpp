@@ -81,6 +81,9 @@ constexpr uint32_t scalar_elem_size(proto::FieldType t) noexcept {
   }
 }
 
+/// Largest legal proto field number (2^29 - 1); Adt::validate enforces it.
+inline constexpr uint32_t kMaxFieldNumber = (1u << 29) - 1;
+
 /// One message class: identity, layout, default bytes, fields.
 struct ClassEntry {
   std::string name;                 ///< fully-qualified proto name
@@ -90,7 +93,33 @@ struct ClassEntry {
   std::vector<uint8_t> default_bytes;  ///< the default instance, verbatim
   std::vector<FieldEntry> fields;      ///< sorted by field number
 
-  const FieldEntry* field_by_number(uint32_t number) const noexcept;
+  /// The field numbered `number`, or nullptr. One indexed load for the
+  /// numbers the dense index covers (every field of a densely numbered
+  /// class); a binary search over `fields` above it. Adt::add_class and
+  /// replace_class build the index; an entry that never went through
+  /// them searches every lookup, and a copy whose `fields` are edited
+  /// must go back through replace_class before it is looked up.
+  const FieldEntry* field_by_number(uint32_t number) const noexcept {
+    if (number < by_number_.size()) {
+      const uint32_t slot = by_number_[number];
+      return slot == kNoSlot ? nullptr : &fields[slot];
+    }
+    return search_field(number);
+  }
+
+ private:
+  friend class Adt;
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  /// Rebuild by_number_ from `fields`. Its length is bounded by the field
+  /// count, never by the largest number, so a hostile ADT with huge or
+  /// sparse numbers costs O(fields) memory; numbers past the bound fall
+  /// back to search_field.
+  void build_index();
+  const FieldEntry* search_field(uint32_t number) const noexcept;
+
+  /// by_number_[n] is the index in `fields` of field n, or kNoSlot.
+  std::vector<uint32_t> by_number_;
 };
 
 /// ABI facts that must agree between the two sides before offloading is
@@ -147,7 +176,9 @@ class Adt {
   void set_fingerprint(AbiFingerprint fp) noexcept { fingerprint_ = fp; }
 
   /// Sanity-check internal consistency (child links in range, defaults
-  /// sized, fields sorted). Run before serializing or after deserializing.
+  /// sized, fields sorted, numbers at most kMaxFieldNumber, field storage
+  /// and has-bits word inside the instance). Run before serializing or
+  /// after deserializing.
   Status validate() const;
 
   /// Wire form for the one-time host→DPU transfer.

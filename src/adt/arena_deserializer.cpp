@@ -505,110 +505,41 @@ void ArenaDeserializer::relocate(uint32_t class_index, std::byte* base,
 
 // ------------------------------------------------------------ LayoutView
 
-bool LayoutView::has(uint32_t field_number) const noexcept {
-  const FieldEntry* f = field(field_number);
-  if (f == nullptr || f->has_bit < 0) return false;
-  auto word = dpurpc::load_le<uint32_t>(base_ + cls_->has_bits_offset);
-  return (word & (1u << f->has_bit)) != 0;
+namespace {
+const ClassEntry& empty_class() noexcept {
+  static const ClassEntry empty{};
+  return empty;
 }
+}  // namespace
 
-int64_t LayoutView::get_int64(uint32_t n) const noexcept {
-  const FieldEntry* f = field(n);
-  if (scalar_elem_size(f->type) == 4) {
-    return static_cast<int32_t>(dpurpc::load_le<uint32_t>(at(*f)));
-  }
-  return static_cast<int64_t>(dpurpc::load_le<uint64_t>(at(*f)));
-}
-
-uint64_t LayoutView::get_uint64(uint32_t n) const noexcept {
-  const FieldEntry* f = field(n);
-  if (f->type == proto::FieldType::kBool) return *reinterpret_cast<const uint8_t*>(at(*f));
-  if (scalar_elem_size(f->type) == 4) return dpurpc::load_le<uint32_t>(at(*f));
-  return dpurpc::load_le<uint64_t>(at(*f));
-}
-
-double LayoutView::get_double(uint32_t n) const noexcept {
-  double v;
-  std::memcpy(&v, at(*field(n)), 8);
-  return v;
-}
-
-float LayoutView::get_float(uint32_t n) const noexcept {
-  float v;
-  std::memcpy(&v, at(*field(n)), 4);
-  return v;
-}
-
-bool LayoutView::get_bool(uint32_t n) const noexcept {
-  return *reinterpret_cast<const uint8_t*>(at(*field(n))) != 0;
-}
+LayoutView::LayoutView(const Adt* adt) noexcept
+    : adt_(adt), cls_(&empty_class()), class_index_(kNoChild), base_(nullptr) {}
 
 std::string_view LayoutView::get_string(uint32_t n) const noexcept {
+  const FieldEntry* f = singular_entry(n);
+  if (f == nullptr || (f->type != FieldType::kString && f->type != FieldType::kBytes)) {
+    return {};
+  }
   auto flavor = static_cast<arena::StdLibFlavor>(adt_->fingerprint().string_flavor);
-  auto v = arena::read_crafted_string(at(*field(n)), flavor);
+  auto v = arena::read_crafted_string(at(*f), flavor);
   return v.is_ok() ? *v : std::string_view{};
 }
 
 LayoutView LayoutView::get_message(uint32_t n) const noexcept {
-  const FieldEntry* f = field(n);
+  const FieldEntry* f = singular_entry(n);
+  if (f == nullptr || f->type != FieldType::kMessage) return LayoutView(adt_);
   const auto* child =
       reinterpret_cast<const std::byte*>(dpurpc::load_le<uint64_t>(at(*f)));
-  return LayoutView(adt_, f->child_class, child);
-}
-
-uint32_t LayoutView::repeated_size(uint32_t n) const noexcept {
-  const FieldEntry* f = field(n);
-  if (f == nullptr || !f->repeated) return 0;
-  RepHeader h;
-  std::memcpy(&h, at(*f), sizeof(h));
-  return h.size;
-}
-
-namespace {
-RepHeader rep_of(const std::byte* p) noexcept {
-  RepHeader h;
-  std::memcpy(&h, p, sizeof(h));
-  return h;
-}
-}  // namespace
-
-uint64_t LayoutView::repeated_uint64(uint32_t n, uint32_t i) const noexcept {
-  const FieldEntry* f = field(n);
-  RepHeader h = rep_of(at(*f));
-  const auto* data = static_cast<const std::byte*>(h.data);
-  switch (scalar_elem_size(f->type)) {
-    case 1: return reinterpret_cast<const uint8_t*>(data)[i];
-    case 4: return dpurpc::load_le<uint32_t>(data + i * 4);
-    default: return dpurpc::load_le<uint64_t>(data + i * 8);
-  }
-}
-
-int64_t LayoutView::repeated_int64(uint32_t n, uint32_t i) const noexcept {
-  const FieldEntry* f = field(n);
-  RepHeader h = rep_of(at(*f));
-  const auto* data = static_cast<const std::byte*>(h.data);
-  if (scalar_elem_size(f->type) == 4) {
-    return static_cast<int32_t>(dpurpc::load_le<uint32_t>(data + i * 4));
-  }
-  return static_cast<int64_t>(dpurpc::load_le<uint64_t>(data + i * 8));
-}
-
-double LayoutView::repeated_double(uint32_t n, uint32_t i) const noexcept {
-  RepHeader h = rep_of(at(*field(n)));
-  double v;
-  std::memcpy(&v, static_cast<const std::byte*>(h.data) + i * 8, 8);
-  return v;
-}
-
-float LayoutView::repeated_float(uint32_t n, uint32_t i) const noexcept {
-  RepHeader h = rep_of(at(*field(n)));
-  float v;
-  std::memcpy(&v, static_cast<const std::byte*>(h.data) + i * 4, 4);
-  return v;
+  return child == nullptr ? LayoutView(adt_) : LayoutView(adt_, f->child_class, child);
 }
 
 std::string_view LayoutView::repeated_string(uint32_t n, uint32_t i) const noexcept {
-  RepHeader h = rep_of(at(*field(n)));
+  const FieldEntry* f = repeated_entry(n);
+  if (f == nullptr || (f->type != FieldType::kString && f->type != FieldType::kBytes)) {
+    return {};
+  }
+  const RepHeader h = rep(*f);
+  if (i >= h.size) return {};
   auto flavor = static_cast<arena::StdLibFlavor>(adt_->fingerprint().string_flavor);
   const void* slot = static_cast<void* const*>(h.data)[i];
   auto v = arena::read_crafted_string(slot, flavor);
@@ -616,8 +547,10 @@ std::string_view LayoutView::repeated_string(uint32_t n, uint32_t i) const noexc
 }
 
 LayoutView LayoutView::repeated_message(uint32_t n, uint32_t i) const noexcept {
-  const FieldEntry* f = field(n);
-  RepHeader h = rep_of(at(*f));
+  const FieldEntry* f = repeated_entry(n);
+  if (f == nullptr || f->type != FieldType::kMessage) return LayoutView(adt_);
+  const RepHeader h = rep(*f);
+  if (i >= h.size) return LayoutView(adt_);
   const void* child = static_cast<void* const*>(h.data)[i];
   return LayoutView(adt_, f->child_class, child);
 }

@@ -11,11 +11,15 @@
 // disabled through CodecOptions for the ablation benchmark.
 #pragma once
 
+#include <cstring>
+
 #include "adt/adt.hpp"
 #include "adt/codec_options.hpp"
 #include "arena/arena.hpp"
 #include "arena/string_craft.hpp"
 #include "common/bytes.hpp"
+#include "common/endian.hpp"
+#include "common/hot_path.hpp"
 #include "common/status.hpp"
 
 namespace dpurpc::adt {
@@ -97,6 +101,14 @@ class ArenaDeserializer {
 /// ArenaDeserializer for a *synthesized* (descriptor-built) layout — the
 /// no-codegen path the host compat layer and examples use. For generated
 /// classes, use the class's own accessors instead.
+///
+/// A getter returns its type's default (0, "", or the empty view: no
+/// fields, null object, class index kNoChild) when the field number is
+/// unknown, when the field is singular and the getter repeated or the
+/// reverse, when the field's type is not one the getter can read, or when
+/// the index is past the repeated size. The numeric getters are inline:
+/// an indexed field lookup (ClassEntry::field_by_number), the checks and
+/// a load. A view holds no mutable state, so threads may share one.
 class LayoutView {
  public:
   LayoutView(const Adt* adt, uint32_t class_index, const void* base) noexcept
@@ -108,30 +120,114 @@ class LayoutView {
   const void* object() const noexcept { return base_; }
 
   /// Presence via the has-bits word (singular fields only).
-  bool has(uint32_t field_number) const noexcept;
+  bool has(uint32_t field_number) const noexcept {
+    const FieldEntry* f = singular_entry(field_number);
+    if (f == nullptr || f->has_bit < 0) return false;
+    return ((load_le<uint32_t>(base_ + cls_->has_bits_offset) >> f->has_bit) & 1u) != 0;
+  }
 
-  int64_t get_int64(uint32_t field_number) const noexcept;
-  uint64_t get_uint64(uint32_t field_number) const noexcept;
-  double get_double(uint32_t field_number) const noexcept;
-  float get_float(uint32_t field_number) const noexcept;
-  bool get_bool(uint32_t field_number) const noexcept;
+  int64_t get_int64(uint32_t field_number) const noexcept {
+    const FieldEntry* f = singular_entry(field_number);
+    return f == nullptr ? 0 : load_signed(at(*f), scalar_elem_size(f->type));
+  }
+  uint64_t get_uint64(uint32_t field_number) const noexcept {
+    const FieldEntry* f = singular_entry(field_number);
+    return f == nullptr ? 0 : load_unsigned(at(*f), scalar_elem_size(f->type));
+  }
+  double get_double(uint32_t field_number) const noexcept {
+    const FieldEntry* f = singular_entry(field_number);
+    return f != nullptr && f->type == proto::FieldType::kDouble ? load_as<double>(at(*f))
+                                                                : 0.0;
+  }
+  float get_float(uint32_t field_number) const noexcept {
+    const FieldEntry* f = singular_entry(field_number);
+    return f != nullptr && f->type == proto::FieldType::kFloat ? load_as<float>(at(*f))
+                                                               : 0.0f;
+  }
+  bool get_bool(uint32_t field_number) const noexcept {
+    const FieldEntry* f = singular_entry(field_number);
+    return f != nullptr && *at(*f) != std::byte{0};
+  }
   std::string_view get_string(uint32_t field_number) const noexcept;
-  /// Singular sub-message; valid only when has() is true.
+  /// Singular sub-message; the empty view when has() is false.
   LayoutView get_message(uint32_t field_number) const noexcept;
 
-  uint32_t repeated_size(uint32_t field_number) const noexcept;
-  uint64_t repeated_uint64(uint32_t field_number, uint32_t i) const noexcept;
-  int64_t repeated_int64(uint32_t field_number, uint32_t i) const noexcept;
-  double repeated_double(uint32_t field_number, uint32_t i) const noexcept;
-  float repeated_float(uint32_t field_number, uint32_t i) const noexcept;
+  DPURPC_HOT_PATH uint32_t repeated_size(uint32_t field_number) const noexcept {
+    const FieldEntry* f = repeated_entry(field_number);
+    return f == nullptr ? 0 : rep(*f).size;
+  }
+  DPURPC_HOT_PATH uint64_t repeated_uint64(uint32_t field_number,
+                                           uint32_t i) const noexcept {
+    const FieldEntry* f = repeated_entry(field_number);
+    if (f == nullptr) return 0;
+    const RepHeader h = rep(*f);
+    const uint32_t elem = scalar_elem_size(f->type);
+    return i < h.size ? load_unsigned(element(h, i, elem), elem) : 0;
+  }
+  DPURPC_HOT_PATH int64_t repeated_int64(uint32_t field_number,
+                                         uint32_t i) const noexcept {
+    const FieldEntry* f = repeated_entry(field_number);
+    if (f == nullptr) return 0;
+    const RepHeader h = rep(*f);
+    const uint32_t elem = scalar_elem_size(f->type);
+    return i < h.size ? load_signed(element(h, i, elem), elem) : 0;
+  }
+  double repeated_double(uint32_t field_number, uint32_t i) const noexcept {
+    const FieldEntry* f = repeated_entry(field_number);
+    if (f == nullptr || f->type != proto::FieldType::kDouble) return 0.0;
+    const RepHeader h = rep(*f);
+    return i < h.size ? load_as<double>(element(h, i, 8)) : 0.0;
+  }
+  float repeated_float(uint32_t field_number, uint32_t i) const noexcept {
+    const FieldEntry* f = repeated_entry(field_number);
+    if (f == nullptr || f->type != proto::FieldType::kFloat) return 0.0f;
+    const RepHeader h = rep(*f);
+    return i < h.size ? load_as<float>(element(h, i, 4)) : 0.0f;
+  }
   std::string_view repeated_string(uint32_t field_number, uint32_t i) const noexcept;
   LayoutView repeated_message(uint32_t field_number, uint32_t i) const noexcept;
 
  private:
-  const FieldEntry* field(uint32_t number) const noexcept {
-    return cls_->field_by_number(number);
+  /// The empty view of `adt`.
+  explicit LayoutView(const Adt* adt) noexcept;
+
+  const FieldEntry* singular_entry(uint32_t number) const noexcept {
+    const FieldEntry* f = cls_->field_by_number(number);
+    return f != nullptr && !f->repeated ? f : nullptr;
+  }
+  const FieldEntry* repeated_entry(uint32_t number) const noexcept {
+    const FieldEntry* f = cls_->field_by_number(number);
+    return f != nullptr && f->repeated ? f : nullptr;
   }
   const std::byte* at(const FieldEntry& f) const noexcept { return base_ + f.offset; }
+  RepHeader rep(const FieldEntry& f) const noexcept {
+    RepHeader h;
+    std::memcpy(&h, at(f), sizeof(h));
+    return h;
+  }
+  static const std::byte* element(const RepHeader& h, uint32_t i, uint32_t elem) noexcept {
+    return static_cast<const std::byte*>(h.data) + static_cast<size_t>(i) * elem;
+  }
+  template <typename T>
+  static T load_as(const std::byte* p) noexcept {
+    T v;
+    std::memcpy(&v, p, sizeof(T));
+    return v;
+  }
+  static uint64_t load_unsigned(const std::byte* p, uint32_t elem) noexcept {
+    switch (elem) {
+      case 1: return static_cast<uint8_t>(*p);
+      case 4: return load_le<uint32_t>(p);
+      default: return load_le<uint64_t>(p);
+    }
+  }
+  static int64_t load_signed(const std::byte* p, uint32_t elem) noexcept {
+    switch (elem) {
+      case 1: return static_cast<uint8_t>(*p);
+      case 4: return static_cast<int32_t>(load_le<uint32_t>(p));
+      default: return static_cast<int64_t>(load_le<uint64_t>(p));
+    }
+  }
 
   const Adt* adt_;
   const ClassEntry* cls_;

@@ -54,7 +54,7 @@ StatusOr<LayoutBuilder> LayoutBuilder::create(const Adt* adt, uint32_t class_ind
   return LayoutBuilder(adt, class_index, base, arena, xlate);
 }
 
-StatusOr<const FieldEntry*> LayoutBuilder::field(uint32_t number, bool repeated) const {
+StatusOr<const FieldEntry*> LayoutBuilder::find_field(uint32_t number, bool repeated) const {
   const FieldEntry* f = adt_->class_at(class_index_).field_by_number(number);
   if (f == nullptr) return Status(Code::kNotFound, "no such field number");
   if (f->repeated != repeated) {
@@ -72,7 +72,7 @@ void LayoutBuilder::set_has_bit(const FieldEntry& f) {
 }
 
 Status LayoutBuilder::set_int64(uint32_t number, int64_t v) {
-  DPURPC_ASSIGN_OR_RETURN(const FieldEntry* f, field(number, false));
+  DPURPC_ASSIGN_OR_RETURN(const FieldEntry* f, find_field(number, false));
   if (scalar_elem_size(f->type) == 4) {
     store_le(base_ + f->offset, static_cast<uint32_t>(static_cast<int32_t>(v)));
   } else {
@@ -83,7 +83,7 @@ Status LayoutBuilder::set_int64(uint32_t number, int64_t v) {
 }
 
 Status LayoutBuilder::set_uint64(uint32_t number, uint64_t v) {
-  DPURPC_ASSIGN_OR_RETURN(const FieldEntry* f, field(number, false));
+  DPURPC_ASSIGN_OR_RETURN(const FieldEntry* f, find_field(number, false));
   if (f->type == FieldType::kBool) {
     *reinterpret_cast<uint8_t*>(base_ + f->offset) = v != 0 ? 1 : 0;
   } else if (scalar_elem_size(f->type) == 4) {
@@ -100,7 +100,7 @@ Status LayoutBuilder::set_bool(uint32_t number, bool v) {
 }
 
 Status LayoutBuilder::set_float(uint32_t number, float v) {
-  DPURPC_ASSIGN_OR_RETURN(const FieldEntry* f, field(number, false));
+  DPURPC_ASSIGN_OR_RETURN(const FieldEntry* f, find_field(number, false));
   if (f->type != FieldType::kFloat) {
     return Status(Code::kInvalidArgument, "field is not float");
   }
@@ -110,7 +110,7 @@ Status LayoutBuilder::set_float(uint32_t number, float v) {
 }
 
 Status LayoutBuilder::set_double(uint32_t number, double v) {
-  DPURPC_ASSIGN_OR_RETURN(const FieldEntry* f, field(number, false));
+  DPURPC_ASSIGN_OR_RETURN(const FieldEntry* f, find_field(number, false));
   if (f->type != FieldType::kDouble) {
     return Status(Code::kInvalidArgument, "field is not double");
   }
@@ -120,7 +120,7 @@ Status LayoutBuilder::set_double(uint32_t number, double v) {
 }
 
 Status LayoutBuilder::set_string(uint32_t number, std::string_view v) {
-  DPURPC_ASSIGN_OR_RETURN(const FieldEntry* f, field(number, false));
+  DPURPC_ASSIGN_OR_RETURN(const FieldEntry* f, find_field(number, false));
   if (f->type != FieldType::kString && f->type != FieldType::kBytes) {
     return Status(Code::kInvalidArgument, "field is not string/bytes");
   }
@@ -132,17 +132,15 @@ Status LayoutBuilder::set_string(uint32_t number, std::string_view v) {
 }
 
 StatusOr<LayoutBuilder> LayoutBuilder::mutable_message(uint32_t number) {
-  DPURPC_ASSIGN_OR_RETURN(const FieldEntry* f, field(number, false));
+  DPURPC_ASSIGN_OR_RETURN(const FieldEntry* f, find_field(number, false));
   if (f->type != FieldType::kMessage) {
     return Status(Code::kInvalidArgument, "field is not a message");
   }
   auto* existing =
       reinterpret_cast<std::byte*>(load_le<uint64_t>(base_ + f->offset));
   if (existing != nullptr) {
-    // NOTE: the stored pointer is receiver-space; undo the translation.
-    auto* local = reinterpret_cast<std::byte*>(
-        reinterpret_cast<intptr_t>(existing) - xlate_.delta);
-    return LayoutBuilder(adt_, f->child_class, local, arena_, xlate_);
+    // The stored pointer is receiver-space; undo the translation.
+    return LayoutBuilder(adt_, f->child_class, local(existing), arena_, xlate_);
   }
   auto child = create(adt_, f->child_class, arena_, xlate_);
   if (!child.is_ok()) return child.status();
@@ -152,41 +150,42 @@ StatusOr<LayoutBuilder> LayoutBuilder::mutable_message(uint32_t number) {
   return child;
 }
 
-Status LayoutBuilder::add_scalar(uint32_t number, uint64_t raw_value) {
-  DPURPC_ASSIGN_OR_RETURN(const FieldEntry* f, field(number, true));
-  if (!proto::is_packable(f->type)) {
-    return Status(Code::kInvalidArgument, "field is not a repeated scalar");
-  }
-  auto& h = *reinterpret_cast<RepHeader*>(base_ + f->offset);
-  uint32_t elem = scalar_elem_size(f->type);
-  if (h.size == h.capacity) {
-    uint32_t new_cap = h.capacity ? h.capacity * 2 : 8;
-    void* fresh = arena_->allocate(static_cast<size_t>(new_cap) * elem, elem);
-    if (fresh == nullptr) return Status(Code::kResourceExhausted, "arena full");
-    if (h.size > 0) {
-      auto* local = reinterpret_cast<std::byte*>(
-          reinterpret_cast<intptr_t>(h.data) - xlate_.delta);
-      std::memcpy(fresh, local, static_cast<size_t>(h.size) * elem);
+Status LayoutBuilder::add_scalar_slow(uint32_t number, uint64_t raw_value) {
+  if (last_rep_ == nullptr || number != last_number_) {
+    DPURPC_ASSIGN_OR_RETURN(const FieldEntry* f, find_field(number, true));
+    if (!proto::is_packable(f->type)) {
+      return Status(Code::kInvalidArgument, "field is not a repeated scalar");
     }
-    h.data = reinterpret_cast<void*>(xlate_.translate_addr(fresh));
-    h.capacity = new_cap;
+    last_rep_ = reinterpret_cast<RepHeader*>(base_ + f->offset);
+    last_number_ = number;
+    last_elem_ = scalar_elem_size(f->type);
   }
-  auto* local = reinterpret_cast<std::byte*>(
-      reinterpret_cast<intptr_t>(h.data) - xlate_.delta);
-  std::byte* slot = local + static_cast<size_t>(h.size) * elem;
-  if (elem == 1) {
-    *reinterpret_cast<uint8_t*>(slot) = raw_value != 0 ? 1 : 0;
-  } else if (elem == 4) {
-    store_le(slot, static_cast<uint32_t>(raw_value));
-  } else {
-    store_le(slot, raw_value);
+  if (last_rep_->size == last_rep_->capacity) {
+    DPURPC_RETURN_IF_ERROR(grow(*last_rep_, last_elem_));
   }
-  ++h.size;
+  store_element(*last_rep_, last_elem_, raw_value);
+  return Status::ok();
+}
+
+Status LayoutBuilder::grow(RepHeader& h, uint32_t elem) {
+  const uint32_t new_cap = h.capacity ? h.capacity * 2 : 8;
+  if (h.capacity > 0) {
+    std::byte* end = local(h.data) + static_cast<size_t>(h.capacity) * elem;
+    if (arena_->extend(end, static_cast<size_t>(new_cap - h.capacity) * elem)) {
+      h.capacity = new_cap;
+      return Status::ok();
+    }
+  }
+  void* fresh = arena_->allocate(static_cast<size_t>(new_cap) * elem, elem);
+  if (fresh == nullptr) return Status(Code::kResourceExhausted, "arena full");
+  if (h.size > 0) std::memcpy(fresh, local(h.data), static_cast<size_t>(h.size) * elem);
+  h.data = reinterpret_cast<void*>(xlate_.translate_addr(fresh));
+  h.capacity = new_cap;
   return Status::ok();
 }
 
 Status LayoutBuilder::add_string(uint32_t number, std::string_view v) {
-  DPURPC_ASSIGN_OR_RETURN(const FieldEntry* f, field(number, true));
+  DPURPC_ASSIGN_OR_RETURN(const FieldEntry* f, find_field(number, true));
   if (f->type != FieldType::kString && f->type != FieldType::kBytes) {
     return Status(Code::kInvalidArgument, "field is not repeated string/bytes");
   }
@@ -197,26 +196,14 @@ Status LayoutBuilder::add_string(uint32_t number, std::string_view v) {
   DPURPC_RETURN_IF_ERROR(arena::craft_string(slot, v, *arena_, xlate_, flavor));
 
   auto& h = *reinterpret_cast<RepHeader*>(base_ + f->offset);
-  if (h.size == h.capacity) {
-    uint32_t new_cap = h.capacity ? h.capacity * 2 : 8;
-    void* fresh = arena_->allocate(new_cap * sizeof(void*), 8);
-    if (fresh == nullptr) return Status(Code::kResourceExhausted, "arena full");
-    if (h.size > 0) {
-      auto* local = reinterpret_cast<std::byte*>(
-          reinterpret_cast<intptr_t>(h.data) - xlate_.delta);
-      std::memcpy(fresh, local, h.size * sizeof(void*));
-    }
-    h.data = reinterpret_cast<void*>(xlate_.translate_addr(fresh));
-    h.capacity = new_cap;
-  }
-  auto** local = reinterpret_cast<void**>(reinterpret_cast<intptr_t>(h.data) -
-                                          xlate_.delta);
-  local[h.size++] = reinterpret_cast<void*>(xlate_.translate_addr(slot));
+  if (h.size == h.capacity) DPURPC_RETURN_IF_ERROR(grow(h, sizeof(void*)));
+  reinterpret_cast<void**>(local(h.data))[h.size++] =
+      reinterpret_cast<void*>(xlate_.translate_addr(slot));
   return Status::ok();
 }
 
 StatusOr<LayoutBuilder> LayoutBuilder::add_message(uint32_t number) {
-  DPURPC_ASSIGN_OR_RETURN(const FieldEntry* f, field(number, true));
+  DPURPC_ASSIGN_OR_RETURN(const FieldEntry* f, find_field(number, true));
   if (f->type != FieldType::kMessage) {
     return Status(Code::kInvalidArgument, "field is not a repeated message");
   }
@@ -224,21 +211,9 @@ StatusOr<LayoutBuilder> LayoutBuilder::add_message(uint32_t number) {
   if (!child.is_ok()) return child.status();
 
   auto& h = *reinterpret_cast<RepHeader*>(base_ + f->offset);
-  if (h.size == h.capacity) {
-    uint32_t new_cap = h.capacity ? h.capacity * 2 : 8;
-    void* fresh = arena_->allocate(new_cap * sizeof(void*), 8);
-    if (fresh == nullptr) return Status(Code::kResourceExhausted, "arena full");
-    if (h.size > 0) {
-      auto* local = reinterpret_cast<std::byte*>(
-          reinterpret_cast<intptr_t>(h.data) - xlate_.delta);
-      std::memcpy(fresh, local, h.size * sizeof(void*));
-    }
-    h.data = reinterpret_cast<void*>(xlate_.translate_addr(fresh));
-    h.capacity = new_cap;
-  }
-  auto** local = reinterpret_cast<void**>(reinterpret_cast<intptr_t>(h.data) -
-                                          xlate_.delta);
-  local[h.size++] = reinterpret_cast<void*>(xlate_.translate_addr(child->object()));
+  if (h.size == h.capacity) DPURPC_RETURN_IF_ERROR(grow(h, sizeof(void*)));
+  reinterpret_cast<void**>(local(h.data))[h.size++] =
+      reinterpret_cast<void*>(xlate_.translate_addr(child->object()));
   return child;
 }
 

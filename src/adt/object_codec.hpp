@@ -20,6 +20,8 @@
 #include "arena/arena.hpp"
 #include "arena/string_craft.hpp"
 #include "common/bytes.hpp"
+#include "common/endian.hpp"
+#include "common/hot_path.hpp"
 #include "common/status.hpp"
 
 namespace dpurpc::adt {
@@ -98,8 +100,23 @@ class LayoutBuilder {
   /// Create (or return the existing) singular sub-message builder.
   StatusOr<LayoutBuilder> mutable_message(uint32_t field_number);
 
-  // Repeated adders.
-  Status add_scalar(uint32_t field_number, uint64_t raw_value);
+  // Repeated adders. A repeated field's array doubles when full (8
+  // elements first); while the array is the arena's last allocation, as
+  // it is when one field's values are added in a run, it grows in place,
+  // so the arena holds no dead copies of it.
+
+  /// Append a value (bool, 32- or 64-bit, stored at the field's width).
+  /// Inline when the field is the one the previous add_scalar appended
+  /// to and its array has room; the first add to a field, growth and
+  /// errors take add_scalar_slow.
+  DPURPC_HOT_PATH Status add_scalar(uint32_t field_number, uint64_t raw_value) {
+    if (last_rep_ != nullptr && field_number == last_number_ &&
+        last_rep_->size < last_rep_->capacity) {
+      store_element(*last_rep_, last_elem_, raw_value);
+      return Status::ok();
+    }
+    return add_scalar_slow(field_number, raw_value);
+  }
   Status add_string(uint32_t field_number, std::string_view v);
   StatusOr<LayoutBuilder> add_message(uint32_t field_number);
 
@@ -111,14 +128,39 @@ class LayoutBuilder {
                 arena::Arena* arena, arena::AddressTranslator xlate)
       : adt_(adt), class_index_(class_index), base_(base), arena_(arena), xlate_(xlate) {}
 
-  StatusOr<const FieldEntry*> field(uint32_t number, bool repeated) const;
+  StatusOr<const FieldEntry*> find_field(uint32_t number, bool repeated) const;
   void set_has_bit(const FieldEntry& f);
+  Status add_scalar_slow(uint32_t field_number, uint64_t raw_value);
+  /// Double `h`'s capacity for `elem`-byte elements: in place when its
+  /// array is the arena's last allocation, else into a fresh array.
+  Status grow(RepHeader& h, uint32_t elem);
+  /// Local address of a pointer stored (translated) in the object.
+  std::byte* local(void* stored) const noexcept {
+    return reinterpret_cast<std::byte*>(reinterpret_cast<intptr_t>(stored) - xlate_.delta);
+  }
+  /// Write `v` at index h.size (which must be < h.capacity) and count it.
+  void store_element(RepHeader& h, uint32_t elem, uint64_t v) const noexcept {
+    std::byte* slot = local(h.data) + static_cast<size_t>(h.size) * elem;
+    if (elem == 1) {
+      *slot = v != 0 ? std::byte{1} : std::byte{0};
+    } else if (elem == 4) {
+      store_le(slot, static_cast<uint32_t>(v));
+    } else {
+      store_le(slot, v);
+    }
+    ++h.size;
+  }
 
   const Adt* adt_;
   uint32_t class_index_;
   std::byte* base_;
   arena::Arena* arena_;
   arena::AddressTranslator xlate_;
+  /// add_scalar's one-entry cache: the header and element width of the
+  /// last field it appended to (null until the first add).
+  RepHeader* last_rep_ = nullptr;
+  uint32_t last_number_ = 0;
+  uint32_t last_elem_ = 0;
 };
 
 inline ObjectRef::ObjectRef(const LayoutBuilder& b) noexcept

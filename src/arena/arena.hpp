@@ -41,6 +41,17 @@ class Arena {
     return static_cast<T*>(allocate(sizeof(T) * count, alignof(T)));
   }
 
+  /// Grow the allocation that ends at `end` by `extra` bytes in place.
+  /// Succeeds only if that allocation is the arena's last one and the
+  /// arena has `extra` bytes left; otherwise nothing changes.
+  bool extend(const void* end, size_t extra) noexcept {
+    if (static_cast<const std::byte*>(end) != base_ + used_ || extra > capacity_ - used_) {
+      return false;
+    }
+    used_ += extra;
+    return true;
+  }
+
   /// Discard everything (objects are trivially abandoned, never destructed).
   void reset() noexcept { used_ = 0; }
 

@@ -14,6 +14,7 @@
 #include "adt/adt_registry.hpp"
 #include "adt/arena_deserializer.hpp"
 #include "adt/message_base.hpp"
+#include "adt/object_codec.hpp"
 #include "adt/repeated_field.hpp"
 #include "adt/serialize_plan.hpp"
 #include "common/rng.hpp"
@@ -170,6 +171,86 @@ TEST_F(AdtFixture, DeserializeRejectsCorruption) {
   Bytes extra = wire;
   extra.push_back(std::byte{0});
   EXPECT_FALSE(Adt::deserialize(ByteSpan(extra)).is_ok());
+}
+
+// A class of uint64 fields numbered `numbers`, with field `overrun`
+// (if any) moved so its storage ends 4 bytes past the instance.
+ClassEntry uint64_class(const std::vector<uint32_t>& numbers, uint32_t overrun = 0) {
+  ClassEntry cls;
+  cls.name = "t.Numbers";
+  cls.align = 8;
+  cls.has_bits_offset = 8;
+  uint32_t offset = 16;
+  for (size_t i = 0; i < numbers.size(); ++i) {
+    FieldEntry f;
+    f.number = numbers[i];
+    f.type = FieldType::kUint64;
+    f.offset = offset;
+    f.has_bit = static_cast<int32_t>(i);
+    cls.fields.push_back(f);
+    offset += 8;
+  }
+  cls.size = offset;
+  for (FieldEntry& f : cls.fields) {
+    if (f.number == overrun) f.offset = cls.size - 4;
+  }
+  cls.default_bytes.assign(cls.size, 0);
+  return cls;
+}
+
+Bytes shipped_table(ClassEntry cls) {
+  Adt adt;
+  adt.add_class(std::move(cls));
+  adt.set_fingerprint(AbiFingerprint::current(StdLibFlavor::kLibstdcpp));
+  return adt.serialize();
+}
+
+TEST(AdtFieldIndex, SparseNumbersAreAllFound) {
+  const std::vector<uint32_t> numbers = {1, 1000, kMaxFieldNumber};
+  auto received = Adt::deserialize(ByteSpan(shipped_table(uint64_class(numbers))));
+  ASSERT_TRUE(received.is_ok()) << received.status().to_string();
+  const ClassEntry& cls = received->class_at(0);
+  for (size_t i = 0; i < numbers.size(); ++i) {
+    const FieldEntry* f = cls.field_by_number(numbers[i]);
+    ASSERT_NE(f, nullptr) << numbers[i];
+    EXPECT_EQ(f->offset, 16 + 8 * i);
+  }
+  for (uint32_t miss : {0u, 2u, 999u, 1001u, kMaxFieldNumber - 1, UINT32_MAX}) {
+    EXPECT_EQ(cls.field_by_number(miss), nullptr) << miss;
+  }
+
+  // The reflective accessors reach every field through the same index.
+  OwningArena arena(1 << 10);
+  auto b = LayoutBuilder::create(&*received, 0, &arena);
+  ASSERT_TRUE(b.is_ok());
+  for (uint32_t n : numbers) ASSERT_TRUE(b->set_uint64(n, n * 3ull).is_ok());
+  for (uint32_t n : numbers) EXPECT_EQ(b->view().get_uint64(n), n * 3ull);
+  EXPECT_EQ(b->set_uint64(2, 1).code(), Code::kNotFound);
+}
+
+TEST(AdtFieldIndex, FieldNumberAboveTheProtoLimitFailsDeserialization) {
+  for (uint32_t bad : {kMaxFieldNumber + 1, UINT32_MAX}) {
+    ClassEntry cls = uint64_class({1, bad});
+    Adt adt;
+    adt.add_class(cls);
+    EXPECT_FALSE(adt.validate().is_ok()) << bad;
+    EXPECT_FALSE(Adt::deserialize(ByteSpan(shipped_table(cls))).is_ok()) << bad;
+  }
+}
+
+TEST(AdtFieldIndex, FieldStorageOverrunningTheInstanceFailsDeserialization) {
+  // Field 2 starts inside the instance (the old offset check passes) but
+  // its 8 bytes end past it.
+  ClassEntry cls = uint64_class({1, 2, 3}, /*overrun=*/2);
+  ASSERT_LT(cls.fields[1].offset, cls.size);
+  EXPECT_FALSE(Adt::deserialize(ByteSpan(shipped_table(cls))).is_ok());
+
+  // A repeated header (16 bytes) in the last 8 bytes, likewise.
+  ClassEntry rep = uint64_class({1, 2});
+  rep.fields[1].repeated = true;
+  EXPECT_FALSE(Adt::deserialize(ByteSpan(shipped_table(rep))).is_ok());
+
+  EXPECT_TRUE(Adt::deserialize(ByteSpan(shipped_table(uint64_class({1, 2, 3})))).is_ok());
 }
 
 TEST(AbiFingerprint, MismatchesDetected) {

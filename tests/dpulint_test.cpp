@@ -219,6 +219,11 @@ TEST(DpulintRealTree, RequiredHotRootsAnnotated) {
            // thread and the sampler's per-period read pass.
            "dpurpc::trace::FlightRecorder::should_capture",
            "dpurpc::trace::ResourceSampler::sample_once",
+           // Host object handlers: the reflective accessors a handler
+           // calls once per repeated element.
+           "dpurpc::adt::LayoutView::repeated_size",
+           "dpurpc::adt::LayoutView::repeated_uint64",
+           "dpurpc::adt::LayoutBuilder::add_scalar",
        }) {
     EXPECT_EQ(std::count(hot.begin(), hot.end(), std::string(required)), 1)
         << "missing hot annotation: " << required;

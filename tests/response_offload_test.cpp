@@ -17,6 +17,7 @@
 #include "grpccompat/host_service.hpp"
 #include "grpccompat/manifest.hpp"
 #include "proto/schema_parser.hpp"
+#include "rdmarpc/client.hpp"
 #include "xrpc/channel.hpp"
 
 namespace dpurpc::grpccompat {
@@ -358,6 +359,86 @@ TEST_F(ResponseOffloadFixture, HandlerErrorFallsBackToErrorResponse) {
   ASSERT_TRUE(chan.is_ok());
   auto resp = (*chan)->call("ro.Search/Find", {});
   EXPECT_EQ(resp.status().code(), Code::kInvalidArgument);
+}
+
+// A 512-value echo built by LayoutBuilder::add_scalar grows its array in
+// place, so the object HostEngine copies into the send block is the
+// instance plus the 2 048-byte live array, not every abandoned copy of it
+// (4 096 B before in-place growth).
+TEST(HostEngineObjectReply, IntsEchoShipsOnlyTheLiveArray) {
+  proto::DescriptorPool pool;
+  proto::SchemaParser parser(pool);
+  ASSERT_TRUE(parser
+                  .parse_and_link("syntax = \"proto3\"; package ie;"
+                                  "message IntArray { repeated uint32 values = 1; }"
+                                  "service Echo { rpc Ints (IntArray) returns (IntArray); }")
+                  .is_ok());
+  auto manifest = OffloadManifest::build(pool, arena::StdLibFlavor::kLibstdcpp);
+  ASSERT_TRUE(manifest.is_ok()) << manifest.status().to_string();
+  const MethodEntry* method = manifest->find_by_name("ie.Echo/Ints");
+  ASSERT_NE(method, nullptr);
+  const adt::Adt& adt = manifest->adt();
+
+  simverbs::ProtectionDomain dpu_pd("dpu"), host_pd("host");
+  rdmarpc::Connection dpu_conn(rdmarpc::Role::kClient, &dpu_pd, {});
+  rdmarpc::Connection host_conn(rdmarpc::Role::kServer, &host_pd, {});
+  ASSERT_TRUE(rdmarpc::Connection::connect(dpu_conn, host_conn).is_ok());
+  HostEngine host(&host_conn, &*manifest, &pool);
+  ASSERT_TRUE(host.register_unary_object(
+                      "ie.Echo/Ints",
+                      [](const ServerContext&, const adt::LayoutView& req,
+                         adt::LayoutBuilder& resp) {
+                        for (uint32_t i = 0; i < req.repeated_size(1); ++i) {
+                          DPURPC_RETURN_IF_ERROR(resp.add_scalar(1, req.repeated_uint64(1, i)));
+                        }
+                        return Status::ok();
+                      })
+                  .is_ok());
+
+  const auto* desc = pool.find_message("ie.IntArray");
+  proto::DynamicMessage request(desc);
+  for (uint32_t i = 0; i < 512; ++i) {
+    request.add_uint64(desc->field_by_name("values"), i * 2654435761u);
+  }
+  const Bytes wire = proto::WireCodec::serialize(request);
+
+  rdmarpc::RpcClient client(&dpu_conn);
+  adt::ArenaDeserializer deser(&adt);
+  adt::ObjectSerializer ser(&adt);
+  bool done = false;
+  size_t reply_bytes = 0;
+  Bytes reply_wire;
+  Status reply_status = Status::ok();
+  ASSERT_TRUE(client
+                  .call_inplace(
+                      method->method_id, static_cast<uint16_t>(method->input_class),
+                      static_cast<uint32_t>(wire.size() * 4 + 256),
+                      [&](arena::Arena& arena,
+                          const arena::AddressTranslator& xlate) -> StatusOr<uint32_t> {
+                        auto obj = deser.deserialize(method->input_class, ByteSpan(wire),
+                                                     arena, xlate);
+                        if (!obj.is_ok()) return obj.status();
+                        return static_cast<uint32_t>(arena.used());
+                      },
+                      [&](const Status& st, const rdmarpc::InMessage& msg) {
+                        reply_status = st;
+                        reply_bytes = msg.payload.size();
+                        if (st.is_ok()) {
+                          reply_status = ser.serialize(
+                              adt::ObjectRef(method->output_class, msg.payload_addr),
+                              reply_wire);
+                        }
+                        done = true;
+                      })
+                  .is_ok());
+  for (int turns = 0; !done && turns < 1000; ++turns) {
+    ASSERT_TRUE(client.event_loop_once().is_ok());
+    ASSERT_TRUE(host.event_loop_once().is_ok());
+  }
+  ASSERT_TRUE(done);
+  ASSERT_TRUE(reply_status.is_ok()) << reply_status.to_string();
+  EXPECT_EQ(reply_wire, wire);  // the echo, serialized on the receiving side
+  EXPECT_LE(reply_bytes, adt.class_at(method->output_class).size + 2048u);
 }
 
 }  // namespace
