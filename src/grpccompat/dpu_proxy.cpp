@@ -466,12 +466,16 @@ Status DpuProxy::send_with_backpressure(Lane& lane, Send&& send) {
       return Status(Code::kUnavailable, "proxy stopping");
     }
     auto pumped = lane.client.event_loop_once();
+    // Replies the pump completed go now, not after the backpressure ends.
+    xrpc::WriteBatch::current()->flush();
     if (!pumped.is_ok()) return pumped.status();
     if (*pumped == 0) lane_sleep(lane);
   }
 }
 
 void DpuProxy::lane_sleep(Lane& lane) {
+  // No reply is held across a sleep.
+  xrpc::WriteBatch::current()->flush();
   lane.conn->wait(kLaneWaitMs, lane.client.in_flight() > 0 ? kLaneSpinNs : 0);
 }
 
@@ -586,7 +590,7 @@ void DpuProxy::maybe_finish_stream(Lane& lane, uint32_t stream_id) {
             retire_stream_hold(*sit->second);
             lane->streams.erase(sit);
           }
-          complete_response(respond, tctx, rpc_result, resp);
+          complete_response(*lane, respond, tctx, rpc_result, resp);
         },
         tctx);
   });
@@ -605,8 +609,8 @@ void DpuProxy::fail_stream(Lane& lane, uint32_t stream_id, const Status& why) {
   (*respond)(why.code() == Code::kOk ? Code::kInternal : why.code(), {});
 }
 
-void DpuProxy::complete_response(
-    const std::shared_ptr<xrpc::Server::Responder>& respond,
+DPURPC_HOT_PATH void DpuProxy::complete_response(
+    Lane& lane, const std::shared_ptr<xrpc::Server::Responder>& respond,
     const trace::TraceContext& tctx, const Status& result,
     const rdmarpc::InMessage& resp) {
   uint64_t t0 = tctx.active() ? WallTimer::now() : 0;
@@ -630,8 +634,12 @@ void DpuProxy::complete_response(
     // Offloaded response: the host handed back an object, not bytes.
     // Serialize it here, straight from the receive block while it is
     // still valid (the serialize lands inside this reply's kComplete
-    // span).
-    Bytes wire;
+    // span), into the lane's scratch: the responder copies it into the
+    // write batch, so the scratch is free again when it returns.
+    Bytes& wire = lane.reply_wire;
+    wire.clear();
+    // dpulint: allow(hot-path): the scratch grows only until it holds the
+    // lane's largest reply; after that the serialize appends in place.
     Status st = serializer_.serialize(
         adt::ObjectRef(resp.header.aux, resp.payload_addr), wire);
     if (st.is_ok()) relaxed::add(stats_.offloaded_responses, 1);
@@ -681,9 +689,9 @@ Status DpuProxy::forward(Lane& lane, PendingCall call) {
         // Continuation: the copy-path response is already serialized by
         // the host; an offloaded response (kFlagInPlaceObject) arrives as
         // an in-place object serialized on this lane (§III.A extension).
-        [this, respond, tctx](const Status& rpc_result,
-                              const rdmarpc::InMessage& resp) {
-          complete_response(respond, tctx, rpc_result, resp);
+        [this, lane = &lane, respond, tctx](const Status& rpc_result,
+                                            const rdmarpc::InMessage& resp) {
+          complete_response(*lane, respond, tctx, rpc_result, resp);
         },
         tctx);
   });
@@ -737,6 +745,10 @@ void DpuProxy::poller_loop(Lane& lane) {
   // is queued (unary calls decode straight into the send block, stream
   // pieces go to the codec pool), ship finished pieces, run one loop turn,
   // then sleep when nothing moved. A datapath failure ends only this lane.
+  // Every reply the lane produces joins `replies`: each pump's completions
+  // leave together, one send() per client connection, and the batch's
+  // close sends whatever fail_pending answers on the way out.
+  xrpc::WriteBatch replies;
   while (!relaxed::load(stopping_)) {
     bool did_work = false;
     Status st;
@@ -753,6 +765,7 @@ void DpuProxy::poller_loop(Lane& lane) {
       chunk_decoded(lane, std::move(result));
     }
     auto pumped = lane.client.event_loop_once();
+    replies.flush();
     if (!pumped.is_ok()) break;
     if (*pumped > 0) did_work = true;
     // Blocking wait (poll()-style, §III.C) instead of busy-polling; the

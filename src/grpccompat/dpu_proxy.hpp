@@ -17,7 +17,10 @@
 // backpressure routine) and one way out (stop() or a datapath failure).
 // The sleep spins briefly first while the host holds one of the lane's
 // calls, so the response finds the lane awake; the host thread never
-// spins.
+// spins. A lane holds one xrpc::WriteBatch for its whole life: the
+// replies (and stream credit grants) that one event-loop pump completes
+// leave in one send() per client connection, flushed after every pump and
+// before every sleep (DESIGN.md §3.22).
 // A unary call's codec runs on its own lane, both ways: the request
 // decodes straight into the RDMA send block (§V), and an in-place object
 // reply serializes straight from the receive block before it is acked.
@@ -236,6 +239,10 @@ class DpuProxy {
     /// from the stream entry so a result whose stream already died still
     /// retires its pool-budget slot (and its buffers free right here).
     std::unordered_map<uint64_t, std::pair<uint32_t, uint32_t>> pending_chunks;
+    /// Wire bytes of the in-place object reply being answered; keeps its
+    /// capacity, so a reply serializes without allocating once it has
+    /// grown to the lane's largest.
+    Bytes reply_wire;
   };
 
   void poller_loop(Lane& lane);
@@ -281,19 +288,22 @@ class DpuProxy {
   /// The lane's one backpressure path. Runs `send` until it goes through
   /// or fails with something other than backpressure (kUnavailable or
   /// kResourceExhausted: no credit, no request ID, send buffer full), and
-  /// returns that result. Between tries it pumps the event loop once and,
-  /// when nothing moved, sleeps (lane_sleep). Returns kUnavailable once
-  /// the proxy stops, or the event loop's failure.
+  /// returns that result. Between tries it pumps the event loop once,
+  /// flushes the replies that pump completed, and, when nothing moved,
+  /// sleeps (lane_sleep). Returns kUnavailable once the proxy stops, or
+  /// the event loop's failure.
   template <typename Send>
   Status send_with_backpressure(Lane& lane, Send&& send);
-  /// The lane's one sleep: a timed wait (kLaneWaitMs) on the connection's
-  /// channel, spinning first for up to kLaneSpinNs while calls are in
-  /// flight to the host.
+  /// The lane's one sleep: flush the lane's reply batch, then a timed
+  /// wait (kLaneWaitMs) on the connection's channel, spinning first for
+  /// up to kLaneSpinNs while calls are in flight to the host.
   void lane_sleep(Lane& lane);
   /// Shared RPC continuation tail: error → error reply; in-place object →
-  /// serialize it on the lane, straight from the receive block; bytes →
-  /// pass through.
-  void complete_response(const std::shared_ptr<xrpc::Server::Responder>& respond,
+  /// serialize it on the lane (into lane.reply_wire), straight from the
+  /// receive block; bytes → pass through. The reply joins the lane's
+  /// write batch.
+  void complete_response(Lane& lane,
+                         const std::shared_ptr<xrpc::Server::Responder>& respond,
                          const trace::TraceContext& tctx, const Status& result,
                          const rdmarpc::InMessage& resp);
   /// The lane's way out: close its queue, answer every queued call and

@@ -186,8 +186,9 @@ void Channel::finish_stream(const std::shared_ptr<StreamState>& st,
 }
 
 void Channel::reader_loop() {
+  FrameReader reader(fd_);
   while (true) {
-    auto frame = read_frame(fd_);
+    auto frame = reader.next();
     if (!frame.is_ok()) {
       // EOF, a broken socket, or close(): no response can arrive any more.
       fail_outstanding();

@@ -1,5 +1,9 @@
 #include "xrpc/frame.hpp"
 
+#include <sys/socket.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstring>
 
 #include "common/endian.hpp"
@@ -15,26 +19,57 @@ uint8_t* put_trace(uint8_t* p, const FrameTrace& t) {
   return p + kFrameTraceSize;
 }
 
+/// Append a frame's length, type, call_id and trace to `out`, with room
+/// for `rest` more body bytes; returns where those bytes go.
+uint8_t* append_header(Bytes& out, FrameType type, uint32_t call_id,
+                       const FrameTrace* trace, size_t rest) {
+  bool traced = trace != nullptr && trace->active();
+  uint32_t extra = traced ? kFrameTraceSize : 0;
+  auto body = static_cast<uint32_t>(1 + 4 + extra + rest);
+  size_t at = out.size();
+  out.resize(at + 4 + body);
+  auto* p = reinterpret_cast<uint8_t*>(out.data() + at);
+  store_le<uint32_t>(p, body);
+  p += 4;
+  *p++ = static_cast<uint8_t>(type) | (traced ? kFrameTracedBit : 0);
+  store_le<uint32_t>(p, call_id);
+  p += 4;
+  if (traced) p = put_trace(p, *trace);
+  return p;
+}
+
+/// Append a fixed-shape stream frame: header + `tail` bytes.
+void append_stream_frame(Bytes& out, FrameType type, uint32_t call_id,
+                         ByteSpan tail, const FrameTrace* trace = nullptr) {
+  uint8_t* p = append_header(out, type, call_id, trace, tail.size());
+  if (!tail.empty()) std::memcpy(p, tail.data(), tail.size());
+}
+
 }  // namespace
+
+void append_response(Bytes& out, uint32_t call_id, Code status, ByteSpan payload,
+                     const FrameTrace* trace) {
+  uint8_t* p =
+      append_header(out, FrameType::kResponse, call_id, trace, 1 + payload.size());
+  *p++ = static_cast<uint8_t>(status);
+  if (!payload.empty()) std::memcpy(p, payload.data(), payload.size());
+}
+
+void append_stream_credit(Bytes& out, uint32_t call_id, uint32_t bytes) {
+  uint8_t tail[4];
+  store_le<uint32_t>(tail, bytes);
+  append_stream_frame(out, FrameType::kStreamCredit, call_id,
+                      ByteSpan(reinterpret_cast<const std::byte*>(tail), 4));
+}
 
 Status write_request(const Fd& fd, uint32_t call_id, std::string_view method,
                      ByteSpan payload, const FrameTrace* trace) {
   if (method.size() > UINT16_MAX) {
     return Status(Code::kInvalidArgument, "method name too long");
   }
-  bool traced = trace != nullptr && trace->active();
-  uint32_t extra = traced ? kFrameTraceSize : 0;
-  uint32_t body =
-      static_cast<uint32_t>(1 + 4 + extra + 2 + method.size() + payload.size());
-  Bytes frame(4 + body);
-  auto* p = reinterpret_cast<uint8_t*>(frame.data());
-  store_le<uint32_t>(p, body);
-  p += 4;
-  *p++ = static_cast<uint8_t>(FrameType::kRequest) |
-         (traced ? kFrameTracedBit : 0);
-  store_le<uint32_t>(p, call_id);
-  p += 4;
-  if (traced) p = put_trace(p, *trace);
+  Bytes frame;
+  uint8_t* p = append_header(frame, FrameType::kRequest, call_id, trace,
+                             2 + method.size() + payload.size());
   store_le<uint16_t>(p, static_cast<uint16_t>(method.size()));
   p += 2;
   std::memcpy(p, method.data(), method.size());
@@ -43,94 +78,45 @@ Status write_request(const Fd& fd, uint32_t call_id, std::string_view method,
   return write_all(fd, frame.data(), frame.size());
 }
 
-Status write_response(const Fd& fd, uint32_t call_id, Code status, ByteSpan payload,
-                      const FrameTrace* trace) {
-  bool traced = trace != nullptr && trace->active();
-  uint32_t extra = traced ? kFrameTraceSize : 0;
-  uint32_t body = static_cast<uint32_t>(1 + 4 + extra + 1 + payload.size());
-  Bytes frame(4 + body);
-  auto* p = reinterpret_cast<uint8_t*>(frame.data());
-  store_le<uint32_t>(p, body);
-  p += 4;
-  *p++ = static_cast<uint8_t>(FrameType::kResponse) |
-         (traced ? kFrameTracedBit : 0);
-  store_le<uint32_t>(p, call_id);
-  p += 4;
-  if (traced) p = put_trace(p, *trace);
-  *p++ = static_cast<uint8_t>(status);
-  if (!payload.empty()) std::memcpy(p, payload.data(), payload.size());
-  return write_all(fd, frame.data(), frame.size());
-}
-
-namespace {
-
-/// Shared writer for the fixed-shape stream frames: header + `tail` bytes.
-Status write_stream_frame(const Fd& fd, FrameType type, uint32_t call_id,
-                          ByteSpan tail, const FrameTrace* trace = nullptr) {
-  bool traced = trace != nullptr && trace->active();
-  uint32_t extra = traced ? kFrameTraceSize : 0;
-  uint32_t body = static_cast<uint32_t>(1 + 4 + extra + tail.size());
-  Bytes frame(4 + body);
-  auto* p = reinterpret_cast<uint8_t*>(frame.data());
-  store_le<uint32_t>(p, body);
-  p += 4;
-  *p++ = static_cast<uint8_t>(type) | (traced ? kFrameTracedBit : 0);
-  store_le<uint32_t>(p, call_id);
-  p += 4;
-  if (traced) p = put_trace(p, *trace);
-  if (!tail.empty()) std::memcpy(p, tail.data(), tail.size());
-  return write_all(fd, frame.data(), frame.size());
-}
-
-}  // namespace
-
 Status write_stream_open(const Fd& fd, uint32_t call_id, std::string_view method,
                          const FrameTrace* trace) {
   if (method.size() > UINT16_MAX) {
     return Status(Code::kInvalidArgument, "method name too long");
   }
-  Bytes tail(2 + method.size());
-  store_le<uint16_t>(reinterpret_cast<uint8_t*>(tail.data()),
-                     static_cast<uint16_t>(method.size()));
-  std::memcpy(tail.data() + 2, method.data(), method.size());
-  return write_stream_frame(fd, FrameType::kStreamOpen, call_id, ByteSpan(tail),
-                            trace);
+  Bytes frame;
+  uint8_t* p = append_header(frame, FrameType::kStreamOpen, call_id, trace,
+                             2 + method.size());
+  store_le<uint16_t>(p, static_cast<uint16_t>(method.size()));
+  std::memcpy(p + 2, method.data(), method.size());
+  return write_all(fd, frame.data(), frame.size());
 }
 
 Status write_stream_chunk(const Fd& fd, uint32_t call_id, ByteSpan chunk) {
   if (chunk.size() + 5 > kMaxFrameBody) {
     return Status(Code::kInvalidArgument, "stream chunk exceeds frame limit");
   }
-  return write_stream_frame(fd, FrameType::kStreamChunk, call_id, chunk);
+  Bytes frame;
+  append_stream_frame(frame, FrameType::kStreamChunk, call_id, chunk);
+  return write_all(fd, frame.data(), frame.size());
 }
 
 Status write_stream_end(const Fd& fd, uint32_t call_id) {
-  return write_stream_frame(fd, FrameType::kStreamEnd, call_id, {});
-}
-
-Status write_stream_credit(const Fd& fd, uint32_t call_id, uint32_t bytes) {
-  uint8_t tail[4];
-  store_le<uint32_t>(tail, bytes);
-  return write_stream_frame(fd, FrameType::kStreamCredit, call_id,
-                            ByteSpan(reinterpret_cast<const std::byte*>(tail), 4));
+  Bytes frame;
+  append_stream_frame(frame, FrameType::kStreamEnd, call_id, {});
+  return write_all(fd, frame.data(), frame.size());
 }
 
 Status write_stream_abort(const Fd& fd, uint32_t call_id, Code code) {
   std::byte tail{static_cast<uint8_t>(code)};
-  return write_stream_frame(fd, FrameType::kStreamAbort, call_id,
-                            ByteSpan(&tail, 1));
+  Bytes frame;
+  append_stream_frame(frame, FrameType::kStreamAbort, call_id, ByteSpan(&tail, 1));
+  return write_all(fd, frame.data(), frame.size());
 }
 
-StatusOr<AnyFrame> read_frame(const Fd& fd) {
-  uint8_t len_buf[4];
-  DPURPC_RETURN_IF_ERROR(read_all(fd, len_buf, 4));
-  uint32_t body = load_le<uint32_t>(len_buf);
-  if (body < 5 || body > kMaxFrameBody) {
-    return Status(Code::kDataLoss, "xrpc frame length out of range");
-  }
-  Bytes buf(body);
-  DPURPC_RETURN_IF_ERROR(read_all(fd, buf.data(), body));
-  const auto* p = reinterpret_cast<const uint8_t*>(buf.data());
+namespace {
+
+/// Parse one frame's `body` bytes (everything after the length word).
+StatusOr<AnyFrame> parse_frame(const uint8_t* p, uint32_t body) {
   const auto* end = p + body;
 
   AnyFrame out;
@@ -224,6 +210,56 @@ StatusOr<AnyFrame> read_frame(const Fd& fd) {
     return Status(Code::kDataLoss, "unknown xrpc frame type");
   }
   return out;
+}
+
+}  // namespace
+
+StatusOr<AnyFrame> FrameReader::next() {
+  for (;;) {
+    const size_t have = tail_ - head_;
+    size_t need = 4;
+    if (have >= 4) {
+      uint32_t body = load_le<uint32_t>(buf_.data() + head_);
+      if (body < 5 || body > kMaxFrameBody) {
+        return Status(Code::kDataLoss, "xrpc frame length out of range");
+      }
+      need = 4 + size_t{body};
+      if (have >= need) {
+        auto frame = parse_frame(
+            reinterpret_cast<const uint8_t*>(buf_.data() + head_ + 4), body);
+        head_ += need;
+        if (head_ == tail_) head_ = tail_ = 0;
+        // A large frame is consumed: give its buffer back.
+        if (buf_.size() > kBufferBytes && tail_ - head_ <= kBufferBytes) {
+          make_room(0);
+        }
+        return frame;
+      }
+    }
+    if (need > buf_.size() - head_) make_room(need);
+    ssize_t n = ::recv(fd_.get(), buf_.data() + tail_, buf_.size() - tail_, 0);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status(Code::kUnavailable,
+                    std::string("recv: ") + std::strerror(errno));
+    }
+    if (n == 0) return Status(Code::kUnavailable, "peer closed connection");
+    tail_ += static_cast<size_t>(n);
+  }
+}
+
+void FrameReader::make_room(size_t need) {
+  const size_t have = tail_ - head_;
+  const size_t size = std::max(need, kBufferBytes);
+  if (size != buf_.size()) {
+    Bytes fresh(size);
+    std::memcpy(fresh.data(), buf_.data() + head_, have);
+    buf_.swap(fresh);
+  } else {
+    std::memmove(buf_.data(), buf_.data() + head_, have);
+  }
+  head_ = 0;
+  tail_ = have;
 }
 
 }  // namespace dpurpc::xrpc

@@ -81,15 +81,20 @@ struct StreamFrame {
   FrameTrace trace;
 };
 
+/// Append one whole server frame to `out`. Servers send through
+/// send_response/send_stream_credit (write_batch.hpp), which batch them;
+/// the write_* functions below are the client's, each frame written at
+/// once.
+void append_response(Bytes& out, uint32_t call_id, Code status, ByteSpan payload,
+                     const FrameTrace* trace = nullptr);
+void append_stream_credit(Bytes& out, uint32_t call_id, uint32_t bytes);
+
 Status write_request(const Fd& fd, uint32_t call_id, std::string_view method,
                      ByteSpan payload, const FrameTrace* trace = nullptr);
-Status write_response(const Fd& fd, uint32_t call_id, Code status, ByteSpan payload,
-                      const FrameTrace* trace = nullptr);
 Status write_stream_open(const Fd& fd, uint32_t call_id, std::string_view method,
                          const FrameTrace* trace = nullptr);
 Status write_stream_chunk(const Fd& fd, uint32_t call_id, ByteSpan chunk);
 Status write_stream_end(const Fd& fd, uint32_t call_id);
-Status write_stream_credit(const Fd& fd, uint32_t call_id, uint32_t bytes);
 Status write_stream_abort(const Fd& fd, uint32_t call_id, Code code);
 
 /// Either kind of inbound frame.
@@ -100,7 +105,40 @@ struct AnyFrame {
   StreamFrame stream;  ///< valid for the kStream* types
 };
 
-/// Blocking read of the next frame; kUnavailable on clean close.
-StatusOr<AnyFrame> read_frame(const Fd& fd);
+/// The one way to read frames: a buffered reader for one connection.
+/// A recv() fills the buffer with whatever the socket holds, and next()
+/// hands out every complete frame in it before it reads again, so a
+/// burst of frames costs one system call, not two per frame.
+///
+/// The buffer is kBufferBytes. A frame larger than that grows it to the
+/// frame's own size (kMaxFrameBody bounds the length before anything is
+/// allocated), and it shrinks back once that frame is consumed, so large
+/// frames do not pin memory on an idle connection. Not thread-safe: one
+/// reader thread per connection owns it.
+class FrameReader {
+ public:
+  static constexpr size_t kBufferBytes = 64u << 10;
+
+  /// `fd` must outlive the reader.
+  explicit FrameReader(const Fd& fd) : fd_(fd), buf_(kBufferBytes) {}
+
+  /// Blocks until the next frame is complete. kUnavailable when the peer
+  /// closes (cleanly or mid-frame) or the socket fails; kDataLoss on a
+  /// malformed frame, after which the stream is out of sync.
+  StatusOr<AnyFrame> next();
+
+  /// Current buffer size in bytes (kBufferBytes between large frames).
+  size_t buffer_size() const noexcept { return buf_.size(); }
+
+ private:
+  /// Make [head_, head_ + need) fit the buffer: move the unparsed bytes
+  /// to the front, into a buffer grown to `need` if it is smaller.
+  void make_room(size_t need);
+
+  const Fd& fd_;
+  Bytes buf_;
+  size_t head_ = 0;  ///< first unparsed byte
+  size_t tail_ = 0;  ///< end of the received bytes
+};
 
 }  // namespace dpurpc::xrpc

@@ -1,5 +1,7 @@
 #include "xrpc/server.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 
 #include "common/cpu_timer.hpp"
@@ -34,14 +36,22 @@ void Server::shutdown() {
   // accept_thread_ is joined, so conn_threads_ can no longer grow; swap
   // it out under mu_ and join outside the lock (a connection thread may
   // itself need mu_-free progress to observe its dead fd and exit).
-  std::vector<std::thread> threads;
+  std::vector<ConnThread> threads;
   {
     lockdep::ScopedLock lk(mu_);
     threads.swap(conn_threads_);
   }
-  for (auto& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& t : threads) t.thread.join();
+}
+
+void Server::take_finished(std::vector<ConnThread>& finished) {
+  auto split = std::stable_partition(conn_threads_.begin(), conn_threads_.end(),
+                                     [](const ConnThread& t) { return !t.done->load(); });
+  std::move(split, conn_threads_.end(), std::back_inserter(finished));
+  conn_threads_.erase(split, conn_threads_.end());
+  conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
+                              [](const auto& weak) { return weak.expired(); }),
+               conns_.end());
 }
 
 void Server::accept_loop() {
@@ -50,13 +60,24 @@ void Server::accept_loop() {
     if (!client.is_ok()) break;  // listener shut down
     auto conn = std::make_shared<ConnState>();
     conn->fd = std::move(*client);
-    lockdep::ScopedLock lk(mu_);
-    // Re-check under mu_: shutdown() sets stopping_ before it sweeps
-    // conns_, so either we see it here (drop the connection), or the
-    // sweep sees our registration (and shuts our fd down).
-    if (relaxed::load(stopping_)) break;
-    conns_.push_back(conn);
-    conn_threads_.emplace_back([this, conn] { connection_loop(conn); });
+    std::vector<ConnThread> finished;
+    {
+      lockdep::ScopedLock lk(mu_);
+      // Re-check under mu_: shutdown() sets stopping_ before it sweeps
+      // conns_, so either we see it here (drop the connection), or the
+      // sweep sees our registration (and shuts our fd down).
+      if (relaxed::load(stopping_)) break;
+      take_finished(finished);
+      conns_.push_back(conn);
+      auto done = std::make_unique<std::atomic<bool>>(false);
+      std::atomic<bool>* flag = done.get();
+      conn_threads_.push_back(ConnThread{std::thread([this, conn, flag] {
+                                           connection_loop(conn);
+                                           flag->store(true);
+                                         }),
+                                         std::move(done)});
+    }
+    for (auto& t : finished) t.thread.join();
   }
 }
 
@@ -76,16 +97,17 @@ trace::TraceContext note_inbound(const FrameTrace& ft, size_t wire_bytes) {
 
 /// The responder owns a reference to the connection so late async
 /// responses still have a live socket. It echoes the trace context so
-/// the client can attribute the response wire span.
+/// the client can attribute the response wire span. On a thread with an
+/// open WriteBatch the frame joins the batch; its send stamp is taken
+/// here, so the wait for the flush lands in the client's kXrpcOutbound.
 Responder make_responder(std::shared_ptr<ConnState> conn, uint32_t call_id,
                          trace::TraceContext tctx) {
   return [conn = std::move(conn), call_id, tctx](Code status, ByteSpan payload) {
-    lockdep::ScopedLock wl(conn->write_mu);
     if (tctx.active()) {
       FrameTrace ft{tctx.trace_id, tctx.parent_span_id, WallTimer::now()};
-      (void)write_response(conn->fd, call_id, status, payload, &ft);
+      (void)send_response(conn, call_id, status, payload, &ft);
     } else {
-      (void)write_response(conn->fd, call_id, status, payload);
+      (void)send_response(conn, call_id, status, payload);
     }
   };
 }
@@ -103,8 +125,9 @@ void Server::connection_loop(std::shared_ptr<ConnState> conn) {
     conn->fd.shutdown();
     for (auto& [id, stream] : streams) stream->deliver_abort(Code::kUnavailable);
   };
+  FrameReader reader(conn->fd);
   while (!relaxed::load(stopping_)) {
-    auto frame = read_frame(conn->fd);
+    auto frame = reader.next();
     if (!frame.is_ok()) break;  // closed or broken: drop the connection
     switch (frame->type) {
       case FrameType::kRequest: {

@@ -62,6 +62,15 @@ class Server {
   void accept_loop();
   void connection_loop(std::shared_ptr<ConnState> conn);
 
+  /// A connection's reader thread and the flag it sets as it exits.
+  struct ConnThread {
+    std::thread thread;
+    std::unique_ptr<std::atomic<bool>> done;
+  };
+  /// Move the threads whose connections ended into `finished` (the
+  /// caller joins them outside mu_) and drop expired conns_ entries.
+  void take_finished(std::vector<ConnThread>& finished) DPURPC_REQUIRES(mu_);
+
   Listener listener_;
   Handler handler_;
   std::thread accept_thread_;
@@ -73,7 +82,12 @@ class Server {
   // a connection is either registered (and its fd shut down by
   // shutdown()'s sweep) or never spawned; no thread can be created after
   // the sweep and escape it. Only then are accept/conn threads joined.
-  std::vector<std::thread> conn_threads_ DPURPC_GUARDED_BY(mu_);
+  // Reaping: each accept also takes the threads of connections that have
+  // ended out of conn_threads_ (under mu_) and joins them outside it, so
+  // connection churn does not pile up exited threads until shutdown().
+  // A thread taken out is one whose loop already returned, so shutdown()
+  // never needs to see it.
+  std::vector<ConnThread> conn_threads_ DPURPC_GUARDED_BY(mu_);
   std::vector<std::weak_ptr<ConnState>> conns_ DPURPC_GUARDED_BY(mu_);
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> requests_accepted_{0};

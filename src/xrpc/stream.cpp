@@ -3,8 +3,7 @@
 namespace dpurpc::xrpc {
 
 Status ServerStream::grant(uint32_t bytes) {
-  lockdep::ScopedLock wl(conn_->write_mu);
-  return write_stream_credit(conn_->fd, call_id_, bytes);
+  return send_stream_credit(conn_, call_id_, bytes);
 }
 
 }  // namespace dpurpc::xrpc

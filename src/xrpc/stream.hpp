@@ -18,18 +18,12 @@
 #include "common/thread_annotations.hpp"
 #include "trace/trace.hpp"
 #include "xrpc/frame.hpp"
+#include "xrpc/write_batch.hpp"
 
 namespace dpurpc::xrpc {
 
 class Channel;
 class Server;
-
-/// One live TCP connection: the fd plus a write lock so concurrent
-/// responders interleave whole frames.
-struct ConnState {
-  Fd fd;
-  lockdep::Mutex write_mu{"xrpc.ConnState.write_mu"};
-};
 
 /// Server-side view of one inbound stream. The chunk/end/abort callbacks
 /// run on the connection's reader thread; the handler must install them
@@ -51,7 +45,8 @@ class ServerStream {
   /// Also invoked with kUnavailable if the connection dies mid-stream.
   void on_abort(AbortFn fn) { abort_fn_ = std::move(fn); }
 
-  /// Extend the sender's credit window by `bytes`. Thread-safe.
+  /// Extend the sender's credit window by `bytes`. Thread-safe; batched
+  /// like a reply when the calling thread has a WriteBatch open.
   Status grant(uint32_t bytes);
 
   uint32_t call_id() const noexcept { return call_id_; }

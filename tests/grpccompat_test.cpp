@@ -518,6 +518,182 @@ TEST_F(OffloadFixture, StopReturnsWhileALaneIsBackpressured) {
   sender.join();
 }
 
+// The host's Get answer for the reply tests below: echoes the key's
+// leading tag (everything before ':') as the value.
+Status tag_echo(const ServerContext&, const adt::LayoutView& req,
+                proto::DynamicMessage& resp) {
+  std::string_view key = req.get_string(1);
+  resp.set_string(resp.descriptor()->field_by_name("value"),
+                  std::string(key.substr(0, key.find(':'))));
+  resp.set_uint64(resp.descriptor()->field_by_name("found"), 1);
+  return Status::ok();
+}
+
+// The value of one unlabeled counter in a metrics exposition text.
+double exposed(std::string_view text, std::string_view name) {
+  std::string needle = "\n" + std::string(name) + " ";
+  size_t at = text.find(needle);
+  if (at == std::string_view::npos) return 0;
+  return std::stod(std::string(text.substr(at + needle.size())));
+}
+
+// A burst the host answers together: the lane completes the replies in
+// one pump and sends them in one socket write, so the proxy's scrape
+// shows more frames sent than socket writes. Every reply stays exact.
+TEST_F(OffloadFixture, BurstRepliesShareSocketWrites) {
+  ASSERT_TRUE(host_->register_unary("kv.KvStore/Get", tag_echo).is_ok());
+  proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
+  auto port = proxy_->start();
+  ASSERT_TRUE(port.is_ok()) << port.status().to_string();
+  auto chan = xrpc::Channel::connect(*port);
+  ASSERT_TRUE(chan.is_ok());
+  auto scrape = [&] {
+    auto text = (*chan)->call(xrpc::kMetricsMethod, {});
+    EXPECT_TRUE(text.is_ok()) << text.status().to_string();
+    return text.is_ok() ? std::string(as_string_view(ByteSpan(*text))) : "";
+  };
+  const std::string before = scrape();
+
+  constexpr int kCalls = 16;
+  const auto* desc = pool_.find_message("kv.GetRequest");
+  std::mutex mu;
+  std::map<int, std::string> values;
+  std::atomic<int> done{0};
+  for (int i = 0; i < kCalls; ++i) {
+    proto::DynamicMessage m(desc);
+    m.set_string(desc->field_by_name("key"), "tag" + std::to_string(i) + ":key");
+    Bytes wire = proto::WireCodec::serialize(m);
+    ASSERT_TRUE((*chan)
+                    ->call_async("kv.KvStore/Get", ByteSpan(wire),
+                                 [&, i](Code code, Bytes payload) {
+                                   proto::DynamicMessage r(
+                                       pool_.find_message("kv.GetResponse"));
+                                   std::string value = "<failed>";
+                                   if (code == Code::kOk &&
+                                       proto::WireCodec::parse(ByteSpan(payload), r)
+                                           .is_ok()) {
+                                     value = r.get_string(
+                                         r.descriptor()->field_by_name("value"));
+                                   }
+                                   {
+                                     std::lock_guard<std::mutex> lk(mu);
+                                     values[i] = value;
+                                   }
+                                   done.fetch_add(1);
+                                 })
+                    .is_ok());
+  }
+  // The host starts only once the whole burst is with it, so it answers
+  // the burst in one go.
+  for (int i = 0; i < 500 && proxy_->stats().offloaded_requests.load() < kCalls; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(proxy_->stats().offloaded_requests.load(), uint64_t{kCalls});
+  EXPECT_EQ(done.load(), 0);
+  start_host_loop();
+  for (int i = 0; i < 500 && done.load() < kCalls; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(done.load(), kCalls);
+  for (int i = 0; i < kCalls; ++i) EXPECT_EQ(values[i], "tag" + std::to_string(i));
+
+  // The first scrape's own reply counts once in each family.
+  const std::string after = scrape();
+  const double frames = exposed(after, "dpurpc_xrpc_frames_sent_total") -
+                        exposed(before, "dpurpc_xrpc_frames_sent_total");
+  const double writes = exposed(after, "dpurpc_xrpc_socket_writes_total") -
+                        exposed(before, "dpurpc_xrpc_socket_writes_total");
+  EXPECT_EQ(frames, kCalls + 1.0);
+  EXPECT_LT(writes, frames) << "no two replies shared a socket write";
+  EXPECT_GE(writes, 2.0);
+}
+
+// The lane is back-pressured (the host holds every credit) when the host
+// answers a few calls: the lane completes those replies inside its
+// backpressure routine and must send them then, not when later traffic
+// happens to move the lane again.
+TEST_F(OffloadFixture, ReplyCompletedUnderBackpressureIsSentWithoutNewTraffic) {
+  std::atomic<int> answered{0};
+  ASSERT_TRUE(host_
+                  ->register_unary("kv.KvStore/Get",
+                                   [&](const ServerContext& ctx,
+                                       const adt::LayoutView& req,
+                                       proto::DynamicMessage& resp) {
+                                     answered.fetch_add(1);
+                                     return tag_echo(ctx, req, resp);
+                                   })
+                  .is_ok());
+  proxy_ = std::make_unique<DpuProxy>(dpu_conn_.get(), dpu_manifest_.get());
+  auto port = proxy_->start();
+  ASSERT_TRUE(port.is_ok());
+  auto chan = xrpc::Channel::connect(*port);
+  ASSERT_TRUE(chan.is_ok());
+
+  const auto* desc = pool_.find_message("kv.GetRequest");
+  constexpr int kCalls = 4000;
+  std::atomic<int> sent{0};
+  std::atomic<int> replied{0};
+  std::atomic<int> wrong{0};
+  std::thread sender([&] {
+    for (int i = 0; i < kCalls; ++i) {
+      proto::DynamicMessage m(desc);
+      const std::string tag = "tag" + std::to_string(i);
+      m.set_string(desc->field_by_name("key"), tag + ":" + std::string(4000, 'k'));
+      Bytes wire = proto::WireCodec::serialize(m);
+      auto done = [&, tag](Code code, Bytes payload) {
+        if (code == Code::kUnavailable) return;  // failed at teardown
+        proto::DynamicMessage r(pool_.find_message("kv.GetResponse"));
+        if (code != Code::kOk || !proto::WireCodec::parse(ByteSpan(payload), r).is_ok() ||
+            r.get_string(r.descriptor()->field_by_name("value")) != tag) {
+          wrong.fetch_add(1);
+        }
+        replied.fetch_add(1);
+      };
+      // Blocks once the socket buffers fill; close() below releases it.
+      if (!(*chan)->call_async("kv.KvStore/Get", ByteSpan(wire), done).is_ok()) return;
+      sent.fetch_add(1);
+    }
+  });
+  auto forwarded = [&] { return proxy_->stats().offloaded_requests.load(); };
+  auto wait_for_stall = [&] {
+    auto last = std::make_pair(sent.load(), forwarded());
+    for (int i = 0; i < 100; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      auto now = std::make_pair(sent.load(), forwarded());
+      if (now == last && now.second > 0) return;
+      last = now;
+    }
+  };
+  wait_for_stall();
+  ASSERT_EQ(replied.load(), 0);
+  const uint64_t stalled_at = forwarded();
+
+  // Let the host answer one turn's worth, then hold it again. The lane
+  // gets credits back, forwards more of its backlog and runs dry again.
+  for (int turns = 0; turns < 1000 && answered.load() == 0; ++turns) {
+    ASSERT_TRUE(host_->event_loop_once().is_ok());
+    if (answered.load() == 0) host_->wait(1);
+  }
+  ASSERT_GT(answered.load(), 0);
+  wait_for_stall();
+  EXPECT_GT(forwarded(), stalled_at);
+  ASSERT_LT(forwarded(), uint64_t{kCalls}) << "the lane is no longer back-pressured";
+
+  // Nothing else moves the lane now. Every answered call must still
+  // reach the client.
+  for (int i = 0; i < 200 && replied.load() < answered.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(replied.load(), answered.load())
+      << "replies sat in the lane's write batch while it was back-pressured";
+  EXPECT_EQ(wrong.load(), 0);
+
+  start_host_loop();  // drain the backlog, then tear down
+  proxy_->stop();
+  (*chan)->close();
+  sender.join();
+}
+
 // ------------------------------------------------------------- streaming
 
 uint64_t fnv1a(ByteSpan data) {

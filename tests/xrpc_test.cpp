@@ -1,17 +1,24 @@
 // Tests for the xRPC transport: framing, server/channel behaviour,
 // concurrent outstanding calls, and failure handling.
+#include <dirent.h>
 #include <gtest/gtest.h>
 #include <poll.h>
+#include <sys/socket.h>
 
 #include <atomic>
+#include <cstring>
+#include <fstream>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/endian.hpp"
 #include "common/rng.hpp"
 #include "metrics/metrics.hpp"
 #include "xrpc/channel.hpp"
 #include "xrpc/server.hpp"
+#include "xrpc/write_batch.hpp"
 
 namespace dpurpc::xrpc {
 namespace {
@@ -473,7 +480,9 @@ TEST(XrpcStream, ProtocolErrorAbortsStreamsAndClosesSocket) {
   constexpr uint32_t kCall = 7;
   ASSERT_TRUE(write_stream_open(*fd, kCall, "test.Raw/Stream").is_ok());
   ASSERT_TRUE(write_stream_chunk(*fd, kCall, as_bytes_view("partial")).is_ok());
-  ASSERT_TRUE(write_stream_credit(*fd, kCall, 4096).is_ok());
+  Bytes credit;
+  append_stream_credit(credit, kCall, 4096);
+  ASSERT_TRUE(write_all(*fd, credit.data(), credit.size()).is_ok());
 
   for (int i = 0; i < 500 && !aborted.load(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -483,10 +492,11 @@ TEST(XrpcStream, ProtocolErrorAbortsStreamsAndClosesSocket) {
 
   // The server's credit grant may arrive first; after it, a clean EOF.
   Status last = Status::ok();
+  FrameReader reader(*fd);
   for (int frames = 0; frames < 4 && last.is_ok(); ++frames) {
     pollfd p{fd->get(), POLLIN, 0};
     ASSERT_EQ(::poll(&p, 1, 5000), 1) << "server left the socket open";
-    auto frame = read_frame(*fd);
+    auto frame = reader.next();
     if (frame.is_ok()) {
       EXPECT_EQ(frame->type, FrameType::kStreamCredit);
     } else {
@@ -494,6 +504,346 @@ TEST(XrpcStream, ProtocolErrorAbortsStreamsAndClosesSocket) {
     }
   }
   EXPECT_EQ(last.code(), Code::kUnavailable) << last.to_string();
+}
+
+
+// Threads this process has (one /proc/self/task entry each).
+size_t task_count() {
+  size_t n = 0;
+  if (DIR* dir = ::opendir("/proc/self/task")) {
+    while (dirent* e = ::readdir(dir)) {
+      if (e->d_name[0] != '.') ++n;
+    }
+    ::closedir(dir);
+  }
+  return n;
+}
+
+// Virtual memory size in KiB: an exited thread that nobody joined keeps
+// its stack mapped, so it shows here even after it left /proc/self/task.
+uint64_t vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  return 0;
+}
+
+// Connection churn: every connection's reader thread exits when its
+// client closes, and the server joins it at a later accept instead of
+// holding it (and its stack) until shutdown().
+TEST(Xrpc, ConnectionChurnReapsReaderThreads) {
+  auto server = echo_server();
+  auto round_trip = [&](const char* body) {
+    auto chan = Channel::connect(server->port());
+    ASSERT_TRUE(chan.is_ok());
+    ASSERT_TRUE((*chan)->call("test.Echo/Echo", as_bytes_view(body)).is_ok());
+  };
+  round_trip("warm-up");  // the first reader's stack is not churn
+  const size_t tasks_before = task_count();
+  const uint64_t vm_before = vm_size_kib();
+  constexpr int kCycles = 200;
+  for (int i = 0; i < kCycles; ++i) {
+    auto fd = dial(server->port());
+    ASSERT_TRUE(fd.is_ok()) << fd.status().to_string();
+    // Half-close, then wait for the server's EOF: its reader has seen
+    // ours and is on its way out, so one cycle's thread ends before the
+    // next begins and only a leak can make them add up.
+    ASSERT_EQ(::shutdown(fd->get(), SHUT_WR), 0);
+    pollfd p{fd->get(), POLLIN, 0};
+    ASSERT_EQ(::poll(&p, 1, 5000), 1) << "the server kept connection " << i << " open";
+    char byte;
+    ASSERT_EQ(::recv(fd->get(), &byte, 1, 0), 0);
+  }
+  round_trip("after");  // its accept reaps the readers that exited before it
+  size_t tasks_after = task_count();
+  for (int i = 0; i < 200 && tasks_after > tasks_before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    tasks_after = task_count();
+  }
+  EXPECT_LE(tasks_after, tasks_before);
+  // 200 exited but unjoined readers would keep 200 stacks mapped (8 MiB
+  // each by default): ~1.6 GiB.
+  const uint64_t vm_after = vm_size_kib();
+  EXPECT_LT(vm_after - std::min(vm_before, vm_after), 64u * 8192)
+      << "exited reader threads were not joined";
+}
+
+// ------------------------------------------------------------ frame reader
+
+// A connected AF_UNIX stream pair: the first end belongs to the code
+// under test, the second to the test.
+std::pair<Fd, Fd> socket_pair() {
+  int sv[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0) << std::strerror(errno);
+  return {Fd(sv[0]), Fd(sv[1])};
+}
+
+TEST(FrameReader, FrameSplitAtEveryByteBoundary) {
+  const FrameTrace ft{11, 22, 33};
+  Bytes wire;
+  std::vector<size_t> frame_ends;
+  append_response(wire, 1, Code::kOk, as_bytes_view("first payload"), &ft);
+  frame_ends.push_back(wire.size());
+  append_stream_credit(wire, 2, 4096);
+  frame_ends.push_back(wire.size());
+  append_response(wire, 3, Code::kNotFound, {});
+  frame_ends.push_back(wire.size());
+
+  for (size_t cut = 1; cut < wire.size(); ++cut) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    auto [ours, theirs] = socket_pair();
+    FrameReader reader(ours);
+    std::vector<AnyFrame> got;
+    ASSERT_TRUE(write_all(theirs, wire.data(), cut).is_ok());
+    // Only the frames wholly before the cut can be read without blocking;
+    // the frame the cut splits stays buffered, half-read.
+    for (size_t end : frame_ends) {
+      if (end > cut) break;
+      auto frame = reader.next();
+      ASSERT_TRUE(frame.is_ok()) << frame.status().to_string();
+      got.push_back(std::move(*frame));
+    }
+    ASSERT_TRUE(write_all(theirs, wire.data() + cut, wire.size() - cut).is_ok());
+    while (got.size() < frame_ends.size()) {
+      auto frame = reader.next();
+      ASSERT_TRUE(frame.is_ok()) << frame.status().to_string();
+      got.push_back(std::move(*frame));
+    }
+    ASSERT_EQ(got[0].type, FrameType::kResponse);
+    EXPECT_EQ(got[0].response.call_id, 1u);
+    EXPECT_EQ(got[0].response.status, Code::kOk);
+    EXPECT_EQ(as_string_view(ByteSpan(got[0].response.payload)), "first payload");
+    EXPECT_EQ(got[0].response.trace.trace_id, 11u);
+    EXPECT_EQ(got[0].response.trace.span_id, 22u);
+    EXPECT_EQ(got[0].response.trace.send_ns, 33u);
+    ASSERT_EQ(got[1].type, FrameType::kStreamCredit);
+    EXPECT_EQ(got[1].stream.call_id, 2u);
+    EXPECT_EQ(got[1].stream.credit, 4096u);
+    ASSERT_EQ(got[2].type, FrameType::kResponse);
+    EXPECT_EQ(got[2].response.call_id, 3u);
+    EXPECT_EQ(got[2].response.status, Code::kNotFound);
+    EXPECT_TRUE(got[2].response.payload.empty());
+  }
+}
+
+TEST(FrameReader, ManyFramesInOneRecv) {
+  auto [ours, theirs] = socket_pair();
+  constexpr uint32_t kFrames = 300;
+  Bytes wire;
+  for (uint32_t i = 0; i < kFrames; ++i) append_stream_credit(wire, i, i * 7);
+  ASSERT_TRUE(write_all(theirs, wire.data(), wire.size()).is_ok());
+  theirs.reset();
+  FrameReader reader(ours);
+  for (uint32_t i = 0; i < kFrames; ++i) {
+    auto frame = reader.next();
+    ASSERT_TRUE(frame.is_ok()) << "frame " << i << ": " << frame.status().to_string();
+    ASSERT_EQ(frame->type, FrameType::kStreamCredit);
+    EXPECT_EQ(frame->stream.call_id, i);
+    EXPECT_EQ(frame->stream.credit, i * 7);
+  }
+  auto eof = reader.next();
+  ASSERT_FALSE(eof.is_ok());
+  EXPECT_EQ(eof.status().code(), Code::kUnavailable);
+}
+
+TEST(FrameReader, LargeFrameGrowsTheBufferThenItShrinksBack) {
+  auto [ours, theirs] = socket_pair();
+  Bytes chunk(1u << 20);
+  for (size_t i = 0; i < chunk.size(); ++i) chunk[i] = static_cast<std::byte>(i * 31);
+  // The chunk is larger than the socket buffers: write it from a thread.
+  std::thread writer([&, fd = &theirs] {
+    EXPECT_TRUE(write_stream_chunk(*fd, 5, ByteSpan(chunk)).is_ok());
+    EXPECT_TRUE(write_stream_end(*fd, 5).is_ok());
+  });
+  FrameReader reader(ours);
+  EXPECT_EQ(reader.buffer_size(), FrameReader::kBufferBytes);
+  auto big = reader.next();
+  ASSERT_TRUE(big.is_ok()) << big.status().to_string();
+  ASSERT_EQ(big->type, FrameType::kStreamChunk);
+  EXPECT_EQ(big->stream.call_id, 5u);
+  EXPECT_TRUE(big->stream.payload == chunk);
+  EXPECT_EQ(reader.buffer_size(), FrameReader::kBufferBytes)
+      << "the large frame's buffer outlived it";
+  auto end = reader.next();
+  ASSERT_TRUE(end.is_ok()) << end.status().to_string();
+  EXPECT_EQ(end->type, FrameType::kStreamEnd);
+  EXPECT_EQ(end->stream.call_id, 5u);
+  writer.join();
+}
+
+TEST(FrameReader, LengthOutOfRangeIsDataLoss) {
+  for (uint32_t body : {0u, 4u, kMaxFrameBody + 1, UINT32_MAX}) {
+    SCOPED_TRACE("body length " + std::to_string(body));
+    auto [ours, theirs] = socket_pair();
+    uint8_t header[9] = {};
+    store_le<uint32_t>(header, body);
+    ASSERT_TRUE(write_all(theirs, header, sizeof(header)).is_ok());
+    FrameReader reader(ours);
+    auto frame = reader.next();
+    ASSERT_FALSE(frame.is_ok());
+    EXPECT_EQ(frame.status().code(), Code::kDataLoss);
+    EXPECT_EQ(reader.buffer_size(), FrameReader::kBufferBytes);
+  }
+}
+
+TEST(FrameReader, EofMidFrameIsUnavailable) {
+  Bytes wire;
+  append_response(wire, 9, Code::kOk, as_bytes_view("cut short"));
+  for (size_t cut : {size_t{2}, size_t{4}, wire.size() - 1}) {
+    SCOPED_TRACE("closed after " + std::to_string(cut) + " bytes");
+    auto [ours, theirs] = socket_pair();
+    ASSERT_TRUE(write_all(theirs, wire.data(), cut).is_ok());
+    theirs.reset();
+    FrameReader reader(ours);
+    auto frame = reader.next();
+    ASSERT_FALSE(frame.is_ok());
+    EXPECT_EQ(frame.status().code(), Code::kUnavailable);
+  }
+}
+
+// ------------------------------------------------------------- write batch
+
+// A server connection over one end of a socket pair; the test reads the
+// other end.
+struct PairedConn {
+  std::shared_ptr<ConnState> conn = std::make_shared<ConnState>();
+  Fd peer;
+};
+
+PairedConn paired_conn() {
+  PairedConn pc;
+  auto [ours, theirs] = socket_pair();
+  pc.conn->fd = std::move(ours);
+  pc.peer = std::move(theirs);
+  return pc;
+}
+
+bool readable(const Fd& fd) {
+  pollfd p{fd.get(), POLLIN, 0};
+  return ::poll(&p, 1, 0) == 1;
+}
+
+double scraped(std::string_view name) {
+  metrics::Snapshot snap = metrics::default_registry().scrape();
+  const metrics::Sample* sample = snap.find(name);
+  return sample == nullptr ? 0 : sample->value;
+}
+
+TEST(WriteBatch, KeepsPerConnectionOrderAcrossRepliesAndGrants) {
+  PairedConn a = paired_conn();
+  PairedConn b = paired_conn();
+  ServerStream stream_a(a.conn, 100);
+  constexpr uint32_t kRounds = 8;
+  const double frames_before = scraped("dpurpc_xrpc_frames_sent_total");
+  const double writes_before = scraped("dpurpc_xrpc_socket_writes_total");
+  {
+    WriteBatch batch;
+    EXPECT_EQ(WriteBatch::current(), &batch);
+    for (uint32_t i = 0; i < kRounds; ++i) {
+      const std::string body = "reply " + std::to_string(i);
+      ASSERT_TRUE(send_response(a.conn, i, Code::kOk, as_bytes_view(body)).is_ok());
+      ASSERT_TRUE(stream_a.grant(1000 + i).is_ok());
+      ASSERT_TRUE(send_response(b.conn, 50 + i, Code::kAborted, {}).is_ok());
+    }
+    EXPECT_FALSE(readable(a.peer)) << "a batched frame left before the flush";
+    EXPECT_FALSE(readable(b.peer)) << "a batched frame left before the flush";
+    batch.flush();
+    EXPECT_TRUE(readable(a.peer));
+    EXPECT_TRUE(readable(b.peer));
+  }
+  EXPECT_EQ(WriteBatch::current(), nullptr);
+  EXPECT_EQ(scraped("dpurpc_xrpc_frames_sent_total") - frames_before, 3.0 * kRounds);
+  EXPECT_EQ(scraped("dpurpc_xrpc_socket_writes_total") - writes_before, 2.0)
+      << "one write per connection per flush";
+
+  FrameReader read_a(a.peer);
+  FrameReader read_b(b.peer);
+  for (uint32_t i = 0; i < kRounds; ++i) {
+    auto reply = read_a.next();
+    ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+    ASSERT_EQ(reply->type, FrameType::kResponse);
+    EXPECT_EQ(reply->response.call_id, i);
+    EXPECT_EQ(as_string_view(ByteSpan(reply->response.payload)),
+              "reply " + std::to_string(i));
+    auto credit = read_a.next();
+    ASSERT_TRUE(credit.is_ok()) << credit.status().to_string();
+    ASSERT_EQ(credit->type, FrameType::kStreamCredit);
+    EXPECT_EQ(credit->stream.call_id, 100u);
+    EXPECT_EQ(credit->stream.credit, 1000 + i);
+    auto other = read_b.next();
+    ASSERT_TRUE(other.is_ok()) << other.status().to_string();
+    EXPECT_EQ(other->response.call_id, 50 + i);
+    EXPECT_EQ(other->response.status, Code::kAborted);
+  }
+  EXPECT_FALSE(readable(a.peer));
+  EXPECT_FALSE(readable(b.peer));
+}
+
+TEST(WriteBatch, NestedBatchJoinsTheOuterOne) {
+  PairedConn a = paired_conn();
+  {
+    WriteBatch outer;
+    {
+      WriteBatch inner;
+      EXPECT_EQ(WriteBatch::current(), &outer);
+      ASSERT_TRUE(send_response(a.conn, 1, Code::kOk, as_bytes_view("one")).is_ok());
+    }
+    EXPECT_FALSE(readable(a.peer)) << "closing the inner batch sent its frames";
+    EXPECT_EQ(WriteBatch::current(), &outer);
+    ASSERT_TRUE(send_response(a.conn, 2, Code::kOk, as_bytes_view("two")).is_ok());
+    EXPECT_FALSE(readable(a.peer));
+  }
+  EXPECT_EQ(WriteBatch::current(), nullptr);
+  FrameReader reader(a.peer);
+  for (uint32_t id : {1u, 2u}) {
+    auto frame = reader.next();
+    ASSERT_TRUE(frame.is_ok()) << frame.status().to_string();
+    EXPECT_EQ(frame->response.call_id, id);
+  }
+}
+
+TEST(WriteBatch, WithoutABatchTheWriteIsImmediate) {
+  ASSERT_EQ(WriteBatch::current(), nullptr);
+  PairedConn a = paired_conn();
+  ServerStream stream(a.conn, 4);
+  const double writes_before = scraped("dpurpc_xrpc_socket_writes_total");
+  ASSERT_TRUE(send_response(a.conn, 3, Code::kOk, as_bytes_view("now")).is_ok());
+  EXPECT_TRUE(readable(a.peer));
+  ASSERT_TRUE(stream.grant(64).is_ok());
+  EXPECT_EQ(scraped("dpurpc_xrpc_socket_writes_total") - writes_before, 2.0);
+  FrameReader reader(a.peer);
+  auto reply = reader.next();
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_EQ(reply->response.call_id, 3u);
+  EXPECT_EQ(as_string_view(ByteSpan(reply->response.payload)), "now");
+  auto credit = reader.next();
+  ASSERT_TRUE(credit.is_ok()) << credit.status().to_string();
+  EXPECT_EQ(credit->stream.credit, 64u);
+}
+
+TEST(WriteBatch, FlushToADeadConnectionReturns) {
+  PairedConn shut = paired_conn();
+  shut.conn->fd.shutdown();
+  PairedConn closed = paired_conn();
+  closed.peer.reset();
+  PairedConn live = paired_conn();
+  {
+    WriteBatch batch;
+    ASSERT_TRUE(send_response(shut.conn, 1, Code::kOk, as_bytes_view("lost")).is_ok());
+    ASSERT_TRUE(send_response(closed.conn, 2, Code::kOk, as_bytes_view("lost")).is_ok());
+    ASSERT_TRUE(send_response(live.conn, 3, Code::kOk, as_bytes_view("kept")).is_ok());
+    batch.flush();  // the dead connections fail quietly
+    ASSERT_TRUE(send_response(shut.conn, 4, Code::kOk, {}).is_ok());
+  }
+  FrameReader reader(live.peer);
+  auto frame = reader.next();
+  ASSERT_TRUE(frame.is_ok()) << frame.status().to_string();
+  EXPECT_EQ(frame->response.call_id, 3u);
+  // Unbatched, the same write reports the dead peer.
+  EXPECT_FALSE(send_response(shut.conn, 5, Code::kOk, {}).is_ok());
+  EXPECT_FALSE(send_response(closed.conn, 6, Code::kOk, {}).is_ok());
 }
 
 }  // namespace

@@ -124,8 +124,9 @@ pass_plain() {
 pass_asan()  { run_pass "$prefix-asan" -DDPURPC_SANITIZE=address,undefined -DDPURPC_LOCKDEP=ON; }
 # Tests whose failure mode is a rare hang in a lane or worker loop, a
 # lost wakeup in the futex channel (TSan does not model futexes, so the
-# channel's ping-pong must hold on its atomics alone) or a mistimed ack.
-repeat_tests='OffloadFixture|MultiLane|ResponseOffload|EndToEndStress|TraceE2e|Forensics|CodecPool|CompletionChannel|PureAck'
+# channel's ping-pong must hold on its atomics alone), a mistimed ack, or
+# a frame held or torn by the buffered xRPC reader and write batch.
+repeat_tests='OffloadFixture|MultiLane|ResponseOffload|EndToEndStress|TraceE2e|Forensics|CodecPool|CompletionChannel|PureAck|FrameReader|WriteBatch'
 
 pass_tsan() {
   run_pass "$prefix-tsan" -DDPURPC_SANITIZE=thread -DDPURPC_BUILD_BENCH=OFF
